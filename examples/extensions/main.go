@@ -10,7 +10,6 @@ import (
 
 	"maskfrac"
 	"maskfrac/internal/cover"
-	"maskfrac/internal/fracture/lshape"
 	"maskfrac/internal/fracture/mbf"
 	"maskfrac/internal/fracture/vdose"
 	"maskfrac/internal/metrics"
@@ -56,18 +55,16 @@ func main() {
 
 	// Extension 2: L-shaped shots on a rectilinear version of the clip
 	// (conventional partition, pairs written as single L shots).
-	ls, err := lshape.Fracture(p)
+	lprob, err := maskfrac.NewProblem(clip.Target, params)
 	if err != nil {
 		log.Fatal(err)
 	}
-	lCount := 0
-	for _, s := range ls.Shots {
-		if s.IsL() {
-			lCount++
-		}
+	ls, err := lprob.Fracture(maskfrac.MethodLShape, nil)
+	if err != nil {
+		log.Fatal(err)
 	}
 	fmt.Printf("L-shape extension: %d rectangles pair into %d shots (%d L-shots)\n",
-		ls.RectCount, ls.ShotCount(), lCount)
+		ls.ShotCount(), ls.FlashCount(), len(ls.LPairs))
 	fmt.Printf("  note: partition-based, no proximity compensation — %d failing pixels\n",
-		ls.Stats.Fail())
+		ls.FailingPixels())
 }

@@ -243,17 +243,6 @@ func (c *Client) NodeRequestCounts() map[string]uint64 {
 	return out
 }
 
-// NodeMetrics fetches and parses /metrics from one member.
-func (c *Client) NodeMetrics(ctx context.Context, id string) ([]telemetry.Sample, error) {
-	c.mu.Lock()
-	n := c.nodes[id]
-	c.mu.Unlock()
-	if n == nil {
-		return nil, fmt.Errorf("cluster: unknown node %q", id)
-	}
-	return n.fc.Metrics(ctx)
-}
-
 // NodeStats fetches /stats from one member.
 func (c *Client) NodeStats(ctx context.Context, id string) (*fracserve.StatsReply, error) {
 	c.mu.Lock()

@@ -354,21 +354,8 @@ func (s Stats) Fail() int { return s.FailOn + s.FailOff }
 func (s Stats) Feasible() bool { return s.Fail() == 0 }
 
 // Evaluate computes the violation statistics of an arbitrary shot set
-// from scratch. The dose field and accumulation scratch come from the
-// problem's arena, so repeated from-scratch evaluations (quality
-// reports, cross-checks) allocate nothing at steady state.
-func (p *Problem) Evaluate(shots []geom.Rect) Stats {
-	a := p.Arena()
-	dose := raster.Field{Grid: p.Grid, V: a.getF64(p.Grid.Len())}
-	scratch := a.getF32(0)
-	for _, s := range shots {
-		scratch = p.Model.AccumulateShotBuf(&dose, s, 1, scratch)
-	}
-	st := p.statsOf(&dose)
-	a.putF32(scratch)
-	a.putF64(dose.V)
-	return st
-}
+// from scratch: EvaluatePaired with no L-shot pairs.
+func (p *Problem) Evaluate(shots []geom.Rect) Stats { return p.EvaluatePaired(shots, nil) }
 
 // statsOf scans a dose field against the pixel classes.
 func (p *Problem) statsOf(dose *raster.Field) Stats {
@@ -392,16 +379,17 @@ func (p *Problem) statsOf(dose *raster.Field) Stats {
 	return st
 }
 
-// pixelCost returns the Eq. 5 contribution of pixel k at dose v.
-func (p *Problem) pixelCost(k int, v float64) float64 {
-	switch p.Class[k] {
+// classCost returns the Eq. 5 contribution of a pixel of class c at
+// dose v.
+func classCost(c Class, v, rho float64) float64 {
+	switch c {
 	case On:
-		if v < p.Params.Rho {
-			return p.Params.Rho - v
+		if v < rho {
+			return rho - v
 		}
 	case Off:
-		if v >= p.Params.Rho {
-			return v - p.Params.Rho
+		if v >= rho {
+			return v - rho
 		}
 	}
 	return 0
@@ -503,18 +491,10 @@ type Eval struct {
 	PixelsScored  int64
 
 	check  bool      // cross-check mode, see SetCrossCheck
-	tab    edgeTabs  // moveScan scratch: per-component 1D edge tables
-	buf    []float32 // backing storage for tab
-	accBuf []float32 // AccumulateShotBuf scratch, reused across mutations
-	arena  *Arena    // owner of the buffers above; receives them on Close
-}
-
-// edgeTabs holds the per-component 1D edge-profile tables of one
-// moveScan, sampled over the union support box via the float32 strip
-// kernels. The model has at most two Gaussian components.
-type edgeTabs struct {
-	exOld, exNew [2][]float32
-	eyOld, eyNew [2][]float32
+	buf    []float32 // scan scratch: the terms' 1D edge tables
+	row    []float64 // scan scratch: one window row's dose change
+	accBuf []float32 // AccumulateShotBuf scratch, reused across resets
+	arena  *Arena    // owner of buf and accBuf; receives them on Close
 }
 
 // NewEval returns an evaluator seeded with the given shots. The shot
@@ -555,8 +535,7 @@ func (e *Eval) Close() {
 		a.putF32(e.accBuf)
 	}
 	e.Dose, e.failOn, e.failOff = nil, nil, nil
-	e.buf, e.accBuf = nil, nil
-	e.tab = edgeTabs{}
+	e.buf, e.row, e.accBuf = nil, nil, nil
 	e.arena = nil
 }
 
@@ -568,22 +547,9 @@ func (e *Eval) Close() {
 func (e *Eval) SetCrossCheck(on bool) { e.check = on }
 
 // Reset replaces the entire configuration with the given shots and
-// rebuilds dose and violation state from scratch: O(grid + Σ support
-// boxes). Use it to restore a snapshot; single-shot changes should go
-// through the incremental mutators instead. Reset clears all L-shot
-// pairing — use ResetPaired to restore a paired snapshot.
-func (e *Eval) Reset(shots []geom.Rect) {
-	clear(e.Dose.V)
-	e.Shots = append(e.Shots[:0], shots...)
-	e.resetPartners(len(e.Shots))
-	for _, s := range e.Shots {
-		e.accBuf = e.P.Model.AccumulateShotBuf(e.Dose, s, 1, e.accBuf)
-	}
-	e.rebuildState()
-	if e.check {
-		e.crossCheck("Reset")
-	}
-}
+// rebuilds dose and violation state from scratch: ResetPaired with no
+// L-shot pairs, so it clears all pairing.
+func (e *Eval) Reset(shots []geom.Rect) { e.ResetPaired(shots, nil) }
 
 // rebuildState derives stats and the failing bitmaps from the current
 // dose field with one full-grid scan, re-anchoring the running cost.
@@ -629,7 +595,7 @@ func (e *Eval) RecomputeStats() Stats {
 func (e *Eval) Add(s geom.Rect) {
 	e.Shots = append(e.Shots, s)
 	e.partner = append(e.partner, -1)
-	e.applyShot(s, 1)
+	e.scan([]doseTerm{{s, 1}}, true)
 	if e.check {
 		e.crossCheck("Add")
 	}
@@ -665,7 +631,7 @@ func (e *Eval) Remove(i int) {
 			e.partner[p] = i
 		}
 	}
-	e.applyShot(s, -1)
+	e.scan([]doseTerm{{s, -1}}, true)
 	if e.check {
 		e.crossCheck("Remove")
 	}
@@ -684,76 +650,6 @@ func (e *Eval) UndoRemove(i int, s geom.Rect) {
 	} else {
 		// the removed shot was the last one; no swap happened
 		e.Add(s)
-	}
-}
-
-// applyShot commits adding (sign=+1) or removing (sign=−1) shot s:
-// the constrained pixels of the shot's support box are retired from
-// the maintained stats, the dose update runs through the model's
-// separable accumulation, and the pixels are restored against the new
-// dose.
-func (e *Eval) applyShot(s geom.Rect, sign float64) {
-	i0, j0, i1, j1 := e.P.Model.SupportBox(e.P.Grid, s)
-	if i1 < i0 || j1 < j0 {
-		e.finishMutation(0)
-		return
-	}
-	e.retireSpan(i0, j0, i1, j1)
-	e.accBuf = e.P.Model.AccumulateShotBuf(e.Dose, s, sign, e.accBuf)
-	e.restoreSpan(i0, j0, i1, j1)
-	e.finishMutation(2 * (i1 - i0 + 1) * (j1 - j0 + 1))
-}
-
-// retireSpan subtracts the cost terms and clears the fail bits of every
-// failing pixel in the box, in preparation for a dose change there. The
-// bitmaps are the authority on which pixels currently contribute, which
-// keeps counts, bits and the running cost in lockstep.
-func (e *Eval) retireSpan(i0, j0, i1, j1 int) {
-	g := e.P.Grid
-	rho := e.P.Params.Rho
-	for j := j0; j <= j1; j++ {
-		base := j * g.W
-		for i := i0; i <= i1; i++ {
-			k := base + i
-			if e.failOn.Bits[k] {
-				e.failOn.Bits[k] = false
-				e.stats.FailOn--
-				e.stats.Cost -= rho - e.Dose.V[k]
-			} else if e.failOff.Bits[k] {
-				e.failOff.Bits[k] = false
-				e.stats.FailOff--
-				e.stats.Cost -= e.Dose.V[k] - rho
-			}
-		}
-	}
-}
-
-// restoreSpan re-classifies every constrained pixel in the box against
-// the updated dose field, adding back cost terms and fail bits.
-func (e *Eval) restoreSpan(i0, j0, i1, j1 int) {
-	p := e.P
-	g := p.Grid
-	rho := p.Params.Rho
-	for j := j0; j <= j1; j++ {
-		base := j * g.W
-		for i := i0; i <= i1; i++ {
-			k := base + i
-			v := e.Dose.V[k]
-			switch p.Class[k] {
-			case On:
-				if v < rho {
-					e.failOn.Bits[k] = true
-					e.stats.FailOn++
-					e.stats.Cost += rho - v
-				}
-			case Off:
-				if v >= rho {
-					e.failOff.Bits[k] = true
-					e.stats.FailOff++
-					e.stats.Cost += v - rho
-				}
-			}
-		}
 	}
 }
 
@@ -778,29 +674,18 @@ func (e *Eval) finishMutation(px int) {
 // scanning only the strips around the moved edges: O(changed strips),
 // the same region DeltaCost scores. When shot i is one arm of an
 // L-shot and the move changes the pair's overlap rectangle, the
-// overlap correction commits as a second strip scan, so moving an arm
-// stays O(changed strips + overlap support).
+// overlap correction commits as a second scan, so moving an arm stays
+// O(changed strips + overlap support).
 func (e *Eval) SetShot(i int, s geom.Rect) {
 	old := e.Shots[i]
 	if old == s {
 		return
 	}
 	e.Shots[i] = s
-	e.moveScan(old, s, true)
+	e.scan([]doseTerm{{s, 1}, {old, -1}}, true)
 	if j := e.partner[i]; j >= 0 {
-		oOld := pairOverlap(old, e.Shots[j])
-		oNew := pairOverlap(s, e.Shots[j])
-		if oOld != oNew {
-			// the pair's dose carries −I_overlap: re-point the negative
-			// term from the old overlap to the new one
-			switch {
-			case oOld == (geom.Rect{}):
-				e.applyShot(oNew, -1)
-			case oNew == (geom.Rect{}):
-				e.applyShot(oOld, 1)
-			default:
-				e.moveScan(oNew, oOld, true) // dose += I_oOld − I_oNew
-			}
+		if ot, n := overlapMove(old, s, e.Shots[j]); n > 0 {
+			e.scan(ot[:n], true)
 		}
 	}
 	if e.check {
@@ -892,31 +777,110 @@ func (e *Eval) crossCheck(op string) {
 // cheap (paper §4.1). Commit the move afterwards with ApplyDelta.
 //
 // For a paired shot whose replacement changes the L-shot's overlap
-// rectangle, the shot term and the overlap correction are scored in a
-// single multi-term pass (termScan): the Eq. 5 pixel cost is piecewise
-// linear with a breakpoint at ρ, so scoring the two dose terms
-// separately and summing would be wrong wherever their strips overlap.
+// rectangle, the shot terms and the overlap correction are scored in a
+// single pass: the Eq. 5 pixel cost is piecewise linear with a
+// breakpoint at ρ, so scoring the dose terms separately and summing
+// would be wrong wherever their strips overlap.
 func (e *Eval) DeltaCost(i int, repl geom.Rect) float64 {
 	old := e.Shots[i]
 	if old == repl {
 		return 0
 	}
 	e.Evals++
+	terms := [maxTerms]doseTerm{{repl, 1}, {old, -1}}
+	n := 2
 	if j := e.partner[i]; j >= 0 {
-		oOld := pairOverlap(old, e.Shots[j])
-		oNew := pairOverlap(repl, e.Shots[j])
-		if oOld != oNew {
-			return e.pairedMoveDelta(old, repl, oOld, oNew)
-		}
+		ot, no := overlapMove(old, repl, e.Shots[j])
+		copy(terms[2:], ot[:no])
+		n += no
 	}
-	return e.moveScan(old, repl, false)
+	return e.scan(terms[:n], false)
 }
 
-// edgeTables sizes the scratch tables for nc components over an
-// nx × ny union box, reusing the evaluator's backing buffer (grown
-// through the arena so a closed evaluator donates it back).
-func (e *Eval) edgeTables(nc, nx, ny int) *edgeTabs {
-	need := 2 * nc * (nx + ny)
+// doseTerm is one signed rectangle term of a dose change.
+type doseTerm struct {
+	r    geom.Rect
+	sign float64
+}
+
+// maxTerms bounds a scan: a paired shot move changes at most four dose
+// terms (new shot, old shot, old overlap, new overlap).
+const maxTerms = 4
+
+// scan is the evaluator's one strip scanner, behind every incremental
+// mutator and scorer. It visits the pixels whose dose the summed terms
+// change and either scores the Eq. 5 cost change (commit=false,
+// don't-care band skipped) or commits it (commit=true: dose written and
+// each constrained pixel's cost term and fail bit replaced against its
+// new dose; band pixels still get their dose update).
+//
+// The pixel window is the terms' union support box, narrowed for a move
+// — one positive and one negative term — to the strips around the edges
+// that differ: beyond them the two rectangles' edge profiles clamp to
+// identical values, so their products cancel to exactly zero. The edge
+// tables are filled over the window only; the strip kernels' exactness
+// contract makes each sample independent of the window it is filled
+// through.
+//
+// For every pixel the first two terms are summed within each Gaussian
+// component before the components are added, so a move adds
+// (a0−b0)+(a1−b1); further terms are added one at a time after them,
+// and a single term is paired with a zero-weight copy of itself. Under
+// the single-Gaussian model a one-term commit therefore writes
+// bit-for-bit the dose ebeam's separable accumulation writes, so the
+// dose of a sequence of Adds equals a from-scratch Reset's exactly.
+// Dose values exactly at ρ are common on an aligned grid; a reordered
+// sum could flip such a pixel's class and with it a solver decision.
+func (e *Eval) scan(terms []doseTerm, commit bool) float64 {
+	if len(terms) == 0 || len(terms) > maxTerms {
+		panic("cover: scan: need 1 to 4 terms")
+	}
+	p := e.P
+	g := p.Grid
+	model := p.Model
+	sup := model.Support()
+	nt := len(terms)
+
+	ubox := terms[0].r
+	for _, t := range terms[1:] {
+		ubox = ubox.Union(t.r)
+	}
+	ubox = ubox.Inset(-sup)
+	wi0, wj0 := g.PixelOf(geom.Pt(ubox.X0, ubox.Y0))
+	wi1, wj1 := g.PixelOf(geom.Pt(ubox.X1, ubox.Y1))
+	wi0, wj0 = g.ClampX(wi0), g.ClampY(wj0)
+	wi1, wj1 = g.ClampX(wi1), g.ClampY(wj1)
+	if nt == 2 && terms[0].sign == -terms[1].sign {
+		a, b := terms[0].r, terms[1].r
+		xLo, xHi, xChanged := changedInterval(b.X0, b.X1, a.X0, a.X1, sup)
+		yLo, yHi, yChanged := changedInterval(b.Y0, b.Y1, a.Y0, a.Y1, sup)
+		switch {
+		case xChanged && yChanged:
+			// general move: the whole union support box
+		case xChanged:
+			// vertical strip only
+			i0, _ := g.PixelOf(geom.Pt(xLo, 0))
+			i1, _ := g.PixelOf(geom.Pt(xHi, 0))
+			wi0, wi1 = max(g.ClampX(i0), wi0), min(g.ClampX(i1), wi1)
+		case yChanged:
+			// horizontal strip only
+			_, j0 := g.PixelOf(geom.Pt(0, yLo))
+			_, j1 := g.PixelOf(geom.Pt(0, yHi))
+			wj0, wj1 = max(g.ClampY(j0), wj0), min(g.ClampY(j1), wj1)
+		default:
+			wi1 = wi0 - 1 // identical rectangles: nothing changes
+		}
+	}
+	nx, ny := wi1-wi0+1, wj1-wj0+1
+	if nx <= 0 || ny <= 0 {
+		nx, ny = 0, 0
+	}
+
+	// per-term, per-component 1D edge tables over the window: O(W+H)
+	// float32 strip-kernel fills up front make the area pass pure
+	// widening multiply-adds (float32 loads, float64 accumulation)
+	nc := model.Components()
+	need := nt * nc * (nx + ny)
 	if cap(e.buf) < need {
 		if a := e.arena; a != nil {
 			a.putF32(e.buf)
@@ -926,153 +890,107 @@ func (e *Eval) edgeTables(nc, nx, ny int) *edgeTabs {
 		}
 	}
 	buf := e.buf[:need]
-	carve := func(n int) []float32 {
-		s := buf[:n:n]
-		buf = buf[n:]
-		return s
-	}
-	for c := 0; c < nc; c++ {
-		e.tab.exOld[c] = carve(nx)
-		e.tab.exNew[c] = carve(nx)
-		e.tab.eyOld[c] = carve(ny)
-		e.tab.eyNew[c] = carve(ny)
-	}
-	return &e.tab
-}
-
-// moveScan is the shared strip scanner behind DeltaCost and SetShot: it
-// visits the pixels whose dose the replacement old → repl changes — the
-// changed-interval strips intersected with the union support box — and
-// either scores the Eq. 5 cost change (commit=false, don't-care band
-// skipped) or commits it (commit=true, dose written and the maintained
-// stats/bitmaps retired-and-restored per pixel; band pixels still get
-// their dose update). Pixels outside the strips keep their dose
-// bit-for-bit: beyond the padded interval both edge profiles clamp to
-// identical values, so dI is exactly zero there.
-func (e *Eval) moveScan(old, repl geom.Rect, commit bool) float64 {
-	p := e.P
-	g := p.Grid
-	model := p.Model
-	sup := model.Support()
-
-	// x-interval and y-interval where the separable profiles differ
-	xLo, xHi, xChanged := changedInterval(old.X0, old.X1, repl.X0, repl.X1, sup)
-	yLo, yHi, yChanged := changedInterval(old.Y0, old.Y1, repl.Y0, repl.Y1, sup)
-	if !xChanged && !yChanged {
-		if commit {
-			e.finishMutation(0)
+	var ex, ey [maxTerms][2][]float32
+	var sign [maxTerms]float64
+	for t, term := range terms {
+		for c := 0; c < nc; c++ {
+			ex[t][c], ey[t][c], buf = buf[:nx:nx], buf[nx:nx+ny:nx+ny], buf[nx+ny:]
+			model.EdgeProfiles32(ex[t][c], c, g.X0, g.Pitch, wi0, term.r.X0, term.r.X1)
+			model.EdgeProfiles32(ey[t][c], c, g.Y0, g.Pitch, wj0, term.r.Y0, term.r.Y1)
 		}
-		return 0
+		sign[t] = term.sign
+	}
+	if nt == 1 {
+		ex[1], ey[1] = ex[0], ey[0] // the zero-weight copy: sign[1] == 0
 	}
 
-	// overall support box (union of both shots' support)
-	ubox := old.Union(repl).Inset(-sup)
-	ui0, uj0 := g.PixelOf(geom.Pt(ubox.X0, ubox.Y0))
-	ui1, uj1 := g.PixelOf(geom.Pt(ubox.X1, ubox.Y1))
-	ui0, uj0 = g.ClampX(ui0), g.ClampY(uj0)
-	ui1, uj1 = g.ClampX(ui1), g.ClampY(uj1)
-
-	// per-component 1D edge tables over the union box: O(W+H) float32
-	// strip-kernel fills up front make the area scans pure widening
-	// multiply-adds (float32 loads, float64 accumulation)
-	nc := model.Components()
-	tab := e.edgeTables(nc, ui1-ui0+1, uj1-uj0+1)
-	for c := 0; c < nc; c++ {
-		model.EdgeProfiles32(tab.exOld[c], c, g.X0, g.Pitch, ui0, old.X0, old.X1)
-		model.EdgeProfiles32(tab.exNew[c], c, g.X0, g.Pitch, ui0, repl.X0, repl.X1)
-		model.EdgeProfiles32(tab.eyOld[c], c, g.Y0, g.Pitch, uj0, old.Y0, old.Y1)
-		model.EdgeProfiles32(tab.eyNew[c], c, g.Y0, g.Pitch, uj0, repl.Y0, repl.Y1)
+	// per row: first the summed dose change of every pixel, one pass per
+	// component and extra term (tight loops, the sums in the order the
+	// doc comment gives), then one pass scoring or committing it
+	if cap(e.row) < g.W {
+		e.row = make([]float64, g.W)
 	}
-	exO0, exN0 := tab.exOld[0], tab.exNew[0]
-	exO1, exN1 := tab.exOld[1], tab.exNew[1]
-	w0, w1 := model.Weight(0), 0.0
-	if nc == 2 {
-		w1 = model.Weight(1)
-	}
-
+	row := e.row[:nx]
 	rho := p.Params.Rho
-	delta, px := 0.0, 0
-	scan := func(i0, j0, i1, j1 int) {
-		if i1 < i0 || j1 < j0 {
-			return
-		}
-		px += (i1 - i0 + 1) * (j1 - j0 + 1)
-		for j := j0; j <= j1; j++ {
-			jo := j - uj0
-			base := j * g.W
-			// hoist the weighted row factors; outside the changed strips
-			// eyOld == eyNew and exOld == exNew bit-for-bit (the strip
-			// kernel's exactness contract), so dI is exactly zero there
-			eyO0 := w0 * float64(tab.eyOld[0][jo])
-			eyN0 := w0 * float64(tab.eyNew[0][jo])
-			var eyO1, eyN1 float64
-			if nc == 2 {
-				eyO1 = w1 * float64(tab.eyOld[1][jo])
-				eyN1 = w1 * float64(tab.eyNew[1][jo])
+	delta := 0.0
+	var eyv [maxTerms][2]float64
+	for jo := 0; jo < ny; jo++ {
+		for t := 0; t < max(nt, 2); t++ {
+			for c := 0; c < nc; c++ {
+				eyv[t][c] = sign[t] * model.Weight(c) * float64(ey[t][c][jo])
 			}
-			for i := i0; i <= i1; i++ {
-				k := base + i
-				cls := p.Class[k]
-				if !commit && cls == Band {
+		}
+		for c := 0; c < nc; c++ {
+			a, b := ex[0][c][:len(row)], ex[1][c][:len(row)]
+			wa, wb := eyv[0][c], eyv[1][c]
+			if c == 0 {
+				for io := range row {
+					row[io] = float64(a[io])*wa + float64(b[io])*wb
+				}
+			} else {
+				for io := range row {
+					row[io] += float64(a[io])*wa + float64(b[io])*wb
+				}
+			}
+		}
+		for t := 2; t < nt; t++ {
+			for c := 0; c < nc; c++ {
+				x, w := ex[t][c][:len(row)], eyv[t][c]
+				for io := range row {
+					row[io] += float64(x[io]) * w
+				}
+			}
+		}
+
+		base := (wj0+jo)*g.W + wi0
+		class := p.Class[base : base+nx]
+		dose := e.Dose.V[base : base+nx]
+		if !commit {
+			for io, dI := range row {
+				cls := class[io]
+				if dI == 0 || cls == Band {
 					continue
 				}
-				io := i - ui0
-				dI := float64(exN0[io])*eyN0 - float64(exO0[io])*eyO0
-				if nc == 2 {
-					dI += float64(exN1[io])*eyN1 - float64(exO1[io])*eyO1
+				v := dose[io]
+				delta += classCost(cls, v+dI, rho) - classCost(cls, v, rho)
+			}
+			continue
+		}
+		for io, dI := range row {
+			if dI == 0 {
+				continue
+			}
+			k := base + io
+			v := dose[io]
+			nv := v + dI
+			dose[io] = nv
+			switch class[io] {
+			case On:
+				if e.failOn.Bits[k] {
+					e.failOn.Bits[k] = false
+					e.stats.FailOn--
+					e.stats.Cost -= rho - v
 				}
-				if dI == 0 {
-					continue
+				if nv < rho {
+					e.failOn.Bits[k] = true
+					e.stats.FailOn++
+					e.stats.Cost += rho - nv
 				}
-				v := e.Dose.V[k]
-				if !commit {
-					delta += p.pixelCost(k, v+dI) - p.pixelCost(k, v)
-					continue
+			case Off:
+				if e.failOff.Bits[k] {
+					e.failOff.Bits[k] = false
+					e.stats.FailOff--
+					e.stats.Cost -= v - rho
 				}
-				nv := v + dI
-				e.Dose.V[k] = nv
-				switch cls {
-				case On:
-					if e.failOn.Bits[k] {
-						e.failOn.Bits[k] = false
-						e.stats.FailOn--
-						e.stats.Cost -= rho - v
-					}
-					if nv < rho {
-						e.failOn.Bits[k] = true
-						e.stats.FailOn++
-						e.stats.Cost += rho - nv
-					}
-				case Off:
-					if e.failOff.Bits[k] {
-						e.failOff.Bits[k] = false
-						e.stats.FailOff--
-						e.stats.Cost -= v - rho
-					}
-					if nv >= rho {
-						e.failOff.Bits[k] = true
-						e.stats.FailOff++
-						e.stats.Cost += nv - rho
-					}
+				if nv >= rho {
+					e.failOff.Bits[k] = true
+					e.stats.FailOff++
+					e.stats.Cost += nv - rho
 				}
 			}
 		}
 	}
-	switch {
-	case xChanged && yChanged:
-		// general move: scan the whole union support box
-		scan(ui0, uj0, ui1, uj1)
-	case xChanged:
-		// vertical strip only
-		i0, _ := g.PixelOf(geom.Pt(xLo, 0))
-		i1, _ := g.PixelOf(geom.Pt(xHi, 0))
-		scan(max(g.ClampX(i0), ui0), uj0, min(g.ClampX(i1), ui1), uj1)
-	default:
-		// horizontal strip only
-		_, j0 := g.PixelOf(geom.Pt(0, yLo))
-		_, j1 := g.PixelOf(geom.Pt(0, yHi))
-		scan(ui0, max(g.ClampY(j0), uj0), ui1, min(g.ClampY(j1), uj1))
-	}
+	px := nx * ny
 	if commit {
 		e.finishMutation(px)
 	} else {

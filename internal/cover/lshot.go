@@ -120,7 +120,7 @@ func (e *Eval) Pair(i, j int) {
 	}
 	e.partner[i], e.partner[j] = j, i
 	if o := pairOverlap(e.Shots[i], e.Shots[j]); o != (geom.Rect{}) {
-		e.applyShot(o, -1)
+		e.scan([]doseTerm{{o, -1}}, true)
 	} else {
 		e.finishMutation(0)
 	}
@@ -139,7 +139,7 @@ func (e *Eval) Unpair(i int) {
 	}
 	e.partner[i], e.partner[j] = -1, -1
 	if o := pairOverlap(e.Shots[i], e.Shots[j]); o != (geom.Rect{}) {
-		e.applyShot(o, 1)
+		e.scan([]doseTerm{{o, 1}}, true)
 	} else {
 		e.finishMutation(0)
 	}
@@ -163,7 +163,7 @@ func (e *Eval) PairDelta(i, j int) float64 {
 	if o == (geom.Rect{}) {
 		return 0
 	}
-	return e.termScan([]doseTerm{{o, -1}})
+	return e.scan([]doseTerm{{o, -1}}, false)
 }
 
 // UnpairDelta returns the change in Eq. 5 cost if the L-shot containing
@@ -179,13 +179,15 @@ func (e *Eval) UnpairDelta(i int) float64 {
 	if o == (geom.Rect{}) {
 		return 0
 	}
-	return e.termScan([]doseTerm{{o, 1}})
+	return e.scan([]doseTerm{{o, 1}}, false)
 }
 
 // ResetPaired replaces the entire configuration with the given shots
-// and L-shot pairs and rebuilds dose and violation state from scratch,
-// the paired counterpart of Reset. Each pairs element is an {i, j}
-// index pair into shots; indices must be distinct across pairs.
+// and L-shot pairs and rebuilds dose and violation state from scratch:
+// O(grid + Σ support boxes). Use it to restore a snapshot; single-shot
+// changes should go through the incremental mutators instead. Each
+// pairs element is an {i, j} index pair into shots; indices must be
+// distinct across pairs.
 func (e *Eval) ResetPaired(shots []geom.Rect, pairs [][2]int) {
 	clear(e.Dose.V)
 	e.Shots = append(e.Shots[:0], shots...)
@@ -224,12 +226,11 @@ func (e *Eval) resetPartners(n int) {
 // EvaluatePaired computes the violation statistics of a shot set with
 // L-shot pairs from scratch: every shot accumulates positively, every
 // pair's positive-area overlap accumulates negatively. It is the
-// from-scratch reference the paired evaluator's cross-check mode
-// asserts against. With no pairs it is exactly Evaluate.
+// from-scratch reference the evaluator's cross-check mode asserts
+// against. The dose field and accumulation scratch come from the
+// problem's arena, so repeated from-scratch evaluations (quality
+// reports, cross-checks) allocate nothing at steady state.
 func (p *Problem) EvaluatePaired(shots []geom.Rect, pairs [][2]int) Stats {
-	if len(pairs) == 0 {
-		return p.Evaluate(shots)
-	}
 	a := p.Arena()
 	dose := raster.Field{Grid: p.Grid, V: a.getF64(p.Grid.Len())}
 	scratch := a.getF32(0)
@@ -247,122 +248,23 @@ func (p *Problem) EvaluatePaired(shots []geom.Rect, pairs [][2]int) Stats {
 	return st
 }
 
-// doseTerm is one signed rectangle term of a multi-term dose change.
-type doseTerm struct {
-	r    geom.Rect
-	sign float64
-}
-
-// termScanMaxTerms bounds a termScan: a paired shot move contributes at
-// most four terms (new shot, old shot, old overlap, new overlap).
-const termScanMaxTerms = 4
-
-// termScan scores the Eq. 5 cost change of applying a set of signed
-// rectangle dose terms simultaneously, without modifying the evaluator.
-// It is the multi-term counterpart of moveScan's scoring path: the cost
-// at each pixel is evaluated once against the summed dose change, which
-// is required for correctness — pixelCost is piecewise linear with a
-// breakpoint at ρ, so the deltas of the individual terms do not sum.
-// Every term must be a nonzero rectangle. O(union support box).
-func (e *Eval) termScan(terms []doseTerm) float64 {
-	if len(terms) > termScanMaxTerms {
-		panic("cover: termScan: too many terms")
+// overlapMove returns the dose terms that re-point a pair's overlap
+// correction when one arm moves from old to repl while its partner
+// stays put: the pair's dose carries −I_overlap, so the change is
+// +I_oldOverlap − I_newOverlap, with zero overlaps left out. n is 0
+// when the overlap does not change.
+func overlapMove(old, repl, partner geom.Rect) (ts [2]doseTerm, n int) {
+	oOld, oNew := pairOverlap(old, partner), pairOverlap(repl, partner)
+	if oOld == oNew {
+		return ts, 0
 	}
-	p := e.P
-	g := p.Grid
-	model := p.Model
-	sup := model.Support()
-
-	ubox := geom.Rect{}
-	for _, t := range terms {
-		ubox = ubox.Union(t.r)
-	}
-	ubox = ubox.Inset(-sup)
-	ui0, uj0 := g.PixelOf(geom.Pt(ubox.X0, ubox.Y0))
-	ui1, uj1 := g.PixelOf(geom.Pt(ubox.X1, ubox.Y1))
-	ui0, uj0 = g.ClampX(ui0), g.ClampY(uj0)
-	ui1, uj1 = g.ClampX(ui1), g.ClampY(uj1)
-	if ui1 < ui0 || uj1 < uj0 {
-		return 0
-	}
-	nx, ny := ui1-ui0+1, uj1-uj0+1
-	nc := model.Components()
-	nt := len(terms)
-
-	need := nt * nc * (nx + ny)
-	buf := e.buf
-	if cap(buf) < need {
-		if a := e.arena; a != nil {
-			a.putF32(buf)
-			buf = a.getF32(need)
-		} else {
-			buf = make([]float32, need)
-		}
-		e.buf = buf
-	}
-	buf = buf[:need]
-	carve := func(n int) []float32 {
-		s := buf[:n:n]
-		buf = buf[n:]
-		return s
-	}
-	var ex, ey [termScanMaxTerms][2][]float32
-	for t := 0; t < nt; t++ {
-		for c := 0; c < nc; c++ {
-			ex[t][c] = carve(nx)
-			ey[t][c] = carve(ny)
-			model.EdgeProfiles32(ex[t][c], c, g.X0, g.Pitch, ui0, terms[t].r.X0, terms[t].r.X1)
-			model.EdgeProfiles32(ey[t][c], c, g.Y0, g.Pitch, uj0, terms[t].r.Y0, terms[t].r.Y1)
-		}
-	}
-
-	delta := 0.0
-	var eyv [termScanMaxTerms][2]float64
-	for j := uj0; j <= uj1; j++ {
-		jo := j - uj0
-		base := j * g.W
-		// hoist the signed, weighted row factors once per row
-		for t := 0; t < nt; t++ {
-			for c := 0; c < nc; c++ {
-				eyv[t][c] = terms[t].sign * model.Weight(c) * float64(ey[t][c][jo])
-			}
-		}
-		for i := ui0; i <= ui1; i++ {
-			k := base + i
-			if p.Class[k] == Band {
-				continue
-			}
-			io := i - ui0
-			dI := 0.0
-			for t := 0; t < nt; t++ {
-				for c := 0; c < nc; c++ {
-					dI += float64(ex[t][c][io]) * eyv[t][c]
-				}
-			}
-			if dI == 0 {
-				continue
-			}
-			v := e.Dose.V[k]
-			delta += p.pixelCost(k, v+dI) - p.pixelCost(k, v)
-		}
-	}
-	px := nx * ny
-	e.PixelsScored += int64(px)
-	evalPixelsScoredTotal.Add(int64(px))
-	return delta
-}
-
-// pairedMoveDelta scores the replacement of a paired shot when the
-// replacement also changes the pair's overlap term: the dose change is
-// I_repl − I_old + I_oldOverlap − I_newOverlap, scored in one pass.
-func (e *Eval) pairedMoveDelta(old, repl, oOld, oNew geom.Rect) float64 {
-	terms := make([]doseTerm, 0, termScanMaxTerms)
-	terms = append(terms, doseTerm{repl, 1}, doseTerm{old, -1})
 	if oOld != (geom.Rect{}) {
-		terms = append(terms, doseTerm{oOld, 1})
+		ts[n] = doseTerm{oOld, 1}
+		n++
 	}
 	if oNew != (geom.Rect{}) {
-		terms = append(terms, doseTerm{oNew, -1})
+		ts[n] = doseTerm{oNew, -1}
+		n++
 	}
-	return e.termScan(terms)
+	return ts, n
 }

@@ -313,27 +313,6 @@ func (c *Client) stats(ctx context.Context, url string) (*StatsReply, error) {
 	return &out, nil
 }
 
-// Metrics fetches and parses the server's /metrics endpoint.
-func (c *Client) Metrics(ctx context.Context) ([]telemetry.Sample, error) {
-	hr, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/metrics", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.http().Do(hr)
-	if err != nil {
-		return nil, err
-	}
-	defer drainClose(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return nil, statusError(resp)
-	}
-	samples, err := telemetry.ParsePrometheus(resp.Body)
-	if err != nil {
-		return nil, fmt.Errorf("%w: parse metrics: %v", ErrProtocol, err)
-	}
-	return samples, nil
-}
-
 // Healthz probes the server's liveness endpoint.
 func (c *Client) Healthz(ctx context.Context) error {
 	hr, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/healthz", nil)

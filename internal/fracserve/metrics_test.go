@@ -215,7 +215,7 @@ func TestE2EPprofGated(t *testing.T) {
 }
 
 // TestE2EStatsCoalescedField checks the additive cache stats field and
-// that /stats values agree with the registry-backed counters.
+// that /stats values agree with the registry-backed instruments.
 func TestE2EStatsCoalescedField(t *testing.T) {
 	s, c := newTestServer(t, Config{Workers: 2})
 	ctx := context.Background()
@@ -246,7 +246,17 @@ func TestE2EStatsCoalescedField(t *testing.T) {
 	if st.Cache.Coalesced > st.Cache.Hits {
 		t.Errorf("coalesced=%d > hits=%d", st.Cache.Coalesced, st.Cache.Hits)
 	}
-	_ = s
+	// the control-plane fields /clusterz reads: the /stats request is
+	// itself in flight, and the one finished request has a latency
+	if st.Inflight < 1 {
+		t.Errorf("inflight = %d, want >= 1 (this request)", st.Inflight)
+	}
+	if st.P50MS <= 0 || st.P99MS < st.P50MS {
+		t.Errorf("latency quantiles p50=%v p99=%v", st.P50MS, st.P99MS)
+	}
+	if _, retained, _ := s.traces.Stats(); st.TracesRetained != int(retained) {
+		t.Errorf("traces_retained = %d, trace store holds %d", st.TracesRetained, retained)
+	}
 }
 
 // TestE2EDrainLogging checks the graceful-drain log line reports the

@@ -695,15 +695,20 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // is kept for compatibility; every value is derived from the registry
 // instruments.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
+	_, retained, _ := s.traces.Stats()
 	reply := StatsReply{
-		UptimeSeconds: time.Since(s.start).Seconds(),
-		Requests:      uint64(s.requests.Value()),
-		Rejected:      uint64(s.rejected.Value()),
-		Timeouts:      uint64(s.timeouts.Value()),
-		QueueDepth:    len(s.jobs),
-		QueueCapacity: s.cfg.QueueDepth,
-		Workers:       s.cfg.Workers,
-		Methods:       make(map[string]MethodStats),
+		UptimeSeconds:  time.Since(s.start).Seconds(),
+		Requests:       uint64(s.requests.Value()),
+		Rejected:       uint64(s.rejected.Value()),
+		Timeouts:       uint64(s.timeouts.Value()),
+		QueueDepth:     len(s.jobs),
+		QueueCapacity:  s.cfg.QueueDepth,
+		Workers:        s.cfg.Workers,
+		Inflight:       int(s.inflight.Value()),
+		TracesRetained: int(retained),
+		P50MS:          s.reqDur.Quantile(0.5) * 1e3,
+		P99MS:          s.reqDur.Quantile(0.99) * 1e3,
+		Methods:        make(map[string]MethodStats),
 	}
 	s.mShapes.Each(func(values []string, c *telemetry.Counter) {
 		name := values[0]

@@ -213,16 +213,23 @@ type MethodStats struct {
 
 // StatsReply is the GET /stats body.
 type StatsReply struct {
-	UptimeSeconds float64                `json:"uptime_seconds"`
-	Requests      uint64                 `json:"requests"`
-	Rejected      uint64                 `json:"rejected"` // 429s from queue overflow
-	Timeouts      uint64                 `json:"timeouts"` // per-request deadline expiries
-	ShapesDone    uint64                 `json:"shapes_done"`
-	QueueDepth    int                    `json:"queue_depth"`
-	QueueCapacity int                    `json:"queue_capacity"`
-	Workers       int                    `json:"workers"`
-	Cache         CacheStatsWire         `json:"cache"`
-	Methods       map[string]MethodStats `json:"methods"`
+	UptimeSeconds  float64 `json:"uptime_seconds"`
+	Requests       uint64  `json:"requests"`
+	Rejected       uint64  `json:"rejected"` // 429s from queue overflow
+	Timeouts       uint64  `json:"timeouts"` // per-request deadline expiries
+	ShapesDone     uint64  `json:"shapes_done"`
+	QueueDepth     int     `json:"queue_depth"`
+	QueueCapacity  int     `json:"queue_capacity"`
+	Workers        int     `json:"workers"`
+	Inflight       int     `json:"inflight"`        // HTTP requests being served, this one included
+	TracesRetained int     `json:"traces_retained"` // /debug/traces retention count
+	// P50MS/P99MS are request-latency quantiles of the node's
+	// fracd_request_duration_seconds histogram, all endpoints
+	// aggregated.
+	P50MS   float64                `json:"p50_ms"`
+	P99MS   float64                `json:"p99_ms"`
+	Cache   CacheStatsWire         `json:"cache"`
+	Methods map[string]MethodStats `json:"methods"`
 	// TopClasses is the cache's highest-placement congruence classes,
 	// present when the request asked for them with ?classes=K. The
 	// stencil planner mines these across the cluster.

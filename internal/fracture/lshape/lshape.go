@@ -1,95 +1,55 @@
 // Package lshape implements L-shape based layout fracturing (Yu, Gao &
-// Pan, ASP-DAC 2013 — the paper's reference [20]): e-beam tools with an
-// L-shaped aperture can expose an L-shaped region in a single shot, so
-// a rectangle partition whose pieces pair up into L-shapes halves the
-// shot count in the best case.
+// Pan, ASP-DAC 2013 — the paper's reference [20]; arXiv:1402.2420):
+// e-beam tools with an L-shaped aperture can expose an L-shaped region
+// in a single flash, so a rectangle partition whose pieces pair up into
+// L-shapes halves the flash count in the best case.
 //
-// The pipeline: minimum rectangle partition → build the L-compatibility
-// graph (two rectangles merge into an L exactly when they share a
-// boundary edge and align at exactly one end, giving a 6-vertex union)
-// → maximum pairing via greedy maximal matching → one shot per pair,
-// one per leftover rectangle.
+// The pipeline: rectilinearize curvilinear targets on a coarse grid →
+// minimum rectangle partition → L-compatibility graph over the pieces →
+// maximum matching. Compatibility and matching are the ones mbf-l uses
+// (cover.UnionIsLShot, graphx.MatchEdges), so the two L-shot methods
+// differ only in the rectangles they pair: a conventional partition
+// here, a model-based cover there.
 //
 // This is the "non-rectangular shots" extension the paper cites and
 // deliberately leaves out (fixed-dose rectangles need no tool change);
-// it is provided here as an optional fracturing mode.
+// it is the conventional L-shot baseline, with no proximity
+// compensation.
 package lshape
 
 import (
 	"fmt"
 
 	"maskfrac/internal/cover"
+	"maskfrac/internal/fracture/engine"
 	"maskfrac/internal/fracture/partition"
 	"maskfrac/internal/geom"
+	"maskfrac/internal/graphx"
 	"maskfrac/internal/raster"
 )
 
-// Shot is a single e-beam exposure: either one rectangle (B empty) or
-// an L-shape written as one shot (A and B share an edge and align at
-// exactly one end).
-type Shot struct {
-	A geom.Rect
-	B geom.Rect // zero Rect when the shot is a plain rectangle
-}
+// fractureGrid is the coarse rectilinearization pitch for curvilinear
+// targets in nm, as a conventional tool's fracture grid would use
+// (pixel-level staircasing would explode the rectangle count).
+const fractureGrid = 4
 
-// IsL reports whether the shot is an L-shape.
-func (s Shot) IsL() bool { return !s.B.Empty() }
-
-// Rects returns the rectangle decomposition of the shot.
-func (s Shot) Rects() []geom.Rect {
-	if s.IsL() {
-		return []geom.Rect{s.A, s.B}
-	}
-	return []geom.Rect{s.A}
-}
-
-// Result is the outcome of L-shape fracturing.
-type Result struct {
-	Shots     []Shot
-	RectCount int // rectangles before pairing
-	Stats     cover.Stats
-}
-
-// ShotCount returns the number of e-beam shots (pairs count once).
-func (r *Result) ShotCount() int { return len(r.Shots) }
-
-// Fracture partitions the target and pairs rectangles into L-shots.
-// Curvilinear targets are rectilinearized on the sampling grid first.
-func Fracture(p *cover.Problem) (*Result, error) {
-	var pieces []geom.Polygon
-	rectilinear := true
+// Fracture partitions the problem's targets into rectangles and pairs
+// them into L-shots: the solution's Shots are the partition and its
+// Pairs the matched L-shots, each pair written as one flash.
+func Fracture(p *cover.Problem) (*engine.Solution, error) {
+	pieces := p.Targets
 	for _, t := range p.Targets {
-		if !t.IsRectilinear() {
-			rectilinear = false
-			break
+		if t.IsRectilinear() {
+			continue
 		}
-	}
-	if rectilinear {
-		pieces = p.Targets
-	} else {
-		// rectilinearize on a coarse fracture grid, as a conventional
-		// tool would (pixel-level staircasing would explode the count)
-		coarse := raster.GridCovering(p.TargetBounds(), 4, 4)
-		bm := raster.NewBitmap(coarse)
-		for _, t := range p.Targets {
-			one, err := raster.Rasterize(t, coarse)
-			if err != nil {
-				return nil, fmt.Errorf("lshape: %w", err)
-			}
-			for k, v := range one.Bits {
-				if v {
-					bm.Bits[k] = true
-				}
-			}
-		}
-		for _, pg := range raster.Contours(bm) {
-			if pg.IsCCW() {
-				pieces = append(pieces, pg)
-			}
+		var err error
+		if pieces, err = raster.Rectilinearize(p.Targets, fractureGrid); err != nil {
+			return nil, fmt.Errorf("lshape: %w", err)
 		}
 		if len(pieces) == 0 {
 			return nil, fmt.Errorf("lshape: target rasterizes to nothing")
 		}
+		break
 	}
 	var rects []geom.Rect
 	for _, piece := range pieces {
@@ -99,101 +59,24 @@ func Fracture(p *cover.Problem) (*Result, error) {
 		}
 		rects = append(rects, rs...)
 	}
-	shots := Pair(rects)
-	flat := make([]geom.Rect, 0, len(rects))
-	for _, s := range shots {
-		flat = append(flat, s.Rects()...)
-	}
-	return &Result{Shots: shots, RectCount: len(rects), Stats: p.Evaluate(flat)}, nil
+	return &engine.Solution{Shots: rects, Pairs: pairRects(rects)}, nil
 }
 
-// Pair greedily matches rectangles whose union is an L-shape and
-// returns the resulting shot list. Pairing order prefers the largest
-// combined area first, a simple heuristic that tends to pair long
-// slivers with their neighbors.
-func Pair(rects []geom.Rect) []Shot {
-	type cand struct {
-		i, j int
-		area float64
-	}
-	var cands []cand
-	for i := 0; i < len(rects); i++ {
+// pairRects returns a maximum set of disjoint L-compatible rectangle
+// pairs as {i, j} index pairs with i < j, sorted ascending.
+func pairRects(rects []geom.Rect) [][2]int {
+	var edges [][2]int
+	for i := range rects {
 		for j := i + 1; j < len(rects); j++ {
-			if UnionIsL(rects[i], rects[j]) {
-				cands = append(cands, cand{i, j, rects[i].Area() + rects[j].Area()})
+			if cover.UnionIsLShot(rects[i], rects[j]) {
+				edges = append(edges, [2]int{i, j})
 			}
 		}
 	}
-	// sort by descending combined area (insertion sort; candidate lists
-	// are small)
-	for a := 1; a < len(cands); a++ {
-		for b := a; b > 0 && cands[b].area > cands[b-1].area; b-- {
-			cands[b], cands[b-1] = cands[b-1], cands[b]
-		}
+	matched, _ := graphx.MatchEdges(len(rects), edges)
+	var pairs [][2]int
+	for _, k := range matched {
+		pairs = append(pairs, edges[k])
 	}
-	used := make([]bool, len(rects))
-	var shots []Shot
-	for _, c := range cands {
-		if used[c.i] || used[c.j] {
-			continue
-		}
-		used[c.i], used[c.j] = true, true
-		shots = append(shots, Shot{A: rects[c.i], B: rects[c.j]})
-	}
-	for i, r := range rects {
-		if !used[i] {
-			shots = append(shots, Shot{A: r})
-		}
-	}
-	return shots
-}
-
-// UnionIsL reports whether the union of two interior-disjoint
-// rectangles is an L-shape: they share a boundary segment and align at
-// exactly one end, so the union polygon has six vertices.
-func UnionIsL(a, b geom.Rect) bool {
-	if a.Overlaps(b) {
-		return false
-	}
-	switch {
-	case a.X1 == b.X0 || b.X1 == a.X0: // vertically running shared edge
-		lo := max(a.Y0, b.Y0)
-		hi := min(a.Y1, b.Y1)
-		if hi <= lo {
-			return false // touch at a corner or not at all
-		}
-		// shared segment must span the full side of at least one rect,
-		// with exactly one aligned end
-		aligned := 0
-		if a.Y0 == b.Y0 {
-			aligned++
-		}
-		if a.Y1 == b.Y1 {
-			aligned++
-		}
-		if aligned != 1 {
-			return false
-		}
-		// the shorter rect's side must be fully shared (otherwise the
-		// union has 8 vertices)
-		return hi-lo == min(a.H(), b.H())
-	case a.Y1 == b.Y0 || b.Y1 == a.Y0: // horizontally running shared edge
-		lo := max(a.X0, b.X0)
-		hi := min(a.X1, b.X1)
-		if hi <= lo {
-			return false
-		}
-		aligned := 0
-		if a.X0 == b.X0 {
-			aligned++
-		}
-		if a.X1 == b.X1 {
-			aligned++
-		}
-		if aligned != 1 {
-			return false
-		}
-		return hi-lo == min(a.W(), b.W())
-	}
-	return false
+	return pairs
 }

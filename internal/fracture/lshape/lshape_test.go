@@ -8,30 +8,22 @@ import (
 	"maskfrac/internal/shapegen"
 )
 
-func TestUnionIsL(t *testing.T) {
-	base := geom.Rect{X0: 0, Y0: 0, X1: 10, Y1: 4}
-	cases := []struct {
-		name string
-		b    geom.Rect
-		want bool
-	}{
-		{"L: right of base, bottom aligned, shorter", geom.Rect{X0: 10, Y0: 0, X1: 14, Y1: 2}, true},
-		{"L: above base, left aligned", geom.Rect{X0: 0, Y0: 4, X1: 4, Y1: 10}, true},
-		{"rect: full side both ends aligned", geom.Rect{X0: 10, Y0: 0, X1: 14, Y1: 4}, false},
-		{"T: centered, no end aligned", geom.Rect{X0: 10, Y0: 1, X1: 14, Y1: 3}, false},
-		{"Z: partial overlap", geom.Rect{X0: 10, Y0: 2, X1: 14, Y1: 6}, false},
-		{"corner touch only", geom.Rect{X0: 10, Y0: 4, X1: 14, Y1: 8}, false},
-		{"disjoint", geom.Rect{X0: 20, Y0: 0, X1: 24, Y1: 4}, false},
-		{"overlapping", geom.Rect{X0: 5, Y0: 0, X1: 14, Y1: 4}, false},
-		{"sticking beyond, one end aligned", geom.Rect{X0: 10, Y0: 0, X1: 14, Y1: 8}, true},
-	}
-	for _, tc := range cases {
-		if got := UnionIsL(base, tc.b); got != tc.want {
-			t.Errorf("%s: UnionIsL = %v, want %v", tc.name, got, tc.want)
+// checkPairs asserts the pair contract: i < j in range, every rectangle
+// in at most one pair, and every pair's union an L.
+func checkPairs(t *testing.T, rects []geom.Rect, pairs [][2]int) {
+	t.Helper()
+	used := make(map[int]bool)
+	for _, pr := range pairs {
+		i, j := pr[0], pr[1]
+		if i < 0 || i >= j || j >= len(rects) {
+			t.Fatalf("malformed pair %v over %d rects", pr, len(rects))
 		}
-		// symmetric
-		if got := UnionIsL(tc.b, base); got != tc.want {
-			t.Errorf("%s (swapped): UnionIsL = %v, want %v", tc.name, got, tc.want)
+		if used[i] || used[j] {
+			t.Fatalf("rect in two pairs: %v (pairs %v)", pr, pairs)
+		}
+		used[i], used[j] = true, true
+		if !cover.UnionIsLShot(rects[i], rects[j]) {
+			t.Errorf("pair %v: %v ∪ %v is not an L", pr, rects[i], rects[j])
 		}
 	}
 }
@@ -41,12 +33,9 @@ func TestPairSimpleL(t *testing.T) {
 		{X0: 0, Y0: 0, X1: 10, Y1: 4},
 		{X0: 0, Y0: 4, X1: 4, Y1: 10},
 	}
-	shots := Pair(rects)
-	if len(shots) != 1 || !shots[0].IsL() {
-		t.Fatalf("L pair not formed: %+v", shots)
-	}
-	if got := shots[0].Rects(); len(got) != 2 {
-		t.Errorf("Rects = %v", got)
+	pairs := pairRects(rects)
+	if len(pairs) != 1 || pairs[0] != [2]int{0, 1} {
+		t.Fatalf("L pair not formed: %v", pairs)
 	}
 }
 
@@ -56,37 +45,28 @@ func TestPairLeftover(t *testing.T) {
 		{X0: 0, Y0: 4, X1: 4, Y1: 10},
 		{X0: 50, Y0: 50, X1: 60, Y1: 60}, // isolated
 	}
-	shots := Pair(rects)
-	if len(shots) != 2 {
-		t.Fatalf("shots = %d, want 2", len(shots))
+	pairs := pairRects(rects)
+	checkPairs(t, rects, pairs)
+	if len(pairs) != 1 || pairs[0] != [2]int{0, 1} {
+		t.Fatalf("pairs = %v, want the L only", pairs)
 	}
-	lCount, rectCount := 0, 0
-	for _, s := range shots {
-		if s.IsL() {
-			lCount++
-		} else {
-			rectCount++
-		}
-	}
-	if lCount != 1 || rectCount != 1 {
-		t.Errorf("composition = %dL %dR", lCount, rectCount)
+	if flashes := len(rects) - len(pairs); flashes != 2 {
+		t.Errorf("flashes = %d, want 2 (one L, one rectangle)", flashes)
 	}
 }
 
 func TestPairNeverReusesRect(t *testing.T) {
-	// a plus-sign partition: center bar pairs with at most one arm
+	// a staircase partition: the middle step is L-compatible with both
+	// neighbors but can join only one of them
 	rects := []geom.Rect{
-		{X0: 0, Y0: 4, X1: 12, Y1: 8}, // horizontal bar
-		{X0: 4, Y0: 0, X1: 8, Y1: 4},  // bottom arm
-		{X0: 4, Y0: 8, X1: 8, Y1: 12}, // top arm
+		{X0: 0, Y0: 0, X1: 12, Y1: 4},
+		{X0: 0, Y0: 4, X1: 8, Y1: 8},
+		{X0: 0, Y0: 8, X1: 4, Y1: 12},
 	}
-	shots := Pair(rects)
-	total := 0
-	for _, s := range shots {
-		total += len(s.Rects())
-	}
-	if total != 3 {
-		t.Errorf("rects used %d times, want 3", total)
+	pairs := pairRects(rects)
+	checkPairs(t, rects, pairs)
+	if len(pairs) != 1 {
+		t.Errorf("pairs = %v, want exactly one", pairs)
 	}
 }
 
@@ -100,25 +80,23 @@ func TestFractureLShapeTarget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Fracture(p)
+	sol, err := Fracture(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.RectCount != 2 {
-		t.Errorf("RectCount = %d", res.RectCount)
+	if len(sol.Shots) != 2 || len(sol.Pairs) != 1 {
+		t.Errorf("%d rects, %d pairs; want 2 rects in one L-shot", len(sol.Shots), len(sol.Pairs))
 	}
-	if res.ShotCount() != 1 {
-		t.Errorf("ShotCount = %d, want 1 (one L-shot)", res.ShotCount())
-	}
+	checkPairs(t, sol.Shots, sol.Pairs)
 	// non-model-based fracture: corner rounding violations only
-	if res.Stats.FailOff != 0 {
-		t.Errorf("overdose from a partition-based fracture: %+v", res.Stats)
+	if st := p.EvaluatePaired(sol.Shots, sol.Pairs); st.FailOff != 0 {
+		t.Errorf("overdose from a partition-based fracture: %+v", st)
 	}
 }
 
 func TestFractureReducesShotsVsPartition(t *testing.T) {
-	// staircase: every adjacent pair is L-compatible, so pairing should
-	// save shots
+	// staircase: adjacent steps are L-compatible, so pairing saves
+	// flashes
 	pg := geom.Polygon{
 		geom.Pt(0, 0), geom.Pt(80, 0), geom.Pt(80, 20), geom.Pt(60, 20),
 		geom.Pt(60, 40), geom.Pt(40, 40), geom.Pt(40, 60), geom.Pt(20, 60),
@@ -128,12 +106,13 @@ func TestFractureReducesShotsVsPartition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Fracture(p)
+	sol, err := Fracture(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ShotCount() >= res.RectCount {
-		t.Errorf("no pairing benefit: %d shots for %d rects", res.ShotCount(), res.RectCount)
+	checkPairs(t, sol.Shots, sol.Pairs)
+	if len(sol.Pairs) == 0 {
+		t.Errorf("no pairing benefit: %d rects, no pairs", len(sol.Shots))
 	}
 }
 
@@ -143,11 +122,12 @@ func TestFractureCurvilinear(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Fracture(p)
+	sol, err := Fracture(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ShotCount() == 0 || res.ShotCount() > res.RectCount {
-		t.Errorf("shots=%d rects=%d", res.ShotCount(), res.RectCount)
+	if len(sol.Shots) == 0 {
+		t.Fatal("no rectangles for a curvilinear target")
 	}
+	checkPairs(t, sol.Shots, sol.Pairs)
 }

@@ -5,23 +5,11 @@ import (
 
 	"maskfrac/internal/cover"
 	"maskfrac/internal/fracture/engine"
-	"maskfrac/internal/geom"
 )
 
 // init registers L-shape fracturing with the engine's solver registry.
-// The registered solution is the rectangle decomposition of the L-shots
-// (an L counts as two rectangles on the wire); callers that need the
-// true L-shot count and pairing call this package's Fracture directly.
 func init() {
 	engine.Register("lshape", func(_ context.Context, p *cover.Problem, _ engine.Options) (*engine.Solution, error) {
-		r, err := Fracture(p)
-		if err != nil {
-			return nil, err
-		}
-		flat := make([]geom.Rect, 0, len(r.Shots)*2)
-		for _, s := range r.Shots {
-			flat = append(flat, s.Rects()...)
-		}
-		return &engine.Solution{Shots: flat}, nil
+		return Fracture(p)
 	})
 }

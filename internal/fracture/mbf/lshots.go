@@ -18,7 +18,6 @@ package mbf
 import (
 	"context"
 	"math"
-	"sort"
 
 	"maskfrac/internal/cover"
 	"maskfrac/internal/geom"
@@ -60,7 +59,11 @@ func lshotPass(ctx context.Context, p *cover.Problem, shots []geom.Rect, opt Opt
 	if len(cands) == 0 {
 		return shots, nil, ls
 	}
-	matched, dropped := matchLPairs(cands, len(shots))
+	edges := make([][2]int, len(cands))
+	for k, c := range cands {
+		edges[k] = [2]int{c.i, c.j}
+	}
+	matched, dropped := graphx.MatchEdges(len(shots), edges)
 	ls.droppedOdd = dropped
 	ls.matched = len(matched)
 	span.Set("matched", len(matched))
@@ -71,7 +74,8 @@ func lshotPass(ctx context.Context, p *cover.Problem, shots []geom.Rect, opt Opt
 	e := cover.NewEval(p, shots)
 	defer e.Close()
 	baseFail := e.Stats().Fail()
-	for _, c := range matched {
+	for _, k := range matched {
+		c := cands[k]
 		e.SetShot(c.i, c.si)
 		e.SetShot(c.j, c.sj)
 		e.Pair(c.i, c.j)
@@ -393,85 +397,4 @@ func snapCoord(v, a, b, tol float64) float64 {
 		return b
 	}
 	return v
-}
-
-// matchLPairs selects a maximum set of disjoint candidate pairs: the
-// compatibility graph's components are two-colored by BFS (edges
-// inside a color class — odd cycles — are dropped and counted), and
-// Hopcroft–Karp maximum matching runs on the resulting bipartition.
-// Deterministic: adjacency, coloring and edge insertion all follow
-// ascending shot-index order. Returned pairs are sorted by (i, j).
-func matchLPairs(cands []lCand, n int) ([]lCand, int) {
-	adj := make([][]int, n)
-	for _, c := range cands {
-		adj[c.i] = append(adj[c.i], c.j)
-		adj[c.j] = append(adj[c.j], c.i)
-	}
-	color := make([]int, n)
-	for i := range color {
-		color[i] = -1
-	}
-	var queue []int
-	for s := 0; s < n; s++ {
-		if color[s] != -1 || len(adj[s]) == 0 {
-			continue
-		}
-		color[s] = 0
-		queue = append(queue[:0], s)
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			for _, v := range adj[u] {
-				if color[v] == -1 {
-					color[v] = 1 - color[u]
-					queue = append(queue, v)
-				}
-			}
-		}
-	}
-	left := make([]int, n)  // shot index -> left node id, -1 otherwise
-	right := make([]int, n) // shot index -> right node id, -1 otherwise
-	nl, nr := 0, 0
-	for v := 0; v < n; v++ {
-		left[v], right[v] = -1, -1
-		switch color[v] {
-		case 0:
-			left[v] = nl
-			nl++
-		case 1:
-			right[v] = nr
-			nr++
-		}
-	}
-	bg := graphx.NewBipartite(nl, nr)
-	edgeCand := make(map[[2]int]int, len(cands))
-	dropped := 0
-	for ci, c := range cands {
-		var l, r int
-		switch {
-		case color[c.i] == 0 && color[c.j] == 1:
-			l, r = left[c.i], right[c.j]
-		case color[c.i] == 1 && color[c.j] == 0:
-			l, r = left[c.j], right[c.i]
-		default: // same color: an odd-cycle chord
-			dropped++
-			continue
-		}
-		bg.AddEdge(l, r)
-		edgeCand[[2]int{l, r}] = ci
-	}
-	matchL, _, _ := bg.MaxMatching()
-	var pairs []lCand
-	for l, r := range matchL {
-		if r >= 0 {
-			pairs = append(pairs, cands[edgeCand[[2]int{l, r}]])
-		}
-	}
-	sort.Slice(pairs, func(a, b int) bool {
-		if pairs[a].i != pairs[b].i {
-			return pairs[a].i < pairs[b].i
-		}
-		return pairs[a].j < pairs[b].j
-	})
-	return pairs, dropped
 }

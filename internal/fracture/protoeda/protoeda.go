@@ -61,24 +61,12 @@ func Fracture(p *cover.Problem, opt Options) *Result {
 // initialShots rectilinearizes the target on the coarse fracture grid,
 // partitions it into rectangles and biases them outward.
 func initialShots(p *cover.Problem, opt Options) []geom.Rect {
-	coarse := raster.GridCovering(p.TargetBounds(), opt.FractureGrid, opt.FractureGrid)
-	bm := raster.NewBitmap(coarse)
-	for _, t := range p.Targets {
-		one, err := raster.Rasterize(t, coarse)
-		if err != nil {
-			return nil
-		}
-		for k, v := range one.Bits {
-			if v {
-				bm.Bits[k] = true
-			}
-		}
+	pieces, err := raster.Rectilinearize(p.Targets, opt.FractureGrid)
+	if err != nil {
+		return nil
 	}
 	var rects []geom.Rect
-	for _, pg := range raster.Contours(bm) {
-		if !pg.IsCCW() {
-			continue // coarse grid holes are below the writable scale
-		}
+	for _, pg := range pieces {
 		rs, err := partition.Minimum(pg)
 		if err != nil {
 			if rs, err = partition.Sweep(pg); err != nil {

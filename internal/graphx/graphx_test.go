@@ -316,6 +316,34 @@ func TestMaxMatchingStar(t *testing.T) {
 	}
 }
 
+func TestMatchEdges(t *testing.T) {
+	// a path 0-1-2-3 plus a triangle 4-5-6 and an isolated vertex 7:
+	// the path matches perfectly, the triangle loses its odd chord and
+	// still matches one edge
+	edges := [][2]int{{0, 1}, {1, 2}, {2, 3}, {4, 5}, {4, 6}, {5, 6}}
+	matched, dropped := MatchEdges(8, edges)
+	if dropped != 1 {
+		t.Errorf("dropped = %d, want 1 odd-cycle chord", dropped)
+	}
+	if len(matched) != 3 {
+		t.Fatalf("matched %v, want 3 edges", matched)
+	}
+	used := make(map[int]bool)
+	for k, m := range matched {
+		e := edges[m]
+		if used[e[0]] || used[e[1]] {
+			t.Fatalf("matched edges share a vertex: %v", matched)
+		}
+		used[e[0]], used[e[1]] = true, true
+		if k > 0 && edges[matched[k-1]][0] > e[0] {
+			t.Errorf("matched %v not sorted by endpoints", matched)
+		}
+	}
+	if m, d := MatchEdges(3, nil); len(m) != 0 || d != 0 {
+		t.Errorf("no edges: matched %v, dropped %d", m, d)
+	}
+}
+
 func TestMaxMatchingEmpty(t *testing.T) {
 	b := NewBipartite(3, 3)
 	if _, _, size := b.MaxMatching(); size != 0 {

@@ -1,5 +1,7 @@
 package graphx
 
+import "sort"
+
 // Bipartite maximum matching (Hopcroft–Karp) and König minimum vertex
 // cover / maximum independent set. The optimal minimum rectangle
 // partition of a rectilinear polygon cuts along a maximum independent
@@ -132,4 +134,83 @@ func (b *Bipartite) MaxIndependentSet() (left, right []int) {
 		}
 	}
 	return left, right
+}
+
+// MatchEdges selects a maximum set of vertex-disjoint edges of the
+// undirected graph on n vertices with the given edge list — exact when
+// the graph is bipartite, as L-compatibility graphs of rectangle covers
+// nearly always are. Every connected component is two-colored by BFS
+// (edges inside a color class, the chords of odd cycles, are dropped
+// and counted) and Hopcroft–Karp maximum matching runs on the resulting
+// bipartition. Deterministic: adjacency, coloring and edge insertion
+// follow ascending vertex and edge-list order. matched holds indices
+// into edges, sorted by their endpoints.
+func MatchEdges(n int, edges [][2]int) (matched []int, dropped int) {
+	adj := make([][]int, n)
+	for _, e := range edges {
+		adj[e[0]] = append(adj[e[0]], e[1])
+		adj[e[1]] = append(adj[e[1]], e[0])
+	}
+	color := make([]int, n)
+	for i := range color {
+		color[i] = -1
+	}
+	var queue []int
+	for s := 0; s < n; s++ {
+		if color[s] != -1 || len(adj[s]) == 0 {
+			continue
+		}
+		color[s] = 0
+		queue = append(queue[:0], s)
+		for len(queue) > 0 {
+			u := queue[0]
+			queue = queue[1:]
+			for _, v := range adj[u] {
+				if color[v] == -1 {
+					color[v] = 1 - color[u]
+					queue = append(queue, v)
+				}
+			}
+		}
+	}
+	side := make([]int, n) // vertex -> node id on its color's side
+	nl, nr := 0, 0
+	for v := 0; v < n; v++ {
+		switch color[v] {
+		case 0:
+			side[v] = nl
+			nl++
+		case 1:
+			side[v] = nr
+			nr++
+		}
+	}
+	bg := NewBipartite(nl, nr)
+	edgeOf := make(map[[2]int]int, len(edges))
+	for k, e := range edges {
+		u, v := e[0], e[1]
+		if color[u] == color[v] { // an odd-cycle chord
+			dropped++
+			continue
+		}
+		if color[u] == 1 {
+			u, v = v, u
+		}
+		bg.AddEdge(side[u], side[v])
+		edgeOf[[2]int{side[u], side[v]}] = k
+	}
+	matchL, _, _ := bg.MaxMatching()
+	for l, r := range matchL {
+		if r >= 0 {
+			matched = append(matched, edgeOf[[2]int{l, r}])
+		}
+	}
+	sort.Slice(matched, func(a, b int) bool {
+		ea, eb := edges[matched[a]], edges[matched[b]]
+		if ea[0] != eb[0] {
+			return ea[0] < eb[0]
+		}
+		return ea[1] < eb[1]
+	})
+	return matched, dropped
 }

@@ -19,10 +19,15 @@ func (e dirEdge) dir() (int, int) { return e.to.i - e.from.i, e.to.j - e.from.j 
 // Vertices lie on pixel corners; collinear runs are collapsed.
 func Contours(b *Bitmap) []geom.Polygon {
 	g := b.Grid
-	// Collect directed boundary edges (interior on the left).
+	// Collect directed boundary edges (interior on the left), indexed by
+	// start corner for tracing and listed in scan order so loops start
+	// from the same edge on every call.
 	out := make(map[corner][]dirEdge)
+	var scan []dirEdge
 	addEdge := func(f, t corner) {
-		out[f] = append(out[f], dirEdge{f, t})
+		e := dirEdge{f, t}
+		out[f] = append(out[f], e)
+		scan = append(scan, e)
 	}
 	for j := 0; j < g.H; j++ {
 		for i := 0; i < g.W; i++ {
@@ -45,15 +50,13 @@ func Contours(b *Bitmap) []geom.Polygon {
 	}
 	used := make(map[dirEdge]bool)
 	var loops []geom.Polygon
-	for _, edges := range out {
-		for _, start := range edges {
-			if used[start] {
-				continue
-			}
-			loop := traceLoop(start, out, used)
-			if len(loop) >= 4 {
-				loops = append(loops, cornersToPolygon(loop, g))
-			}
+	for _, start := range scan {
+		if used[start] {
+			continue
+		}
+		loop := traceLoop(start, out, used)
+		if len(loop) >= 4 {
+			loops = append(loops, cornersToPolygon(loop, g))
 		}
 	}
 	return loops
@@ -127,6 +130,38 @@ func cornersToPolygon(loop []corner, g Grid) geom.Polygon {
 		pg = append(pg, geom.Pt(g.X0+float64(c.i)*g.Pitch, g.Y0+float64(c.j)*g.Pitch))
 	}
 	return pg
+}
+
+// Rectilinearize rasterizes the union of polys on a coarse grid of the
+// given pitch (covering their bounds plus one cell) and returns the
+// outer (counterclockwise) contours of the result: the staircase
+// approximation a conventional fracture tool writes. Holes below the
+// coarse scale are dropped.
+func Rectilinearize(polys []geom.Polygon, pitch float64) ([]geom.Polygon, error) {
+	box := geom.Rect{}
+	for _, pg := range polys {
+		box = box.Union(pg.Bounds())
+	}
+	g := GridCovering(box, pitch, pitch)
+	bm := NewBitmap(g)
+	for _, pg := range polys {
+		one, err := Rasterize(pg, g)
+		if err != nil {
+			return nil, err
+		}
+		for k, v := range one.Bits {
+			if v {
+				bm.Bits[k] = true
+			}
+		}
+	}
+	var out []geom.Polygon
+	for _, pg := range Contours(bm) {
+		if pg.IsCCW() {
+			out = append(out, pg)
+		}
+	}
+	return out, nil
 }
 
 // LargestContour returns the outer contour with the largest area, or nil

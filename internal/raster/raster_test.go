@@ -1,6 +1,7 @@
 package raster
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -346,6 +347,28 @@ func TestContoursHole(t *testing.T) {
 	}
 	if outer.Area() != 25 || hole.Area() != 1 {
 		t.Errorf("areas = %v %v", outer.Area(), hole.Area())
+	}
+}
+
+func TestContoursDeterministic(t *testing.T) {
+	// two blobs, one with a hole: every call must return the same
+	// loops, in the same order, starting at the same vertex
+	g := Grid{Pitch: 1, W: 14, H: 8}
+	b := NewBitmap(g)
+	for j := 1; j < 6; j++ {
+		for i := 1; i < 6; i++ {
+			b.Set(i, j, true)
+		}
+		for i := 8; i < 12; i++ {
+			b.Set(i, j+1, true)
+		}
+	}
+	b.Set(3, 3, false) // hole in the first blob
+	want := fmt.Sprint(Contours(b))
+	for k := 0; k < 50; k++ {
+		if got := fmt.Sprint(Contours(b)); got != want {
+			t.Fatalf("call %d: contours %s, first call %s", k, got, want)
+		}
 	}
 }
 

@@ -319,6 +319,32 @@ func (h *Histogram) BucketCounts() []uint64 {
 	return out
 }
 
+// bucketQuantile estimates quantile q (in [0,1]) from cumulative
+// histogram bucket counts: cum[i] counts the observations <= bounds[i]
+// and the last entry, the implicit +Inf bucket, counts them all (the
+// layout of BucketCounts). It interpolates linearly within the bucket
+// holding the target rank, the first bucket starting at 0; a rank in
+// the +Inf bucket clamps to the highest finite bound. Returns 0 when
+// there are no observations.
+func bucketQuantile(bounds []float64, cum []uint64, q float64) float64 {
+	if len(cum) == 0 || cum[len(cum)-1] == 0 {
+		return 0
+	}
+	rank := min(max(q, 0), 1) * float64(cum[len(cum)-1])
+	lowerBound, lowerCum := 0.0, 0.0
+	for i, b := range bounds {
+		c := float64(cum[i])
+		if c >= rank {
+			if c == lowerCum {
+				return b
+			}
+			return lowerBound + (b-lowerBound)*(rank-lowerCum)/(c-lowerCum)
+		}
+		lowerBound, lowerCum = b, c
+	}
+	return lowerBound // the rank is in the +Inf bucket
+}
+
 func (h *Histogram) desc() desc { return h.d }
 
 func (h *Histogram) samples(buf []byte) []byte {
@@ -478,6 +504,18 @@ func (v *HistogramVec) Each(fn func(values []string, h *Histogram)) {
 	for i, k := range keys {
 		fn(splitValues(k), children[i])
 	}
+}
+
+// Quantile estimates quantile q of the whole family, with the bucket
+// counts of every label set summed (see bucketQuantile).
+func (v *HistogramVec) Quantile(q float64) float64 {
+	cum := make([]uint64, len(v.buckets)+1)
+	v.Each(func(_ []string, h *Histogram) {
+		for i, c := range h.BucketCounts() {
+			cum[i] += c
+		}
+	})
+	return bucketQuantile(v.buckets, cum, q)
 }
 
 func (v *HistogramVec) desc() desc { return v.d }

@@ -196,3 +196,47 @@ node_inflight{node="n1"} 1
 		t.Errorf("exposition mismatch:\n--- got ---\n%s--- want ---\n%s", out, want)
 	}
 }
+
+func TestHistogramQuantile(t *testing.T) {
+	// 90 observations <= 0.1, 10 in (0.1, 1]: p50 interpolates inside
+	// the first bucket, p99 inside the second.
+	bounds := []float64{0.1, 1}
+	cum := []uint64{90, 100, 100}
+	p50 := bucketQuantile(bounds, cum, 0.5)
+	if p50 <= 0 || p50 > 0.1 {
+		t.Errorf("p50 = %v, want in (0, 0.1]", p50)
+	}
+	if want := 0.1 * 50 / 90; math.Abs(p50-want) > 1e-12 {
+		t.Errorf("p50 = %v, want linear interpolation %v", p50, want)
+	}
+	p99 := bucketQuantile(bounds, cum, 0.99)
+	if p99 <= 0.1 || p99 > 1 {
+		t.Errorf("p99 = %v, want in (0.1, 1]", p99)
+	}
+	// aggregation across label sets: two shards of the same family read
+	// as the one histogram holding all their observations
+	r := NewRegistry()
+	vec := r.HistogramVec("h", "sharded", bounds, "m")
+	for _, m := range []string{"a", "b"} {
+		for i := 0; i < 45; i++ {
+			vec.With(m).Observe(0.05)
+		}
+		for i := 0; i < 5; i++ {
+			vec.With(m).Observe(0.5)
+		}
+	}
+	if got := vec.Quantile(0.5); math.Abs(got-p50) > 1e-9 {
+		t.Errorf("sharded p50 = %v, want %v", got, p50)
+	}
+	// +Inf-only mass clamps to the highest finite bound
+	if got := bucketQuantile([]float64{0.1}, []uint64{0, 10}, 0.5); got != 0.1 {
+		t.Errorf("tail p50 = %v, want clamp to 0.1", got)
+	}
+	// no observations
+	if got := bucketQuantile(bounds, nil, 0.5); got != 0 {
+		t.Errorf("empty quantile = %v", got)
+	}
+	if got := r.HistogramVec("empty", "no children", bounds, "m").Quantile(0.5); got != 0 {
+		t.Errorf("empty family quantile = %v", got)
+	}
+}

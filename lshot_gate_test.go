@@ -3,6 +3,8 @@ package maskfrac
 import (
 	"fmt"
 	"testing"
+
+	"maskfrac/internal/cover"
 )
 
 // lShapeSuite returns the rectilinear shape suite of the L-shape
@@ -43,8 +45,8 @@ func lShapeSuite() []struct {
 	}
 }
 
-// checkLPairs asserts the structural LPairs contract: i < j in range,
-// every shot in at most one pair.
+// checkLPairs asserts the LPairs contract: i < j in range, every shot
+// in at most one pair, and every pair's union an L.
 func checkLPairs(t *testing.T, res *Result) {
 	t.Helper()
 	used := make(map[int]bool)
@@ -56,6 +58,9 @@ func checkLPairs(t *testing.T, res *Result) {
 			t.Fatalf("shot in two pairs: %v (pairs %v)", pr, res.LPairs)
 		}
 		used[pr[0]], used[pr[1]] = true, true
+		if !cover.UnionIsLShot(res.Shots[pr[0]], res.Shots[pr[1]]) {
+			t.Errorf("pair %v: %v ∪ %v is not an L", pr, res.Shots[pr[0]], res.Shots[pr[1]])
+		}
 	}
 }
 
@@ -182,6 +187,62 @@ func TestLShotEngineDeterminism(t *testing.T) {
 		}
 		if res.FailingPixels() != ref.FailingPixels() {
 			t.Errorf("workers=%d: fail %d != %d", workers, res.FailingPixels(), ref.FailingPixels())
+		}
+	}
+}
+
+// TestLShapeMethod checks the conventional L-shot baseline through the
+// facade: its pairs are L-shots under the predicate mbf-l uses, each
+// pair prices as one flash, and pairing saves flashes on the suite.
+func TestLShapeMethod(t *testing.T) {
+	rects, flashes := 0, 0
+	for _, sh := range lShapeSuite() {
+		prob, err := NewProblem(sh.Poly, DefaultParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := prob.Fracture(MethodLShape, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkLPairs(t, res)
+		if sh.Name == "L" && (res.ShotCount() != 2 || len(res.LPairs) != 1 || res.FlashCount() != 1) {
+			t.Errorf("L: %d shots, %d pairs, %d flashes; want 2, 1, 1",
+				res.ShotCount(), len(res.LPairs), res.FlashCount())
+		}
+		rects += res.ShotCount()
+		flashes += res.FlashCount()
+	}
+	if flashes >= rects {
+		t.Errorf("suite: %d flashes for %d rectangles, want pairing to save some", flashes, rects)
+	}
+}
+
+// TestLShapeEngineDeterminism pins lshape's stitched output across
+// worker counts on a multi-region instance with a curvilinear clip.
+func TestLShapeEngineDeterminism(t *testing.T) {
+	suite := lShapeSuite()
+	clip := ILTSuite()[0].Target.Translate(Point{X: 400, Y: 0})
+	prob, err := NewMultiProblem([]Polygon{suite[0].Poly, suite[3].Poly.Translate(Point{X: 0, Y: 300}), clip}, DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ref *Result
+	for _, workers := range []int{1, 2, 8} {
+		res, err := prob.Fracture(MethodLShape, &Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Regions != 3 {
+			t.Fatalf("planned %d regions, want 3", res.Regions)
+		}
+		checkLPairs(t, res)
+		if ref == nil {
+			ref = res
+			continue
+		}
+		if fmt.Sprint(res.Shots) != fmt.Sprint(ref.Shots) || fmt.Sprint(res.LPairs) != fmt.Sprint(ref.LPairs) {
+			t.Errorf("workers=%d: output differs from workers=1", workers)
 		}
 	}
 }

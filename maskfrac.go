@@ -85,8 +85,10 @@ const (
 	// overlap and no proximity compensation.
 	MethodPartition Method = "partition"
 	// MethodLShape is L-shape fracturing (the paper's reference [20]):
-	// a rectangle partition whose pieces pair into single-shot L's. The
-	// reported shots are the rectangle decomposition of the L-shots.
+	// a minimum rectangle partition whose pieces pair into single-flash
+	// L-shots with MethodMBFL's compatibility rule and matching. Shots
+	// is the partition and LPairs the L-shots, so FlashCount counts
+	// each L once. No proximity compensation.
 	MethodLShape Method = "lshape"
 )
 
@@ -168,7 +170,8 @@ type Result struct {
 	Shots  []Shot
 	// LPairs lists L-shot pairs of Shots as {i, j} index pairs with
 	// i < j: each pair is two rectangles written as one L-shaped flash
-	// sharing one dose (MethodMBFL). Nil for rectangle-only methods.
+	// sharing one dose (MethodMBFL, MethodLShape). Nil for rectangle-only
+	// methods.
 	LPairs   [][2]int
 	FailOn   int           // failing interior pixels (dose below ρ)
 	FailOff  int           // failing exterior pixels (dose at/above ρ)

@@ -85,4 +85,15 @@ go test -count=1 -run 'TestEngineParallelSpeedup' .
 echo "== go test -race L-shot gate (flashes <= rectangle shots) =="
 go test -race -count=1 -run 'TestLShotSuiteGate|TestLShotEngineDeterminism' .
 
+# the evaluator cross-check mode: every commit path of cover.Eval's one
+# strip scanner (Add, Remove, SetShot/ApplyDelta, Pair, Unpair, resets)
+# is asserted against a from-scratch EvaluatePaired, and every float32
+# strip fill against the float64 reference — first over the randomized
+# property sequences, then on real mbf-l solves, whose repair loops
+# drive paired moves, pair splits and snapshot restores
+echo "== go test cover under MASKFRAC_EVAL_CHECK =="
+MASKFRAC_EVAL_CHECK=1 go test -count=1 ./internal/cover
+echo "== go test L-shot gate under MASKFRAC_EVAL_CHECK =="
+MASKFRAC_EVAL_CHECK=1 go test -count=1 -run 'TestLShotSuiteGate|TestLShotEngineDeterminism' .
+
 echo "check ok"
