@@ -28,6 +28,42 @@ func checkPairs(t *testing.T, rects []geom.Rect, pairs [][2]int) {
 	}
 }
 
+// TestUnionIsL pins the L-compatibility verdicts the partition pairing
+// relies on: interior-disjoint rectangles against a 10×4 base pair into
+// an L exactly when they share part of a side aligned at one end.
+func TestUnionIsL(t *testing.T) {
+	base := geom.Rect{X0: 0, Y0: 0, X1: 10, Y1: 4}
+	cases := []struct {
+		name string
+		b    geom.Rect
+		want bool
+	}{
+		{"L: right of base, bottom aligned, shorter", geom.Rect{X0: 10, Y0: 0, X1: 14, Y1: 2}, true},
+		{"L: above base, left aligned", geom.Rect{X0: 0, Y0: 4, X1: 4, Y1: 10}, true},
+		{"rect: full side both ends aligned", geom.Rect{X0: 10, Y0: 0, X1: 14, Y1: 4}, false},
+		{"T: centered, no end aligned", geom.Rect{X0: 10, Y0: 1, X1: 14, Y1: 3}, false},
+		{"Z: partial overlap", geom.Rect{X0: 10, Y0: 2, X1: 14, Y1: 6}, false},
+		{"corner touch only", geom.Rect{X0: 10, Y0: 4, X1: 14, Y1: 8}, false},
+		{"disjoint", geom.Rect{X0: 20, Y0: 0, X1: 24, Y1: 4}, false},
+		{"overlapping", geom.Rect{X0: 5, Y0: 0, X1: 14, Y1: 4}, false},
+		{"sticking beyond, one end aligned", geom.Rect{X0: 10, Y0: 0, X1: 14, Y1: 8}, true},
+	}
+	for _, tc := range cases {
+		if got := cover.UnionIsLShot(base, tc.b); got != tc.want {
+			t.Errorf("%s: UnionIsLShot = %v, want %v", tc.name, got, tc.want)
+		}
+		// symmetric
+		if got := cover.UnionIsLShot(tc.b, base); got != tc.want {
+			t.Errorf("%s (swapped): UnionIsLShot = %v, want %v", tc.name, got, tc.want)
+		}
+		// and the pairing forms the L exactly when the verdict says so
+		pairs := pairRects([]geom.Rect{base, tc.b})
+		if got := len(pairs) == 1; got != tc.want {
+			t.Errorf("%s: pairRects = %v, want paired %v", tc.name, pairs, tc.want)
+		}
+	}
+}
+
 func TestPairSimpleL(t *testing.T) {
 	rects := []geom.Rect{
 		{X0: 0, Y0: 0, X1: 10, Y1: 4},
