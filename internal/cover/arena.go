@@ -1,8 +1,8 @@
-// Per-Eval buffer arenas: the dose grid, failing-pixel bitmaps, edge
-// tables and accumulation scratch of an evaluator are the dominant
-// allocations of a cache-miss solve, and the refinement loops of every
-// heuristic construct evaluators repeatedly (polish candidates,
-// removal trials, merge passes). An Arena recycles those buffers
+// Per-Eval buffer arenas: the dose grid, failing and live pixel
+// bitmaps, edge tables and accumulation scratch of an evaluator are
+// the dominant allocations of a cache-miss solve, and the refinement
+// loops of every heuristic construct evaluators repeatedly (polish
+// candidates, removal trials, merge passes). An Arena recycles those buffers
 // within a Problem, and a process-wide sync.Pool recycles whole arenas
 // across solves, so the steady state allocates nothing.
 package cover
@@ -39,9 +39,9 @@ func ArenaCounters() ArenaStats {
 }
 
 // arenaListCap bounds each free list; an evaluator holds one dose
-// field, two bitmaps and two scratch slices, so a handful of retained
-// buffers covers the construct-close-construct churn of the
-// refinement loops without hoarding.
+// field, two fail bitmaps, one live bitmap and two scratch slices, so a
+// handful of retained buffers covers the construct-close-construct
+// churn of the refinement loops without hoarding.
 const arenaListCap = 8
 
 // An Arena recycles the large buffers behind cover evaluators. Buffers
@@ -60,6 +60,7 @@ type Arena struct {
 	f64  [][]float64
 	f32  [][]float32
 	bits [][]bool
+	u64  [][]uint64
 }
 
 var arenaPool = sync.Pool{New: func() any { return new(Arena) }}
@@ -75,57 +76,43 @@ func (a *Arena) recycle() {
 	arenaPool.Put(a)
 }
 
-// getF64 returns a zeroed []float64 of length n, reusing a free-listed
-// buffer when one is large enough.
-func (a *Arena) getF64(n int) []float64 {
-	a.mu.Lock()
-	for i := len(a.f64) - 1; i >= 0; i-- {
-		if s := a.f64[i]; cap(s) >= n {
-			a.f64[i] = a.f64[len(a.f64)-1]
-			a.f64 = a.f64[:len(a.f64)-1]
-			a.mu.Unlock()
-			arenaHitsTotal.Add(1)
-			arenaBytesReusedTotal.Add(8 * int64(n))
-			s = s[:n]
-			clear(s)
-			return s
-		}
-	}
-	a.mu.Unlock()
-	arenaMissesTotal.Add(1)
-	return make([]float64, n)
-}
+// getF64 returns a zeroed []float64 of length n.
+func (a *Arena) getF64(n int) []float64 { return take(a, &a.f64, n, 8) }
 
 // getF32 returns a zeroed []float32 of length n.
-func (a *Arena) getF32(n int) []float32 {
-	a.mu.Lock()
-	for i := len(a.f32) - 1; i >= 0; i-- {
-		if s := a.f32[i]; cap(s) >= n {
-			a.f32[i] = a.f32[len(a.f32)-1]
-			a.f32 = a.f32[:len(a.f32)-1]
-			a.mu.Unlock()
-			arenaHitsTotal.Add(1)
-			arenaBytesReusedTotal.Add(4 * int64(n))
-			s = s[:n]
-			clear(s)
-			return s
-		}
-	}
-	a.mu.Unlock()
-	arenaMissesTotal.Add(1)
-	return make([]float32, n)
-}
+func (a *Arena) getF32(n int) []float32 { return take(a, &a.f32, n, 4) }
 
 // getBits returns a zeroed []bool of length n.
-func (a *Arena) getBits(n int) []bool {
+func (a *Arena) getBits(n int) []bool { return take(a, &a.bits, n, 1) }
+
+// getU64 returns a zeroed []uint64 of length n (bit-packed bitmaps).
+func (a *Arena) getU64(n int) []uint64 { return take(a, &a.u64, n, 8) }
+
+// putF64 returns a buffer to the free list.
+func (a *Arena) putF64(s []float64) { give(a, &a.f64, s) }
+
+// putF32 returns a buffer to the free list.
+func (a *Arena) putF32(s []float32) { give(a, &a.f32, s) }
+
+// putBits returns a buffer to the free list.
+func (a *Arena) putBits(s []bool) { give(a, &a.bits, s) }
+
+// putU64 returns a buffer to the free list.
+func (a *Arena) putU64(s []uint64) { give(a, &a.u64, s) }
+
+// take returns a zeroed slice of length n from the free list, reusing
+// a buffer when one is large enough (elem is the element size, for the
+// bytes-reused counter) and allocating otherwise.
+func take[T any](a *Arena, list *[][]T, n int, elem int64) []T {
 	a.mu.Lock()
-	for i := len(a.bits) - 1; i >= 0; i-- {
-		if s := a.bits[i]; cap(s) >= n {
-			a.bits[i] = a.bits[len(a.bits)-1]
-			a.bits = a.bits[:len(a.bits)-1]
+	l := *list
+	for i := len(l) - 1; i >= 0; i-- {
+		if s := l[i]; cap(s) >= n {
+			l[i] = l[len(l)-1]
+			*list = l[:len(l)-1]
 			a.mu.Unlock()
 			arenaHitsTotal.Add(1)
-			arenaBytesReusedTotal.Add(int64(n))
+			arenaBytesReusedTotal.Add(elem * int64(n))
 			s = s[:n]
 			clear(s)
 			return s
@@ -133,42 +120,18 @@ func (a *Arena) getBits(n int) []bool {
 	}
 	a.mu.Unlock()
 	arenaMissesTotal.Add(1)
-	return make([]bool, n)
+	return make([]T, n)
 }
 
-// putF64 returns a buffer to the free list (nil and zero-capacity
-// slices are dropped, as are buffers beyond the list cap).
-func (a *Arena) putF64(s []float64) {
+// give returns a buffer to the free list (nil and zero-capacity slices
+// are dropped, as are buffers beyond the list cap).
+func give[T any](a *Arena, list *[][]T, s []T) {
 	if cap(s) == 0 {
 		return
 	}
 	a.mu.Lock()
-	if len(a.f64) < arenaListCap {
-		a.f64 = append(a.f64, s[:0])
-	}
-	a.mu.Unlock()
-}
-
-// putF32 returns a buffer to the free list.
-func (a *Arena) putF32(s []float32) {
-	if cap(s) == 0 {
-		return
-	}
-	a.mu.Lock()
-	if len(a.f32) < arenaListCap {
-		a.f32 = append(a.f32, s[:0])
-	}
-	a.mu.Unlock()
-}
-
-// putBits returns a buffer to the free list.
-func (a *Arena) putBits(s []bool) {
-	if cap(s) == 0 {
-		return
-	}
-	a.mu.Lock()
-	if len(a.bits) < arenaListCap {
-		a.bits = append(a.bits, s[:0])
+	if len(*list) < arenaListCap {
+		*list = append(*list, s[:0])
 	}
 	a.mu.Unlock()
 }

@@ -9,12 +9,16 @@ import (
 // TestEvalCloseArenaReuse checks the arena lifecycle: buffers returned
 // by Eval.Close are handed to the next evaluator of the same problem,
 // visible both as pointer identity and in the process-wide counters.
+// The reused live bitmap must come back cleared and rebuilt.
 func TestEvalCloseArenaReuse(t *testing.T) {
 	p := mustProblem(t, square(40))
 	shots := []geom.Rect{{X0: 0, Y0: 0, X1: 40, Y1: 40}}
 
 	e1 := NewEval(p, shots)
-	dose1 := &e1.Dose.V[0]
+	dose1, live1 := &e1.Dose.V[0], &e1.live[0]
+	for k := range e1.live {
+		e1.live[k] = ^uint64(0) // stale bits a reset must not keep
+	}
 	e1.Close()
 
 	before := ArenaCounters()
@@ -23,6 +27,10 @@ func TestEvalCloseArenaReuse(t *testing.T) {
 	if &e2.Dose.V[0] != dose1 {
 		t.Error("second evaluator did not reuse the closed dose buffer")
 	}
+	if &e2.live[0] != live1 {
+		t.Error("second evaluator did not reuse the closed live bitmap")
+	}
+	checkBitmaps(t, e2, "reused arena")
 	if after.Hits <= before.Hits {
 		t.Errorf("arena hits did not increase: %d -> %d", before.Hits, after.Hits)
 	}

@@ -8,6 +8,7 @@ package cover
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"os"
 	"sync/atomic"
 
@@ -96,6 +97,10 @@ type Problem struct {
 	Class   []Class // per-pixel class, row-major over Grid
 
 	nOn, nOff int
+
+	// liveMargin is the dose margin around ρ inside which a constrained
+	// pixel counts as live for sparse scoring; see newLiveMargin.
+	liveMargin float64
 
 	// arena recycles evaluator buffers across the NewEval/Close churn
 	// of this problem's solve; acquired lazily, returned by Recycle.
@@ -190,9 +195,28 @@ func buildProblem(targets []geom.Polygon, params Params, model *ebeam.Model) (*P
 		Model:   model,
 		Inside:  inside,
 		Class:   make([]Class, grid.Len()),
+
+		liveMargin: newLiveMargin(model, params.Pitch),
 	}
 	p.classify()
 	return p, nil
+}
+
+// newLiveMargin derives the live margin from the proximity model: the
+// largest dose change one pitch of edge movement can make, which is the
+// peak of a one-pitch slab E_c(0; −Δp/2, Δp/2) weighted and summed over
+// the components, plus headroom. The headroom covers the float32 edge
+// tables, which deviate from the float64 profiles by at most
+// ProfileTol32 per sample, with a sixteenth of the step to spare, so
+// every one-pitch move scores sparsely. The margin only decides how
+// much scoring work is skipped, never a score: a row whose bound does
+// not fit under it is scored densely.
+func newLiveMargin(m *ebeam.Model, pitch float64) float64 {
+	step := 0.0
+	for c := 0; c < m.Components(); c++ {
+		step += m.Weight(c) * m.EdgeComponent(c, 0, -pitch/2, pitch/2)
+	}
+	return step + step/16 + 2*ebeam.ProfileTol32
 }
 
 // InteractionRadius returns the one-sided independence margin of the
@@ -357,26 +381,49 @@ func (s Stats) Feasible() bool { return s.Fail() == 0 }
 // from scratch: EvaluatePaired with no L-shot pairs.
 func (p *Problem) Evaluate(shots []geom.Rect) Stats { return p.EvaluatePaired(shots, nil) }
 
-// statsOf scans a dose field against the pixel classes.
-func (p *Problem) statsOf(dose *raster.Field) Stats {
+// classifyDose is the one full-grid classification of a dose field
+// against the pixel classes, behind Problem.EvaluatePaired, the
+// evaluator's rebuild and its cross-check. It returns the Eq. 5
+// statistics and, for each non-nil output, writes the failing bitmaps
+// (failOn and failOff go together) and the bit-packed live bitmap.
+func (p *Problem) classifyDose(dose []float64, failOn, failOff []bool, live []uint64) Stats {
 	var st Stats
-	rho := p.Params.Rho
+	rho, margin := p.Params.Rho, p.liveMargin
+	clear(live)
 	for k, c := range p.Class {
-		v := dose.V[k]
-		switch c {
-		case On:
-			if v < rho {
-				st.FailOn++
-				st.Cost += rho - v
-			}
-		case Off:
-			if v >= rho {
-				st.FailOff++
-				st.Cost += v - rho
-			}
+		v := dose[k]
+		fOn := c == On && v < rho
+		fOff := c == Off && v >= rho
+		if fOn {
+			st.FailOn++
+			st.Cost += rho - v
+		}
+		if fOff {
+			st.FailOff++
+			st.Cost += v - rho
+		}
+		if failOn != nil {
+			failOn[k], failOff[k] = fOn, fOff
+		}
+		if live != nil && isLive(c, v, rho, margin) {
+			live[k>>6] |= 1 << (k & 63)
 		}
 	}
 	return st
+}
+
+// isLive reports whether a pixel of class c at dose v is live: a
+// constrained pixel that fails or whose dose lies within margin of ρ.
+// Under a dose change smaller than margin no other pixel's Eq. 5 term
+// can change (see Eval.scan).
+func isLive(c Class, v, rho, margin float64) bool {
+	switch c {
+	case On:
+		return v-rho <= margin
+	case Off:
+		return rho-v <= margin
+	}
+	return false
 }
 
 // classCost returns the Eq. 5 contribution of a pixel of class c at
@@ -408,9 +455,12 @@ var (
 type mutObs struct{ fn func(pixels int) }
 
 // EvalEffort is a snapshot of the process-wide evaluator effort
-// counters: how many mutations all evaluators have committed and how
-// many pixels their incremental scans visited while committing
-// (PixelsMutated) or scoring candidates via DeltaCost (PixelsScored).
+// counters: how many mutations all evaluators have committed, how many
+// pixels their incremental scans visited while committing
+// (PixelsMutated), and how many pixels had their cost term evaluated
+// while scoring candidates via DeltaCost, PairDelta and UnpairDelta
+// (PixelsScored: the live pixels of sparse rows and every pixel of
+// dense rows).
 type EvalEffort struct {
 	Mutations     int64
 	PixelsMutated int64
@@ -439,8 +489,9 @@ func SetMutationObserver(fn func(pixels int)) {
 // evalCheckEnv is the process default for the evaluator's cross-check
 // mode: setting MASKFRAC_EVAL_CHECK to a non-empty value makes every
 // new evaluator assert, after each mutation, that its maintained state
-// matches both a scan of its own dose field and Problem.Evaluate from
-// scratch. Meant for debugging — it turns every O(support) mutation
+// matches both a scan of its own dose field and a from-scratch dose
+// accumulation, and that every sparse score equals the dense one bit
+// for bit. Meant for debugging — it turns every O(support) mutation
 // back into O(grid + shots).
 var evalCheckEnv = os.Getenv("MASKFRAC_EVAL_CHECK") != ""
 
@@ -449,12 +500,15 @@ var evalCheckEnv = os.Getenv("MASKFRAC_EVAL_CHECK") != ""
 // modifications without full re-simulation. The maintained invariant
 // after every mutation is
 //
-//	stats, failOn, failOff  ==  statsOf(Dose) and its failing-pixel sets
+//	stats, failOn, failOff, live  ==  classifyDose(Dose)
 //
 // with Cost equal up to float rounding (the running sum accumulates
 // retire/restore pairs in mutation order; it is re-anchored to exactly
 // zero whenever no pixel fails, and RecomputeStats re-anchors it on
-// demand). FailOn/FailOff counts and the bitmaps are exact.
+// demand). FailOn/FailOff counts and the bitmaps are exact. The live
+// bitmap marks the constrained pixels that fail or whose dose lies
+// within the problem's live margin of ρ; scoring visits only those on
+// rows where no pixel's dose can move by the margin (see scan).
 //
 // Shots may be merged pairwise into L-shots (Pair/Unpair, see
 // lshot.go): a paired shot keeps its slot in Shots but the pair shares
@@ -471,6 +525,7 @@ type Eval struct {
 	stats   Stats
 	failOn  *raster.Bitmap
 	failOff *raster.Bitmap
+	live    []uint64 // bit k set: pixel k is live; bit-packed, row-major
 
 	// partner[i] is the index of the shot L-paired with shot i, −1 when
 	// shot i is an unpaired rectangle. Symmetric: partner[partner[i]]
@@ -486,7 +541,9 @@ type Eval struct {
 	// SetShot, ApplyDelta) since construction.
 	Mutations int
 	// PixelsMutated counts pixels visited committing mutations;
-	// PixelsScored counts pixels visited scoring DeltaCost candidates.
+	// PixelsScored counts pixels whose cost term was evaluated scoring
+	// candidates: the live pixels of sparse rows, every pixel of dense
+	// rows.
 	PixelsMutated int64
 	PixelsScored  int64
 
@@ -494,7 +551,7 @@ type Eval struct {
 	buf    []float32 // scan scratch: the terms' 1D edge tables
 	row    []float64 // scan scratch: one window row's dose change
 	accBuf []float32 // AccumulateShotBuf scratch, reused across resets
-	arena  *Arena    // owner of buf and accBuf; receives them on Close
+	arena  *Arena    // owner of the grids, bitmaps, buf and accBuf
 }
 
 // NewEval returns an evaluator seeded with the given shots. The shot
@@ -510,6 +567,7 @@ func NewEval(p *Problem, shots []geom.Rect) *Eval {
 		Dose:    &raster.Field{Grid: p.Grid, V: a.getF64(n)},
 		failOn:  &raster.Bitmap{Grid: p.Grid, Bits: a.getBits(n)},
 		failOff: &raster.Bitmap{Grid: p.Grid, Bits: a.getBits(n)},
+		live:    a.getU64((n + 63) / 64),
 		check:   evalCheckEnv,
 		arena:   a,
 	}
@@ -517,12 +575,12 @@ func NewEval(p *Problem, shots []geom.Rect) *Eval {
 	return e
 }
 
-// Close returns the evaluator's buffers (dose field, failing bitmaps,
-// edge tables, accumulation scratch) to the problem's arena and nils
-// the fields, so a use-after-close panics instead of corrupting a
-// successor evaluator's state. Close is idempotent; the shot list
-// stays readable. Callers that keep the dose field (via e.Dose) must
-// not Close until they are done with it.
+// Close returns the evaluator's buffers (dose field, failing and live
+// bitmaps, edge tables, accumulation scratch) to the problem's arena
+// and nils the fields, so a use-after-close panics instead of
+// corrupting a successor evaluator's state. Close is idempotent; the
+// shot list stays readable. Callers that keep the dose field (via
+// e.Dose) must not Close until they are done with it.
 func (e *Eval) Close() {
 	if e.Dose == nil {
 		return
@@ -531,18 +589,19 @@ func (e *Eval) Close() {
 		a.putF64(e.Dose.V)
 		a.putBits(e.failOn.Bits)
 		a.putBits(e.failOff.Bits)
+		a.putU64(e.live)
 		a.putF32(e.buf)
 		a.putF32(e.accBuf)
 	}
-	e.Dose, e.failOn, e.failOff = nil, nil, nil
+	e.Dose, e.failOn, e.failOff, e.live = nil, nil, nil, nil
 	e.buf, e.row, e.accBuf = nil, nil, nil
 	e.arena = nil
 }
 
 // SetCrossCheck toggles the debug cross-check mode for this evaluator:
 // when on, every mutation re-derives the violation state from the dose
-// field and from Problem.Evaluate from scratch and panics on any
-// mismatch with the maintained state. The MASKFRAC_EVAL_CHECK
+// field and from a from-scratch accumulation, every score is also
+// computed densely, and any mismatch panics. The MASKFRAC_EVAL_CHECK
 // environment variable sets the process-wide default.
 func (e *Eval) SetCrossCheck(on bool) { e.check = on }
 
@@ -551,42 +610,13 @@ func (e *Eval) SetCrossCheck(on bool) { e.check = on }
 // L-shot pairs, so it clears all pairing.
 func (e *Eval) Reset(shots []geom.Rect) { e.ResetPaired(shots, nil) }
 
-// rebuildState derives stats and the failing bitmaps from the current
-// dose field with one full-grid scan, re-anchoring the running cost.
-func (e *Eval) rebuildState() {
-	p := e.P
-	rho := p.Params.Rho
-	var st Stats
-	for k, c := range p.Class {
-		v := e.Dose.V[k]
-		fOn, fOff := false, false
-		switch c {
-		case On:
-			if v < rho {
-				fOn = true
-				st.FailOn++
-				st.Cost += rho - v
-			}
-		case Off:
-			if v >= rho {
-				fOff = true
-				st.FailOff++
-				st.Cost += v - rho
-			}
-		}
-		e.failOn.Bits[k] = fOn
-		e.failOff.Bits[k] = fOff
-	}
-	e.stats = st
-}
-
 // RecomputeStats rebuilds the maintained violation state with a full
 // O(grid) scan of the current dose field and returns it — the fallback
 // the incremental bookkeeping replaces. It re-anchors the running cost
 // (clearing accumulated float rounding); it exists for debugging,
 // cross-checks and benchmark baselines. Solvers should call Stats.
 func (e *Eval) RecomputeStats() Stats {
-	e.rebuildState()
+	e.stats = e.P.classifyDose(e.Dose.V, e.failOn.Bits, e.failOff.Bits, e.live)
 	return e.stats
 }
 
@@ -728,53 +758,58 @@ func (e *Eval) SnapshotShots() []geom.Rect {
 	return out
 }
 
-// crossCheck asserts the maintained state against two references: an
-// exact scan of the evaluator's own dose field (counts and bitmaps must
-// match exactly, cost up to accumulated rounding) and a from-scratch
-// Problem.Evaluate, whose dose accumulates in shot order and therefore
-// also matches cost only up to rounding.
+// crossCheck asserts the maintained state against two references. A
+// scan of the evaluator's own dose field must reproduce the fail
+// counts, the failing bitmaps and the live bitmap exactly, and the
+// cost up to accumulated rounding. A from-scratch accumulation of the
+// shot list must reproduce the dose field pixel by pixel within 1e-9
+// and the cost within the same tolerance as above. Its fail counts are
+// not compared: the maintained dose is a chain of adds and removes
+// that cancels only to float64 rounding, so a pixel whose dose sits on
+// ρ may classify differently in the two fields.
 func (e *Eval) crossCheck(op string) {
 	p := e.P
-	rho := p.Params.Rho
-	var own Stats
-	for k, c := range p.Class {
-		v := e.Dose.V[k]
-		fOn, fOff := false, false
-		switch c {
-		case On:
-			if v < rho {
-				fOn = true
-				own.FailOn++
-				own.Cost += rho - v
-			}
-		case Off:
-			if v >= rho {
-				fOff = true
-				own.FailOff++
-				own.Cost += v - rho
-			}
-		}
-		if fOn != e.failOn.Bits[k] || fOff != e.failOff.Bits[k] {
+	a := e.arena
+	n := p.Grid.Len()
+	failOn, failOff, live := a.getBits(n), a.getBits(n), a.getU64(len(e.live))
+	own := p.classifyDose(e.Dose.V, failOn, failOff, live)
+	for k := range failOn {
+		bit := uint64(1) << (k & 63)
+		if failOn[k] != e.failOn.Bits[k] || failOff[k] != e.failOff.Bits[k] ||
+			live[k>>6]&bit != e.live[k>>6]&bit {
 			panic(fmt.Sprintf("cover: %s cross-check: bitmap mismatch at pixel %d", op, k))
 		}
 	}
+	a.putBits(failOn)
+	a.putBits(failOff)
+	a.putU64(live)
 	const tol = 1e-6
 	if own.FailOn != e.stats.FailOn || own.FailOff != e.stats.FailOff ||
 		math.Abs(own.Cost-e.stats.Cost) > tol {
 		panic(fmt.Sprintf("cover: %s cross-check: maintained %+v != dose scan %+v", op, e.stats, own))
 	}
-	scratch := p.EvaluatePaired(e.Shots, e.Pairs())
-	if scratch.FailOn != e.stats.FailOn || scratch.FailOff != e.stats.FailOff ||
-		math.Abs(scratch.Cost-e.stats.Cost) > tol {
-		panic(fmt.Sprintf("cover: %s cross-check: maintained %+v != from-scratch %+v", op, e.stats, scratch))
+	fresh := p.pairedDose(e.Shots, e.Pairs())
+	for k, v := range fresh {
+		if math.Abs(v-e.Dose.V[k]) > 1e-9 {
+			panic(fmt.Sprintf("cover: %s cross-check: dose %v at pixel %d != from-scratch %v",
+				op, e.Dose.V[k], k, v))
+		}
+	}
+	scratch := p.classifyDose(fresh, nil, nil, nil)
+	a.putF64(fresh)
+	if math.Abs(scratch.Cost-e.stats.Cost) > tol {
+		panic(fmt.Sprintf("cover: %s cross-check: maintained cost %v != from-scratch %v",
+			op, e.stats.Cost, scratch.Cost))
 	}
 }
 
 // DeltaCost returns the change in Eq. 5 cost if shot i were replaced by
 // repl, without modifying the evaluator. The computation is local: only
 // pixels whose dose changes (the union of the strips around moved edges)
-// are visited, which makes candidate scoring during shot refinement
-// cheap (paper §4.1). Commit the move afterwards with ApplyDelta.
+// are considered, and on rows where the dose change stays below the
+// live margin only the live pixels are scored (see scan), which makes
+// candidate scoring during shot refinement cheap (paper §4.1). Commit
+// the move afterwards with ApplyDelta.
 //
 // For a paired shot whose replacement changes the L-shot's overlap
 // rectangle, the shot terms and the overlap correction are scored in a
@@ -782,19 +817,27 @@ func (e *Eval) crossCheck(op string) {
 // breakpoint at ρ, so scoring the dose terms separately and summing
 // would be wrong wherever their strips overlap.
 func (e *Eval) DeltaCost(i int, repl geom.Rect) float64 {
-	old := e.Shots[i]
-	if old == repl {
+	if e.Shots[i] == repl {
 		return 0
 	}
 	e.Evals++
-	terms := [maxTerms]doseTerm{{repl, 1}, {old, -1}}
-	n := 2
+	terms, n := e.moveTerms(i, repl)
+	return e.scan(terms[:n], false)
+}
+
+// moveTerms returns the dose terms of replacing shot i by repl: the new
+// and the old rectangle and, for a paired shot whose overlap changes,
+// the overlap correction.
+func (e *Eval) moveTerms(i int, repl geom.Rect) (terms [maxTerms]doseTerm, n int) {
+	old := e.Shots[i]
+	terms[0], terms[1] = doseTerm{repl, 1}, doseTerm{old, -1}
+	n = 2
 	if j := e.partner[i]; j >= 0 {
 		ot, no := overlapMove(old, repl, e.Shots[j])
 		copy(terms[2:], ot[:no])
 		n += no
 	}
-	return e.scan(terms[:n], false)
+	return terms, n
 }
 
 // doseTerm is one signed rectangle term of a dose change.
@@ -807,12 +850,19 @@ type doseTerm struct {
 // terms (new shot, old shot, old overlap, new overlap).
 const maxTerms = 4
 
+// skipSlack is the rounding allowance of the sparse row test: a row
+// skips its non-live pixels only when its bound on |dI| is below the
+// live margin by more than this. The bound, each dI and each dose
+// comparison carry float64 rounding errors near 1e-15, many orders of
+// magnitude below it.
+const skipSlack = 1e-9
+
 // scan is the evaluator's one strip scanner, behind every incremental
 // mutator and scorer. It visits the pixels whose dose the summed terms
-// change and either scores the Eq. 5 cost change (commit=false,
-// don't-care band skipped) or commits it (commit=true: dose written and
-// each constrained pixel's cost term and fail bit replaced against its
-// new dose; band pixels still get their dose update).
+// change and either scores the Eq. 5 cost change (commit=false) or
+// commits it (commit=true: dose written and each constrained pixel's
+// cost term, fail bit and live bit replaced against its new dose; band
+// pixels still get their dose update).
 //
 // The pixel window is the terms' union support box, narrowed for a move
 // — one positive and one negative term — to the strips around the edges
@@ -831,13 +881,57 @@ const maxTerms = 4
 // dose of a sequence of Adds equals a from-scratch Reset's exactly.
 // Dose values exactly at ρ are common on an aligned grid; a reordered
 // sum could flip such a pixel's class and with it a solver decision.
+//
+// Scoring is sparse and exact. Each row gets an upper bound on its
+// |dI| from the x tables (see rowBound). When the bound is below the
+// live margin, only the row's live pixels are scored, each with the
+// products and sums of the dense pass in the same order. Any other
+// pixel of the row is either in the band, which the dense pass skips
+// too, or constrained and passing by more than the margin, so its dose
+// stays on the same side of ρ: rounding is monotone, and ρ is a
+// float64. Its Eq. 5 term is therefore exactly zero before and after
+// the move, and adding zero leaves the sum bit-identical. Rows with a
+// larger bound, and every commit, take the dense pass.
 func (e *Eval) scan(terms []doseTerm, commit bool) float64 {
+	var s strips
+	e.fill(&s, terms)
+	if commit {
+		e.commit(&s)
+		return 0
+	}
+	delta, px := e.score(&s, true)
+	if e.check {
+		if dense, _ := e.score(&s, false); math.Float64bits(dense) != math.Float64bits(delta) {
+			panic(fmt.Sprintf("cover: sparse score %v != dense score %v", delta, dense))
+		}
+	}
+	e.PixelsScored += px
+	evalPixelsScoredTotal.Add(px)
+	return delta
+}
+
+// strips is one scan's pixel window and its per-term, per-component 1D
+// edge tables.
+type strips struct {
+	wi0, wj0, nx, ny int
+	nt, nc           int
+	ex, ey           [maxTerms][2][]float32
+	sw               [maxTerms][2]float64 // term sign × component weight
+}
+
+// fill sets the scan window for terms and fills their edge tables over
+// it: O(W+H) float32 strip-kernel fills up front make the area pass
+// pure widening multiply-adds (float32 loads, float64 accumulation).
+// The second term shares the first term's table on an axis where both
+// rectangles have the same edges, as a move's unchanged axis does; the
+// kernels are deterministic, so a shared table holds the very values a
+// second fill would.
+func (e *Eval) fill(s *strips, terms []doseTerm) {
 	if len(terms) == 0 || len(terms) > maxTerms {
 		panic("cover: scan: need 1 to 4 terms")
 	}
-	p := e.P
-	g := p.Grid
-	model := p.Model
+	g := e.P.Grid
+	model := e.P.Model
 	sup := model.Support()
 	nt := len(terms)
 
@@ -875,11 +969,9 @@ func (e *Eval) scan(terms []doseTerm, commit bool) float64 {
 	if nx <= 0 || ny <= 0 {
 		nx, ny = 0, 0
 	}
-
-	// per-term, per-component 1D edge tables over the window: O(W+H)
-	// float32 strip-kernel fills up front make the area pass pure
-	// widening multiply-adds (float32 loads, float64 accumulation)
 	nc := model.Components()
+	*s = strips{wi0: wi0, wj0: wj0, nx: nx, ny: ny, nt: nt, nc: nc}
+
 	need := nt * nc * (nx + ny)
 	if cap(e.buf) < need {
 		if a := e.arena; a != nil {
@@ -889,73 +981,200 @@ func (e *Eval) scan(terms []doseTerm, commit bool) float64 {
 			e.buf = make([]float32, need)
 		}
 	}
-	buf := e.buf[:need]
-	var ex, ey [maxTerms][2][]float32
-	var sign [maxTerms]float64
-	for t, term := range terms {
-		for c := 0; c < nc; c++ {
-			ex[t][c], ey[t][c], buf = buf[:nx:nx], buf[nx:nx+ny:nx+ny], buf[nx+ny:]
-			model.EdgeProfiles32(ex[t][c], c, g.X0, g.Pitch, wi0, term.r.X0, term.r.X1)
-			model.EdgeProfiles32(ey[t][c], c, g.Y0, g.Pitch, wj0, term.r.Y0, term.r.Y1)
-		}
-		sign[t] = term.sign
-	}
-	if nt == 1 {
-		ex[1], ey[1] = ex[0], ey[0] // the zero-weight copy: sign[1] == 0
-	}
-
-	// per row: first the summed dose change of every pixel, one pass per
-	// component and extra term (tight loops, the sums in the order the
-	// doc comment gives), then one pass scoring or committing it
 	if cap(e.row) < g.W {
 		e.row = make([]float64, g.W)
 	}
-	row := e.row[:nx]
-	rho := p.Params.Rho
-	delta := 0.0
-	var eyv [maxTerms][2]float64
-	for jo := 0; jo < ny; jo++ {
-		for t := 0; t < max(nt, 2); t++ {
-			for c := 0; c < nc; c++ {
-				eyv[t][c] = sign[t] * model.Weight(c) * float64(ey[t][c][jo])
-			}
-		}
+	buf := e.buf[:need]
+	for t, term := range terms {
+		r := term.r
+		sameX := t == 1 && r.X0 == terms[0].r.X0 && r.X1 == terms[0].r.X1
+		sameY := t == 1 && r.Y0 == terms[0].r.Y0 && r.Y1 == terms[0].r.Y1
 		for c := 0; c < nc; c++ {
-			a, b := ex[0][c][:len(row)], ex[1][c][:len(row)]
-			wa, wb := eyv[0][c], eyv[1][c]
-			if c == 0 {
-				for io := range row {
-					row[io] = float64(a[io])*wa + float64(b[io])*wb
-				}
+			if sameX {
+				s.ex[t][c] = s.ex[0][c]
 			} else {
-				for io := range row {
-					row[io] += float64(a[io])*wa + float64(b[io])*wb
-				}
+				s.ex[t][c], buf = buf[:nx:nx], buf[nx:]
+				model.EdgeProfiles32(s.ex[t][c], c, g.X0, g.Pitch, wi0, r.X0, r.X1)
 			}
-		}
-		for t := 2; t < nt; t++ {
-			for c := 0; c < nc; c++ {
-				x, w := ex[t][c][:len(row)], eyv[t][c]
-				for io := range row {
-					row[io] += float64(x[io]) * w
-				}
+			if sameY {
+				s.ey[t][c] = s.ey[0][c]
+			} else {
+				s.ey[t][c], buf = buf[:ny:ny], buf[ny:]
+				model.EdgeProfiles32(s.ey[t][c], c, g.Y0, g.Pitch, wj0, r.Y0, r.Y1)
 			}
+			s.sw[t][c] = term.sign * model.Weight(c)
 		}
+	}
+	if nt == 1 {
+		s.ex[1], s.ey[1] = s.ex[0], s.ey[0] // the zero-weight copy: sw[1] stays 0
+	}
+}
 
-		base := (wj0+jo)*g.W + wi0
-		class := p.Class[base : base+nx]
-		dose := e.Dose.V[base : base+nx]
-		if !commit {
-			for io, dI := range row {
-				cls := class[io]
-				if dI == 0 || cls == Band {
-					continue
+// rowWeights sets w[t][c] to term t's component-c factor for window row
+// jo: its sign times the component weight times its y table entry.
+func (s *strips) rowWeights(jo int, w *[maxTerms][2]float64) {
+	for t := 0; t < max(s.nt, 2); t++ {
+		for c := 0; c < s.nc; c++ {
+			w[t][c] = s.sw[t][c] * float64(s.ey[t][c][jo])
+		}
+	}
+}
+
+// denseRow writes the summed dose change of every pixel of a window row
+// into row: one tight pass per component and extra term, the sums in
+// the order scan's doc comment gives.
+func (s *strips) denseRow(row []float64, w *[maxTerms][2]float64) {
+	for c := 0; c < s.nc; c++ {
+		a, b := s.ex[0][c][:len(row)], s.ex[1][c][:len(row)]
+		wa, wb := w[0][c], w[1][c]
+		if c == 0 {
+			for io := range row {
+				row[io] = float64(a[io])*wa + float64(b[io])*wb
+			}
+		} else {
+			for io := range row {
+				row[io] += float64(a[io])*wa + float64(b[io])*wb
+			}
+		}
+	}
+	for t := 2; t < s.nt; t++ {
+		for c := 0; c < s.nc; c++ {
+			x, wx := s.ex[t][c][:len(row)], w[t][c]
+			for io := range row {
+				row[io] += float64(x[io]) * wx
+			}
+		}
+	}
+}
+
+// pixelDI returns the dose change of window column io: denseRow's
+// products and sums for one pixel, in the same order.
+func (s *strips) pixelDI(io int, w *[maxTerms][2]float64) float64 {
+	dI := float64(s.ex[0][0][io])*w[0][0] + float64(s.ex[1][0][io])*w[1][0]
+	for c := 1; c < s.nc; c++ {
+		dI += float64(s.ex[0][c][io])*w[0][c] + float64(s.ex[1][c][io])*w[1][c]
+	}
+	for t := 2; t < s.nt; t++ {
+		for c := 0; c < s.nc; c++ {
+			dI += float64(s.ex[t][c][io]) * w[t][c]
+		}
+	}
+	return dI
+}
+
+// rowBound holds the x-table maxima a row's bound on |dI| is built
+// from, each taken once over the window: per component max|a−b| and
+// max|b| of the first two terms' tables a and b, and max|x| of every
+// further term's table x.
+type rowBound struct {
+	ab, b [2]float64
+	x     [maxTerms][2]float64
+}
+
+// bound returns the window's rowBound.
+func (s *strips) bound() (rb rowBound) {
+	for c := 0; c < s.nc; c++ {
+		a, b := s.ex[0][c], s.ex[1][c][:len(s.ex[0][c])]
+		for io := range a {
+			rb.ab[c] = max(rb.ab[c], math.Abs(float64(a[io])-float64(b[io])))
+			rb.b[c] = max(rb.b[c], math.Abs(float64(b[io])))
+		}
+		for t := 2; t < s.nt; t++ {
+			for _, x := range s.ex[t][c] {
+				rb.x[t][c] = max(rb.x[t][c], math.Abs(float64(x)))
+			}
+		}
+	}
+	return rb
+}
+
+// of returns the bound on |dI| over a row with weights w. Per component
+// a·wa + b·wb = (a−b)·wa + b·(wa+wb), so the first two terms contribute
+// at most max|a−b|·|wa| + max|b|·|wa+wb|, and each further term at most
+// max|x|·|w|. A move's unchanged axis makes one of the two parts
+// vanish: a−b on a horizontal strip, wa+wb on a vertical one.
+func (rb *rowBound) of(s *strips, w *[maxTerms][2]float64) float64 {
+	u := 0.0
+	for c := 0; c < s.nc; c++ {
+		u += rb.ab[c]*math.Abs(w[0][c]) + rb.b[c]*math.Abs(w[0][c]+w[1][c])
+		for t := 2; t < s.nt; t++ {
+			u += rb.x[t][c] * math.Abs(w[t][c])
+		}
+	}
+	return u
+}
+
+// score returns the Eq. 5 cost change of the scan's dose change and the
+// number of pixels whose cost term it evaluated. With sparse set, a row
+// whose bound is below the live margin walks only its live bits (see
+// scan); every other row is scored densely, skipping the band.
+func (e *Eval) score(s *strips, sparse bool) (delta float64, px int64) {
+	p := e.P
+	g := p.Grid
+	rho := p.Params.Rho
+	var rb rowBound
+	if sparse {
+		rb = s.bound()
+	}
+	reach := p.liveMargin - skipSlack
+	row := e.row[:s.nx]
+	var w [maxTerms][2]float64
+	for jo := 0; jo < s.ny; jo++ {
+		s.rowWeights(jo, &w)
+		base := (s.wj0+jo)*g.W + s.wi0
+		class := p.Class[base : base+s.nx]
+		dose := e.Dose.V[base : base+s.nx]
+		if sparse && rb.of(s, &w) < reach {
+			end := base + s.nx
+			for wd := base >> 6; wd<<6 < end; wd++ {
+				word := e.live[wd]
+				if wd == base>>6 {
+					word &= ^uint64(0) << (base & 63)
 				}
-				v := dose[io]
-				delta += classCost(cls, v+dI, rho) - classCost(cls, v, rho)
+				if (wd+1)<<6 > end {
+					word &= ^uint64(0) >> (64 - end&63)
+				}
+				for word != 0 {
+					io := wd<<6 + bits.TrailingZeros64(word) - base
+					word &= word - 1
+					px++
+					if dI := s.pixelDI(io, &w); dI != 0 {
+						cls, v := class[io], dose[io]
+						delta += classCost(cls, v+dI, rho) - classCost(cls, v, rho)
+					}
+				}
 			}
 			continue
 		}
+		s.denseRow(row, &w)
+		px += int64(s.nx)
+		for io, dI := range row {
+			cls := class[io]
+			if dI == 0 || cls == Band {
+				continue
+			}
+			v := dose[io]
+			delta += classCost(cls, v+dI, rho) - classCost(cls, v, rho)
+		}
+	}
+	return delta, px
+}
+
+// commit writes the scan's dose change into the dose field and, per
+// constrained pixel, retires the old cost term and fail bit and
+// restores them against the new dose, then sets the live bit from it.
+func (e *Eval) commit(s *strips) {
+	p := e.P
+	g := p.Grid
+	rho, margin := p.Params.Rho, p.liveMargin
+	row := e.row[:s.nx]
+	var w [maxTerms][2]float64
+	for jo := 0; jo < s.ny; jo++ {
+		s.rowWeights(jo, &w)
+		s.denseRow(row, &w)
+		base := (s.wj0+jo)*g.W + s.wi0
+		class := p.Class[base : base+s.nx]
+		dose := e.Dose.V[base : base+s.nx]
 		for io, dI := range row {
 			if dI == 0 {
 				continue
@@ -988,16 +1207,14 @@ func (e *Eval) scan(terms []doseTerm, commit bool) float64 {
 					e.stats.Cost += nv - rho
 				}
 			}
+			if isLive(class[io], nv, rho, margin) {
+				e.live[k>>6] |= 1 << (k & 63)
+			} else {
+				e.live[k>>6] &^= 1 << (k & 63)
+			}
 		}
 	}
-	px := nx * ny
-	if commit {
-		e.finishMutation(px)
-	} else {
-		e.PixelsScored += int64(px)
-		evalPixelsScoredTotal.Add(int64(px))
-	}
-	return delta
+	e.finishMutation(s.nx * s.ny)
 }
 
 // changedInterval returns the coordinate interval over which the 1D

@@ -1,6 +1,7 @@
 package cover
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -51,14 +52,26 @@ func checkAgainstScratch(t *testing.T, e *Eval, context string) {
 	}
 	// bitmaps and counts must match an exact scan of the evaluator's
 	// own dose field pixel for pixel
+	checkBitmaps(t, e, context)
+}
+
+// checkBitmaps asserts the maintained failing and live bitmaps equal an
+// exact scan of the evaluator's own dose field, pixel for pixel.
+func checkBitmaps(t *testing.T, e *Eval, context string) {
+	t.Helper()
+	p := e.P
 	failOn, failOff := e.FailingBitmaps()
-	rho := p.Params.Rho
+	rho, margin := p.Params.Rho, p.liveMargin
 	for k, c := range p.Class {
 		v := e.Dose.V[k]
 		wantOn := c == On && v < rho
 		wantOff := c == Off && v >= rho
 		if failOn.Bits[k] != wantOn || failOff.Bits[k] != wantOff {
 			t.Fatalf("%s: bitmap mismatch at pixel %d (class %d dose %g)", context, k, c, v)
+		}
+		wantLive := c == On && v-rho <= margin || c == Off && rho-v <= margin
+		if gotLive := e.live[k>>6]>>(k&63)&1 == 1; gotLive != wantLive {
+			t.Fatalf("%s: live bit %v at pixel %d (class %d dose %g), want %v", context, gotLive, k, c, v, wantLive)
 		}
 	}
 }
@@ -101,6 +114,105 @@ func TestEvalPropertyIncrementalMatchesScratch(t *testing.T) {
 				}
 				checkAgainstScratch(t, e, name)
 			}
+		})
+	}
+}
+
+// TestDeltaCostSparseMatchesDense checks that sparse scoring is exact:
+// on random configurations with L-paired shots, under both proximity
+// models, every edge move of 1–5 pitches and every pair split or merge
+// scores the same float64 bits sparsely as with every row scored
+// densely. A one-pitch move of an unpaired shot must visit only live
+// pixels; longer moves push rows over the live margin, so both the
+// live-bit walk and the dense fallback run. Scored moves are committed
+// now and then, so the live bitmap is the commit pass's, not only the
+// rebuild's.
+func TestDeltaCostSparseMatchesDense(t *testing.T) {
+	const side = 60.0
+	for name, params := range propParams() {
+		t.Run(name, func(t *testing.T) {
+			p, err := NewProblem(square(side), params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pitch := p.Params.Pitch
+			var skipped, fellBack int
+			// compare scores terms both ways and returns the sparse
+			// score and whether every visited pixel was live
+			compare := func(e *Eval, terms []doseTerm, what string) (float64, bool) {
+				t.Helper()
+				var s strips
+				e.fill(&s, terms)
+				sparse, pxSparse := e.score(&s, true)
+				dense, pxDense := e.score(&s, false)
+				if math.Float64bits(sparse) != math.Float64bits(dense) {
+					t.Fatalf("%s: sparse score %v (%#x) != dense %v (%#x)",
+						what, sparse, math.Float64bits(sparse), dense, math.Float64bits(dense))
+				}
+				var live int64
+				for jo := 0; jo < s.ny; jo++ {
+					for io := 0; io < s.nx; io++ {
+						k := (s.wj0+jo)*p.Grid.W + s.wi0 + io
+						live += int64(e.live[k>>6] >> (k & 63) & 1)
+					}
+				}
+				if pxSparse < pxDense {
+					skipped++
+				}
+				if pxSparse > live {
+					fellBack++
+				}
+				return sparse, pxSparse == live
+			}
+			for seq := 0; seq < 8; seq++ {
+				rng := rand.New(rand.NewSource(int64(9000 + seq)))
+				var shots []geom.Rect
+				for range 5 {
+					shots = append(shots, randShot(rng, p, side))
+				}
+				e := NewEval(p, shots)
+				e.SetCrossCheck(false)
+				for range 2 {
+					if i, j := unpairedPair(rng, e); i >= 0 {
+						compare(e, []doseTerm{{pairOverlap(e.Shots[i], e.Shots[j]), -1}}, "pair")
+						e.Pair(i, j)
+					}
+				}
+				for i := range e.Shots {
+					if j := e.Partner(i); j > i {
+						compare(e, []doseTerm{{pairOverlap(e.Shots[i], e.Shots[j]), 1}}, "unpair")
+					}
+					for edge := range 4 {
+						for steps := 1; steps <= 5; steps++ {
+							for _, d := range []float64{pitch, -pitch} {
+								nr := e.Shots[i]
+								*[4]*float64{&nr.X0, &nr.X1, &nr.Y0, &nr.Y1}[edge] += float64(steps) * d
+								if nr.Empty() {
+									continue
+								}
+								what := fmt.Sprintf("seq %d shot %d edge %d move %+g", seq, i, edge, float64(steps)*d)
+								terms, n := e.moveTerms(i, nr)
+								delta, allLive := compare(e, terms[:n], what)
+								if steps == 1 && e.Partner(i) < 0 && !allLive {
+									t.Fatalf("%s: a one-pitch move scored a row densely", what)
+								}
+								if got := e.DeltaCost(i, nr); math.Float64bits(got) != math.Float64bits(delta) {
+									t.Fatalf("%s: DeltaCost %v != sparse score %v", what, got, delta)
+								}
+								if rng.Intn(8) == 0 {
+									e.ApplyDelta(i, nr, delta)
+								}
+							}
+						}
+					}
+				}
+				checkBitmaps(t, e, name)
+				e.Close()
+			}
+			if skipped == 0 || fellBack == 0 {
+				t.Fatalf("scans that skipped pixels %d, scans with a dense row %d: want both > 0", skipped, fellBack)
+			}
+			t.Logf("%d scans skipped pixels, %d scored a row densely", skipped, fellBack)
 		})
 	}
 }

@@ -189,23 +189,18 @@ func (e *Eval) UnpairDelta(i int) float64 {
 // pairs element is an {i, j} index pair into shots; indices must be
 // distinct across pairs.
 func (e *Eval) ResetPaired(shots []geom.Rect, pairs [][2]int) {
-	clear(e.Dose.V)
 	e.Shots = append(e.Shots[:0], shots...)
 	e.resetPartners(len(shots))
-	for _, s := range e.Shots {
-		e.accBuf = e.P.Model.AccumulateShotBuf(e.Dose, s, 1, e.accBuf)
-	}
 	for _, pr := range pairs {
 		i, j := pr[0], pr[1]
 		if i == j || e.partner[i] >= 0 || e.partner[j] >= 0 {
 			panic(fmt.Sprintf("cover: ResetPaired: invalid pair {%d, %d}", i, j))
 		}
 		e.partner[i], e.partner[j] = j, i
-		if o := pairOverlap(e.Shots[i], e.Shots[j]); o != (geom.Rect{}) {
-			e.accBuf = e.P.Model.AccumulateShotBuf(e.Dose, o, -1, e.accBuf)
-		}
 	}
-	e.rebuildState()
+	clear(e.Dose.V)
+	e.accBuf = e.P.accumulatePaired(e.Dose, e.Shots, pairs, e.accBuf)
+	e.RecomputeStats()
 	if e.check {
 		e.crossCheck("ResetPaired")
 	}
@@ -224,28 +219,39 @@ func (e *Eval) resetPartners(n int) {
 }
 
 // EvaluatePaired computes the violation statistics of a shot set with
-// L-shot pairs from scratch: every shot accumulates positively, every
-// pair's positive-area overlap accumulates negatively. It is the
-// from-scratch reference the evaluator's cross-check mode asserts
-// against. The dose field and accumulation scratch come from the
-// problem's arena, so repeated from-scratch evaluations (quality
-// reports, cross-checks) allocate nothing at steady state.
+// L-shot pairs from scratch. The dose field and accumulation scratch
+// come from the problem's arena, so repeated from-scratch evaluations
+// (quality reports, cross-checks) allocate nothing at steady state.
 func (p *Problem) EvaluatePaired(shots []geom.Rect, pairs [][2]int) Stats {
+	dose := p.pairedDose(shots, pairs)
+	st := p.classifyDose(dose, nil, nil, nil)
+	p.Arena().putF64(dose)
+	return st
+}
+
+// pairedDose returns the from-scratch dose field of a shot set with
+// L-shot pairs in a buffer from the problem's arena; the caller returns
+// it with putF64.
+func (p *Problem) pairedDose(shots []geom.Rect, pairs [][2]int) []float64 {
 	a := p.Arena()
 	dose := raster.Field{Grid: p.Grid, V: a.getF64(p.Grid.Len())}
-	scratch := a.getF32(0)
+	a.putF32(p.accumulatePaired(&dose, shots, pairs, a.getF32(0)))
+	return dose.V
+}
+
+// accumulatePaired adds the dose of a shot set with L-shot pairs to f —
+// every shot positively, then every pair's positive-area overlap
+// negatively — and returns the possibly grown scratch.
+func (p *Problem) accumulatePaired(f *raster.Field, shots []geom.Rect, pairs [][2]int, scratch []float32) []float32 {
 	for _, s := range shots {
-		scratch = p.Model.AccumulateShotBuf(&dose, s, 1, scratch)
+		scratch = p.Model.AccumulateShotBuf(f, s, 1, scratch)
 	}
 	for _, pr := range pairs {
 		if o := pairOverlap(shots[pr[0]], shots[pr[1]]); o != (geom.Rect{}) {
-			scratch = p.Model.AccumulateShotBuf(&dose, o, -1, scratch)
+			scratch = p.Model.AccumulateShotBuf(f, o, -1, scratch)
 		}
 	}
-	st := p.statsOf(&dose)
-	a.putF32(scratch)
-	a.putF64(dose.V)
-	return st
+	return scratch
 }
 
 // overlapMove returns the dose terms that re-point a pair's overlap

@@ -66,16 +66,7 @@ func checkAgainstScratchPaired(t *testing.T, e *Eval, context string) {
 	if math.Abs(st.Cost-scratch.Cost) > costTol {
 		t.Fatalf("%s: maintained cost %g != from-scratch %g", context, st.Cost, scratch.Cost)
 	}
-	failOn, failOff := e.FailingBitmaps()
-	rho := p.Params.Rho
-	for k, c := range p.Class {
-		v := e.Dose.V[k]
-		wantOn := c == On && v < rho
-		wantOff := c == Off && v >= rho
-		if failOn.Bits[k] != wantOn || failOff.Bits[k] != wantOff {
-			t.Fatalf("%s: bitmap mismatch at pixel %d (class %d dose %g)", context, k, c, v)
-		}
-	}
+	checkBitmaps(t, e, context)
 }
 
 // unpairedPair picks two distinct unpaired shot indices, or (-1, -1).

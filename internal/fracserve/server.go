@@ -256,7 +256,7 @@ func (s *Server) registerMetrics() {
 		"pixels scanned committing evaluator mutations (process-wide)",
 		func() float64 { return float64(cover.EvalCounters().PixelsMutated) })
 	r.CounterFunc("fracd_eval_pixels_scored_total",
-		"pixels scanned scoring DeltaCost candidates (process-wide)",
+		"pixels whose cost term was evaluated scoring DeltaCost candidates (process-wide)",
 		func() float64 { return float64(cover.EvalCounters().PixelsScored) })
 	r.CounterFunc("fracd_eval_arena_hits_total",
 		"evaluator buffer acquisitions served from an arena free list (process-wide)",

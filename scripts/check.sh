@@ -87,13 +87,18 @@ go test -race -count=1 -run 'TestLShotSuiteGate|TestLShotEngineDeterminism' .
 
 # the evaluator cross-check mode: every commit path of cover.Eval's one
 # strip scanner (Add, Remove, SetShot/ApplyDelta, Pair, Unpair, resets)
-# is asserted against a from-scratch EvaluatePaired, and every float32
-# strip fill against the float64 reference — first over the randomized
-# property sequences, then on real mbf-l solves, whose repair loops
-# drive paired moves, pair splits and snapshot restores
+# is asserted against a scan of its own dose field (fail and live
+# bitmaps) and a from-scratch dose accumulation, every sparse score
+# against the dense one bit for bit, and every float32 strip fill
+# against the float64 reference — first over the randomized property
+# sequences, then on real mbf-l solves, whose repair loops drive paired
+# moves, pair splits and snapshot restores, and last on the golden MBF
+# and MBF-L solves, which score every move the shipped solvers make
 echo "== go test cover under MASKFRAC_EVAL_CHECK =="
 MASKFRAC_EVAL_CHECK=1 go test -count=1 ./internal/cover
 echo "== go test L-shot gate under MASKFRAC_EVAL_CHECK =="
 MASKFRAC_EVAL_CHECK=1 go test -count=1 -run 'TestLShotSuiteGate|TestLShotEngineDeterminism' .
+echo "== go test golden shot lists under MASKFRAC_EVAL_CHECK =="
+MASKFRAC_EVAL_CHECK=1 go test -count=1 -run TestGoldenShotLists .
 
 echo "check ok"
