@@ -9,9 +9,9 @@ import (
 	"testing"
 )
 
-// goldenShotsPath holds the shot lists the MBF and MBF-L solvers must
-// keep producing: refactors of the evaluator or the L-shot matcher are
-// required to leave these byte-identical.
+// goldenShotsPath holds the shot lists the solvers must keep
+// producing: refactors of the evaluator, the L-shot matcher or the
+// shared fixup passes are required to leave these byte-identical.
 const goldenShotsPath = "testdata/golden_shots.json"
 
 // goldenCase is one recorded solve.
@@ -25,8 +25,9 @@ type goldenCase struct {
 }
 
 // goldenInstances lists the recorded instances: MBF on the Table 2
-// clips the benchmark solves (ILT-1/2/3/6/7), and MBF-L on the L-shape
-// suite and one SRAF group.
+// clips the benchmark solves (ILT-1/2/3/6/7), MBF-L on the L-shape
+// suite and one SRAF group, MP and PROTO-EDA on all ten Table 2 clips,
+// and GSC on ILT-6.
 func goldenInstances() []struct {
 	name    string
 	method  Method
@@ -46,6 +47,12 @@ func goldenInstances() []struct {
 		out = append(out, inst{sh.Name, MethodMBFL, []Polygon{sh.Poly}})
 	}
 	out = append(out, inst{"SRAFCluster(3,2)", MethodMBFL, SRAFCluster(3, 2)})
+	for _, m := range []Method{MethodMP, MethodProtoEDA} {
+		for _, b := range ilt {
+			out = append(out, inst{b.Name, m, []Polygon{b.Target}})
+		}
+	}
+	out = append(out, inst{ilt[5].Name, MethodGSC, []Polygon{ilt[5].Target}})
 	return out
 }
 
@@ -76,12 +83,12 @@ func renderGolden(t *testing.T) []byte {
 	return append(out, '\n')
 }
 
-// TestGoldenShotLists pins the exact MBF and MBF-L output. JSON floats
+// TestGoldenShotLists pins the exact output of every golden instance. JSON floats
 // round-trip exactly, so a byte compare is a bit-for-bit compare of
 // every shot coordinate.
 func TestGoldenShotLists(t *testing.T) {
 	if testing.Short() {
-		t.Skip("solves eleven instances; skipped under -short")
+		t.Skip("solves 32 instances; skipped under -short")
 	}
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("golden recorded on amd64; on %s the compiler fuses x*y+z into FMA, which changes rounding", runtime.GOARCH)
