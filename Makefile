@@ -29,12 +29,12 @@ test:
 race:
 	$(GO) test -race -short ./...
 
-# bench runs the quick benchmarks with -benchmem and records the
-# results to BENCH_<date>.json; pass BENCH='.' BENCHTIME=3x to widen it
+# bench runs the quick benchmarks five times with -benchmem and prints
+# the results; pass BENCH='.' to widen it. A speed claim is backed by
+# the repo benchmark instead: python3 perfbench/run.py
 BENCH ?= BenchmarkShapeCache|BenchmarkBatchCache|BenchmarkEngineRegions|BenchmarkRefine
-BENCHTIME ?= 1x
 bench:
-	sh scripts/benchstat.sh '$(BENCH)' '$(BENCHTIME)'
+	$(GO) test -run '^$$' -bench "$(BENCH)" -benchmem -count 5
 
 # soak holds an in-process cluster at a steady QPS and records the
 # rolling time series + SLO verdict to BENCH_<date>-soak.json

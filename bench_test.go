@@ -33,7 +33,6 @@ import (
 	"maskfrac/internal/fracture/fixup"
 	"maskfrac/internal/fracture/mbf"
 	"maskfrac/internal/fracture/partition"
-	"maskfrac/internal/fracture/vdose"
 	"maskfrac/internal/geom"
 	"maskfrac/internal/graphx"
 	"maskfrac/internal/metrics"
@@ -310,24 +309,6 @@ func mustCover(b *testing.B, target Polygon) *cover.Problem {
 
 // --- extension benchmarks (the paper's cited alternatives) ---
 
-// BenchmarkExtensionVDose measures the variable-dose post-pass (paper
-// ref [18]): dose optimization + dose-backed shot deletion on top of
-// the paper's fixed-dose solution.
-func BenchmarkExtensionVDose(b *testing.B) {
-	ilt, _ := suites()
-	p := mustCover(b, ilt[0].Target)
-	fixed := mbf.Fracture(p, mbf.Options{})
-	b.ResetTimer()
-	var reduced int
-	for i := 0; i < b.N; i++ {
-		res := vdose.Optimize(p, fixed.Shots, vdose.Options{})
-		res = vdose.Reduce(p, res, vdose.Options{})
-		reduced = res.ShotCount()
-	}
-	b.ReportMetric(float64(len(fixed.Shots)), "fixed-shots")
-	b.ReportMetric(float64(reduced), "vdose-shots")
-}
-
 // BenchmarkExtensionLShape measures L-shape pairing (paper ref [20]) on
 // a rectilinearized ILT clip.
 func BenchmarkExtensionLShape(b *testing.B) {
@@ -523,20 +504,10 @@ func edgeAdjustRescan(p *cover.Problem, e *cover.Eval, sweeps int) {
 		for i := range e.Shots {
 			r := e.Shots[i]
 			bestDelta, bestRect := -1e-12, geom.Rect{}
-			for s := 0; s < 4; s++ {
+			for _, s := range geom.Sides {
 				for _, d := range []float64{pitch, -pitch} {
-					nr := r
-					switch s {
-					case 0:
-						nr.X0 += d
-					case 1:
-						nr.X1 += d
-					case 2:
-						nr.Y0 += d
-					case 3:
-						nr.Y1 += d
-					}
-					if !p.MinSizeOK(nr) {
+					nr := r.MoveEdge(s, d)
+					if !e.LegalMove(i, nr) {
 						continue
 					}
 					if delta := e.DeltaCost(i, nr); delta < bestDelta {

@@ -2,7 +2,7 @@
 //
 // Usage:
 //
-//	fracture -in shapes.msk [-shape NAME] [-method mbf|gsc|mp|proto-eda|partition]
+//	fracture -in shapes.msk [-shape NAME] [-method NAME]
 //	         [-out shots.txt] [-svg out.svg] [-sigma 6.25] [-gamma 2] [-lmin 8]
 //	         [-workers N] [-v] [-trace]
 //	fracture -multi -in shapes.msk [-workers N]
@@ -42,6 +42,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"maskfrac"
 	"maskfrac/internal/geom"
@@ -54,7 +55,7 @@ func main() {
 	var (
 		in      = flag.String("in", "", "input .msk shape file (default: built-in ILT-1)")
 		shape   = flag.String("shape", "", "shape name to fracture (default: first in file)")
-		method  = flag.String("method", "mbf", "fracturing method: mbf, gsc, mp, proto-eda, partition")
+		method  = flag.String("method", "mbf", "fracturing method: "+methodList())
 		out     = flag.String("out", "", "write the shot list to this file")
 		svgOut  = flag.String("svg", "", "render target + shots to this SVG file")
 		sigma   = flag.Float64("sigma", 6.25, "e-beam blur sigma in nm")
@@ -333,4 +334,13 @@ func render(path string, targets []maskfrac.Polygon, shots []maskfrac.Shot) erro
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "fracture:", err)
 	os.Exit(1)
+}
+
+// methodList names every registered fracturing method, comma separated.
+func methodList() string {
+	var names []string
+	for _, m := range maskfrac.Methods() {
+		names = append(names, string(m))
+	}
+	return strings.Join(names, ", ")
 }

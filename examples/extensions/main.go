@@ -1,7 +1,6 @@
-// Extensions beyond the paper's fixed-dose rectangular shots: L-shaped
-// shots (its reference [20]) and variable-dose shots (its reference
-// [18]), plus mask-quality metrics (EPE, dose slope, slivers) for the
-// resulting solutions.
+// Extensions beyond the paper's rectangular shots: L-shaped shots (its
+// reference [20]), plus mask-quality metrics (EPE, dose slope, slivers)
+// for the paper's fixed-dose solution.
 package main
 
 import (
@@ -11,7 +10,6 @@ import (
 	"maskfrac"
 	"maskfrac/internal/cover"
 	"maskfrac/internal/fracture/mbf"
-	"maskfrac/internal/fracture/vdose"
 	"maskfrac/internal/metrics"
 )
 
@@ -36,24 +34,7 @@ func main() {
 	fmt.Printf("  dose slope: mean %.4f /nm (min %.4f), slivers<10nm: %d/%d\n\n",
 		slope, minSlope, sliv.Slivers, sliv.Shots)
 
-	// Extension 1: variable-dose shots. Optimize per-shot doses, then
-	// try deleting shots whose area neighbors can re-cover at higher dose.
-	vd := vdose.Optimize(p, fixed.Shots, vdose.Options{})
-	vd = vdose.Reduce(p, vd, vdose.Options{})
-	fmt.Printf("variable-dose extension: %d shots, %d failing pixels\n",
-		vd.ShotCount(), vd.Stats.Fail())
-	lo, hi := 10.0, 0.0
-	for _, s := range vd.Shots {
-		if s.Dose < lo {
-			lo = s.Dose
-		}
-		if s.Dose > hi {
-			hi = s.Dose
-		}
-	}
-	fmt.Printf("  dose range used: %.2f .. %.2f of nominal\n\n", lo, hi)
-
-	// Extension 2: L-shaped shots on a rectilinear version of the clip
+	// Extension: L-shaped shots on a rectilinear version of the clip
 	// (conventional partition, pairs written as single L shots).
 	lprob, err := maskfrac.NewProblem(clip.Target, params)
 	if err != nil {

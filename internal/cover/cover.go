@@ -332,6 +332,21 @@ func (p *Problem) MinSizeOK(s geom.Rect) bool {
 	return s.W() >= p.Params.Lmin-eps && s.H() >= p.Params.Lmin-eps
 }
 
+// Legalize grows r symmetrically about its center to the minimum shot
+// size on each axis where it falls short.
+func (p *Problem) Legalize(r geom.Rect) geom.Rect {
+	lmin := p.Params.Lmin
+	if r.W() < lmin {
+		c := (r.X0 + r.X1) / 2
+		r.X0, r.X1 = c-lmin/2, c+lmin/2
+	}
+	if r.H() < lmin {
+		c := (r.Y0 + r.Y1) / 2
+		r.Y0, r.Y1 = c-lmin/2, c+lmin/2
+	}
+	return r
+}
+
 // InteriorFraction returns the fraction of shot s's area that lies
 // inside the target shape, estimated on the sampling grid. Used by the
 // paper's 80% test-shot and 90% merge criteria.

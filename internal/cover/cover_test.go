@@ -126,6 +126,23 @@ func TestMinSizeOK(t *testing.T) {
 	}
 }
 
+func TestLegalize(t *testing.T) {
+	p := mustProblem(t, square(40))
+	lmin := p.Params.Lmin
+	// a 2×20 box grows to Lmin wide about its center; its height holds
+	got := p.Legalize(geom.Rect{X0: 10, Y0: 0, X1: 12, Y1: 20})
+	if want := (geom.Rect{X0: 11 - lmin/2, Y0: 0, X1: 11 + lmin/2, Y1: 20}); got != want {
+		t.Errorf("Legalize = %v, want %v", got, want)
+	}
+	if !p.MinSizeOK(got) {
+		t.Errorf("Legalize result %v below Lmin", got)
+	}
+	legal := geom.Rect{X0: 0, Y0: 0, X1: 20, Y1: 20}
+	if got := p.Legalize(legal); got != legal {
+		t.Errorf("Legalize changed a legal shot: %v", got)
+	}
+}
+
 func TestInteriorFraction(t *testing.T) {
 	p := mustProblem(t, square(40))
 	if f := p.InteriorFraction(geom.Rect{X0: 10, Y0: 10, X1: 30, Y1: 30}); f != 1 {

@@ -76,6 +76,20 @@ func UnionIsLShot(a, b geom.Rect) bool {
 // shot i is an unpaired rectangle.
 func (e *Eval) Partner(i int) int { return e.partner[i] }
 
+// LegalMove reports whether replacing shot i by nr keeps the
+// configuration writable: the minimum shot size holds, and when shot i
+// is one arm of an L-shot the moved arm still forms an L with its
+// partner (a single L-aperture flash cannot write a T, staircase or
+// disconnected pair). Unpaired shots only check the size constraint.
+// Every ±Δp edge loop judges its moves with this one rule.
+func (e *Eval) LegalMove(i int, nr geom.Rect) bool {
+	if !e.P.MinSizeOK(nr) {
+		return false
+	}
+	j := e.partner[i]
+	return j < 0 || UnionIsLShot(nr, e.Shots[j])
+}
+
 // PairCount returns the number of L-shot pairs in the configuration.
 func (e *Eval) PairCount() int {
 	n := 0

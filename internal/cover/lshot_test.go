@@ -45,6 +45,41 @@ func TestUnionIsLShot(t *testing.T) {
 	}
 }
 
+// TestEvalLegalMove pins the one legality rule every ±Δp edge loop
+// uses: an unpaired shot checks only the minimum size, a paired arm
+// must also keep its union with the partner an L.
+func TestEvalLegalMove(t *testing.T) {
+	p := mustProblem(t, square(60))
+	r := func(x0, y0, x1, y1 float64) geom.Rect {
+		return geom.Rect{X0: x0, Y0: y0, X1: x1, Y1: y1}
+	}
+	// shots 0 and 1 form a flush L; shot 2 stands alone
+	e := NewEval(p, []geom.Rect{r(0, 0, 30, 10), r(0, 10, 10, 30), r(40, 40, 55, 55)})
+	defer e.Close()
+	e.Pair(0, 1)
+	cases := []struct {
+		name string
+		i    int
+		nr   geom.Rect
+		want bool
+	}{
+		{"unpaired: size ok", 2, r(40, 40, 55, 56), true},
+		{"unpaired: far move, size ok", 2, r(-20, -20, -8, -8), true},
+		{"unpaired: below Lmin", 2, r(40, 40, 45, 55), false},
+		{"paired: still an L", 1, r(0, 10, 10, 31), true},
+		{"paired: overlap keeps the L", 1, r(0, 9, 10, 30), true},
+		{"paired: detached arm", 1, r(0, 11, 10, 30), false},
+		{"paired: union becomes a T", 1, r(1, 10, 11, 30), false},
+		{"paired: union becomes a rectangle", 1, r(0, 10, 30, 30), false},
+		{"paired: below Lmin", 0, r(0, 0, 30, 7), false},
+	}
+	for _, tc := range cases {
+		if got := e.LegalMove(tc.i, tc.nr); got != tc.want {
+			t.Errorf("%s: LegalMove(%d, %v) = %v, want %v", tc.name, tc.i, tc.nr, got, tc.want)
+		}
+	}
+}
+
 // checkAgainstScratchPaired asserts the maintained violation state of a
 // (possibly L-paired) evaluator equals a from-scratch EvaluatePaired of
 // its configuration, and that the partner table is symmetric.

@@ -1,9 +1,12 @@
-// Package fixup provides the greedy completion pass shared by the GSC
-// and MP baselines: covering residual failing interior pixels with
-// component bounding-box shots. Dictionary-driven methods cannot always
-// fix convex-corner residues exactly; this pass finishes the cover the
-// way a set-cover heuristic would, trying a few box variants per
-// component and picking the one with the best net effect.
+// Package fixup provides the greedy completion passes shared by the
+// solvers: covering residual failing interior pixels with component
+// bounding-box shots (GSC, MP), the largest-failing-blob box behind
+// every add-shot operator (MBF's addShot, Patch), and bounded ±Δp
+// edge adjustment (GSC, MP, PROTO-EDA, MBF's polish and cleanup).
+// Dictionary-driven methods cannot always fix convex-corner residues
+// exactly; Patch finishes the cover the way a set-cover heuristic
+// would, trying a few box variants per component and picking the one
+// with the best net effect.
 package fixup
 
 import (
@@ -102,24 +105,15 @@ func Patch(p *cover.Problem, e *cover.Eval, maxShots int) {
 		if st.FailOn == 0 {
 			return
 		}
-		failOn, _ := e.FailingBitmaps()
-		labels := raster.ConnectedComponents(failOn)
-		boxes := labels.Boxes()
-		bestIdx, bestCount := -1, 0
-		for i, b := range boxes {
-			if b.Count > bestCount {
-				bestIdx, bestCount = i, b.Count
-			}
-		}
-		if bestIdx < 0 {
+		base, ok := LargestFailBox(e)
+		if !ok {
 			return
 		}
-		base := boxRect(p, boxes[bestIdx])
 		// try the box and slightly grown/shrunk variants, keep the one
 		// with the best net fail reduction
 		bestRect, bestFail := geom.Rect{}, st.Fail()
 		for _, r := range []geom.Rect{base, base.Inset(-p.Params.Pitch), base.Inset(p.Params.Pitch)} {
-			r = legalize(p, r)
+			r = p.Legalize(r)
 			e.Add(r)
 			if f := e.Stats().Fail(); f < bestFail {
 				bestRect, bestFail = r, f
@@ -133,29 +127,29 @@ func Patch(p *cover.Problem, e *cover.Eval, maxShots int) {
 	}
 }
 
-// boxRect converts a pixel component box to a world rectangle.
-func boxRect(p *cover.Problem, b raster.ComponentBox) geom.Rect {
-	g := p.Grid
+// LargestFailBox returns the world bounding box of the largest
+// connected blob of failing interior pixels, the box the add-shot
+// operator covers (paper §4.3), and false when no interior pixel
+// fails. Ties go to the lowest component id. The box is not legalized;
+// callers grow it with Problem.Legalize.
+func LargestFailBox(e *cover.Eval) (geom.Rect, bool) {
+	failOn, _ := e.FailingBitmaps()
+	var best raster.ComponentBox
+	for _, b := range raster.ConnectedComponents(failOn).Boxes() {
+		if b.Count > best.Count {
+			best = b
+		}
+	}
+	if best.Count == 0 {
+		return geom.Rect{}, false
+	}
+	g := e.P.Grid
 	return geom.Rect{
-		X0: g.X0 + float64(b.I0)*g.Pitch,
-		Y0: g.Y0 + float64(b.J0)*g.Pitch,
-		X1: g.X0 + float64(b.I1+1)*g.Pitch,
-		Y1: g.Y0 + float64(b.J1+1)*g.Pitch,
-	}
-}
-
-// legalize grows r symmetrically to the minimum shot size if needed.
-func legalize(p *cover.Problem, r geom.Rect) geom.Rect {
-	lmin := p.Params.Lmin
-	if r.W() < lmin {
-		c := (r.X0 + r.X1) / 2
-		r.X0, r.X1 = c-lmin/2, c+lmin/2
-	}
-	if r.H() < lmin {
-		c := (r.Y0 + r.Y1) / 2
-		r.Y0, r.Y1 = c-lmin/2, c+lmin/2
-	}
-	return r
+		X0: g.X0 + float64(best.I0)*g.Pitch,
+		Y0: g.Y0 + float64(best.J0)*g.Pitch,
+		X1: g.X0 + float64(best.I1+1)*g.Pitch,
+		Y1: g.Y0 + float64(best.J1+1)*g.Pitch,
+	}, true
 }
 
 // EdgeAdjustCtx is EdgeAdjust with telemetry: when ctx carries a trace
@@ -173,9 +167,11 @@ func EdgeAdjustCtx(ctx context.Context, p *cover.Problem, e *cover.Eval, sweeps 
 
 // EdgeAdjust runs a bounded greedy edge-adjustment loop: each sweep
 // tries moving every edge of every shot by ±Δp and applies the best
-// cost-reducing move per shot. Used by baselines to repair dose
-// violations (typically boundary overdose) without the full refinement
-// machinery of the paper's method. Returns the best configuration seen.
+// cost-reducing move per shot. Moves are judged by Eval.LegalMove, so
+// L-shot pairs stay L-shaped. Used by baselines and by MBF's polish and
+// cleanup to repair dose violations (typically boundary overdose)
+// without the full refinement machinery of the paper's method. Returns
+// the best configuration seen, pairs included.
 func EdgeAdjust(p *cover.Problem, e *cover.Eval, sweeps int) {
 	best := e.SnapshotShots()
 	bestFail := e.Stats().Fail()
@@ -185,20 +181,10 @@ func EdgeAdjust(p *cover.Problem, e *cover.Eval, sweeps int) {
 		for i := range e.Shots {
 			r := e.Shots[i]
 			bestDelta, bestRect := -1e-12, geom.Rect{}
-			for s := 0; s < 4; s++ {
+			for _, s := range geom.Sides {
 				for _, d := range []float64{pitch, -pitch} {
-					nr := r
-					switch s {
-					case 0:
-						nr.X0 += d
-					case 1:
-						nr.X1 += d
-					case 2:
-						nr.Y0 += d
-					case 3:
-						nr.Y1 += d
-					}
-					if !p.MinSizeOK(nr) {
+					nr := r.MoveEdge(s, d)
+					if !e.LegalMove(i, nr) {
 						continue
 					}
 					if delta := e.DeltaCost(i, nr); delta < bestDelta {
@@ -220,9 +206,9 @@ func EdgeAdjust(p *cover.Problem, e *cover.Eval, sweeps int) {
 		}
 	}
 	// restore the best configuration seen (skip the rebuild when the
-	// final sweep already holds it)
+	// final sweep already holds it); moves never change the pairing
 	if !rectsEqual(e.Shots, best) {
-		e.Reset(best)
+		e.ResetPaired(best, e.Pairs())
 	}
 }
 

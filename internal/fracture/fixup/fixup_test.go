@@ -113,3 +113,39 @@ func TestEdgeAdjustKeepsBest(t *testing.T) {
 		t.Errorf("EdgeAdjust broke a feasible solution: %+v", st)
 	}
 }
+
+func TestEdgeAdjustKeepsLPairs(t *testing.T) {
+	// two targets 10 nm apart, written by a flush L pair: the vertical
+	// arm's bottom edge sits on the horizontal arm, so its dose floods
+	// the gap and retreating that edge by one pitch cuts cost — but
+	// detaches the arm, which one L flash cannot write
+	targets := []geom.Polygon{
+		{geom.Pt(0, 0), geom.Pt(60, 0), geom.Pt(60, 20), geom.Pt(0, 20)},
+		{geom.Pt(0, 30), geom.Pt(20, 30), geom.Pt(20, 60), geom.Pt(0, 60)},
+	}
+	p, err := cover.NewMultiProblem(targets, cover.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	arm := geom.Rect{X0: 0, Y0: 20, X1: 20, Y1: 60}
+	e := cover.NewEval(p, []geom.Rect{{X0: 0, Y0: 0, X1: 60, Y1: 20}, arm})
+	defer e.Close()
+	e.Pair(0, 1)
+	detach := arm
+	detach.Y0 += p.Params.Pitch
+	if cover.UnionIsLShot(e.Shots[0], detach) {
+		t.Fatalf("setup: %v still forms an L with %v", detach, e.Shots[0])
+	}
+	if d := e.DeltaCost(1, detach); d >= 0 {
+		t.Fatalf("setup: detaching move does not cut cost (delta %v)", d)
+	}
+	EdgeAdjust(p, e, 30)
+	if e.PairCount() != 1 {
+		t.Fatalf("EdgeAdjust left %d pairs, want 1", e.PairCount())
+	}
+	for _, pr := range e.Pairs() {
+		if a, b := e.Shots[pr[0]], e.Shots[pr[1]]; !cover.UnionIsLShot(a, b) {
+			t.Errorf("pair %v is no longer an L: %v, %v", pr, a, b)
+		}
+	}
+}

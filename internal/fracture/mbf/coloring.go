@@ -191,16 +191,7 @@ func shotFromClass(p *cover.Problem, cps []CornerPoint) geom.Rect {
 	case hasT && !hasB:
 		r.Y0 = extend(p, r.Y1-lmin, (r.X0+r.X1)/2, -1, false)
 	}
-	// final legality clamp: grow to the minimum size symmetrically
-	if r.W() < lmin {
-		c := (r.X0 + r.X1) / 2
-		r.X0, r.X1 = c-lmin/2, c+lmin/2
-	}
-	if r.H() < lmin {
-		c := (r.Y0 + r.Y1) / 2
-		r.Y0, r.Y1 = c-lmin/2, c+lmin/2
-	}
-	return trimToInterior(p, r, 0.8)
+	return trimToInterior(p, p.Legalize(r), 0.8)
 }
 
 // trimToInterior pulls the sides of an over-extended shot back until at
@@ -219,18 +210,11 @@ func trimToInterior(p *cover.Problem, r geom.Rect, minFrac float64) geom.Rect {
 		}
 		best := r
 		bestFrac := -1.0
-		for s := 0; s < 4; s++ {
-			nr := r
-			switch s {
-			case 0:
-				nr.X0 += step
-			case 1:
-				nr.X1 -= step
-			case 2:
-				nr.Y0 += step
-			case 3:
-				nr.Y1 -= step
-			}
+		for _, m := range [4]struct {
+			s geom.Side
+			d float64
+		}{{geom.Left, step}, {geom.Right, -step}, {geom.Bottom, step}, {geom.Top, -step}} {
+			nr := r.MoveEdge(m.s, m.d)
 			if nr.W() < lmin || nr.H() < lmin {
 				continue
 			}

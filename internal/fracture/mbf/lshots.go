@@ -83,7 +83,7 @@ func lshotPass(ctx context.Context, p *cover.Problem, shots []geom.Rect, opt Opt
 	// repair: the paired arms share one dose now (the overlap term is
 	// gone) and snapping may have nudged edges; bounded greedy edge
 	// adjustment — pairing-aware via DeltaCost/ApplyDelta and the
-	// legalMove L-preservation filter — re-balances the dose budget.
+	// Eval.LegalMove L-preservation filter — re-balances the dose budget.
 	// When greedy stalls at a flush seam, loosenPairs advances the
 	// dose-neutral inner edges to unlock the partner edge and greedy
 	// retries.
@@ -146,7 +146,7 @@ func lshotPass(ctx context.Context, p *cover.Problem, shots []geom.Rect, opt Opt
 // (the extension is covered by the partner already), but the partner's
 // own flush edge gains room to retreat in the next greedy pass; a
 // single-edge retreat from exact flush contact would disconnect the L
-// and is rejected by legalMove, so greedy alone can never open a
+// and is rejected by Eval.LegalMove, so greedy alone can never open a
 // seam. Reports whether any edge advanced.
 func loosenPairs(e *cover.Eval) bool {
 	pitch := e.P.Params.Pitch
@@ -156,18 +156,18 @@ func loosenPairs(e *cover.Eval) bool {
 			r := e.Shots[idx]
 			partner := e.Shots[e.Partner(idx)]
 			for _, m := range [4]struct {
-				s side
+				s geom.Side
 				d float64
-			}{{left, -pitch}, {right, pitch}, {bottom, -pitch}, {top, pitch}} {
+			}{{geom.Left, -pitch}, {geom.Right, pitch}, {geom.Bottom, -pitch}, {geom.Top, pitch}} {
 				s := m.s
-				nr := movedRect(r, s, m.d)
+				nr := r.MoveEdge(s, m.d)
 				var strip geom.Rect
 				switch s {
-				case left:
+				case geom.Left:
 					strip = geom.Rect{X0: nr.X0, Y0: nr.Y0, X1: r.X0, Y1: nr.Y1}
-				case right:
+				case geom.Right:
 					strip = geom.Rect{X0: r.X1, Y0: nr.Y0, X1: nr.X1, Y1: nr.Y1}
-				case bottom:
+				case geom.Bottom:
 					strip = geom.Rect{X0: nr.X0, Y0: nr.Y0, X1: nr.X1, Y1: r.Y0}
 				default:
 					strip = geom.Rect{X0: nr.X0, Y0: r.Y1, X1: nr.X1, Y1: nr.Y1}
@@ -226,10 +226,10 @@ func failCountRepair(e *cover.Eval, opt Options, baseFail int) bool {
 		return false
 	}
 	for _, idx := range order {
-		for _, s := range [4]side{left, right, bottom, top} {
+		for _, s := range geom.Sides {
 			for _, d := range [4]float64{pitch, -pitch, 2 * pitch, -2 * pitch} {
-				nr := movedRect(e.Shots[idx], s, d)
-				if !legalMove(e, idx, nr) {
+				nr := e.Shots[idx].MoveEdge(s, d)
+				if !e.LegalMove(idx, nr) {
 					continue
 				}
 				e.SetShot(idx, nr)
@@ -244,15 +244,15 @@ func failCountRepair(e *cover.Eval, opt Options, baseFail int) bool {
 	// always fails — the edge only moves as a unit
 	for _, pr := range snapPairs {
 		ri, rj := snapShots[pr[0]], snapShots[pr[1]]
-		for _, s := range [4]side{left, right, bottom, top} {
-			if coordOf(ri, s) != coordOf(rj, s) {
+		for _, s := range geom.Sides {
+			if ri.Edge(s) != rj.Edge(s) {
 				continue
 			}
 			for _, d := range [4]float64{pitch, -pitch, 2 * pitch, -2 * pitch} {
-				nri, nrj := movedRect(ri, s, d), movedRect(rj, s, d)
+				nri, nrj := ri.MoveEdge(s, d), rj.MoveEdge(s, d)
 				// judge legality on the END state: the intermediate
 				// single-arm move steps the union out of L shape, which
-				// the evaluator handles fine and legalMove would reject
+				// the evaluator handles fine and LegalMove would reject
 				if !e.P.MinSizeOK(nri) || !e.P.MinSizeOK(nrj) || !cover.UnionIsLShot(nri, nrj) {
 					continue
 				}
@@ -265,20 +265,6 @@ func failCountRepair(e *cover.Eval, opt Options, baseFail int) bool {
 		}
 	}
 	return false
-}
-
-// coordOf returns the coordinate of the given edge of r.
-func coordOf(r geom.Rect, s side) float64 {
-	switch s {
-	case left:
-		return r.X0
-	case right:
-		return r.X1
-	case bottom:
-		return r.Y0
-	default:
-		return r.Y1
-	}
 }
 
 // lCandidates enumerates the L-compatible shot pairs, in ascending

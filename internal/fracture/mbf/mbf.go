@@ -50,7 +50,6 @@ type Options struct {
 	DisableBias       bool // ablation: skip bias-all-shots
 	DisableBlocking   bool // ablation: skip the 2σ edge blocking
 	SkipRefinement    bool // stop after the coloring stage (initial solution)
-	Trace             bool // debug: print refinement progress
 }
 
 // withDefaults fills unset options with the paper's settings.

@@ -450,24 +450,6 @@ func TestStalled(t *testing.T) {
 	}
 }
 
-func TestMovedRectAndEdgeSegment(t *testing.T) {
-	r := geom.Rect{X0: 0, Y0: 0, X1: 10, Y1: 20}
-	if got := movedRect(r, left, 2); got.X0 != 2 {
-		t.Errorf("left move = %v", got)
-	}
-	if got := movedRect(r, top, -3); got.Y1 != 17 {
-		t.Errorf("top move = %v", got)
-	}
-	a, b := edgeSegment(r, right)
-	if a != geom.Pt(10, 0) || b != geom.Pt(10, 20) {
-		t.Errorf("right segment = %v %v", a, b)
-	}
-	a, b = edgeSegment(r, bottom)
-	if a != geom.Pt(0, 0) || b != geom.Pt(10, 0) {
-		t.Errorf("bottom segment = %v %v", a, b)
-	}
-}
-
 func TestFractureAblationsStillWork(t *testing.T) {
 	target := poly(0, 0, 60, 0, 60, 25, 25, 25, 25, 60, 0, 60)
 	for _, opt := range []Options{

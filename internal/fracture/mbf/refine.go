@@ -8,7 +8,6 @@ import (
 	"maskfrac/internal/cover"
 	"maskfrac/internal/fracture/fixup"
 	"maskfrac/internal/geom"
-	"maskfrac/internal/raster"
 	"maskfrac/internal/telemetry"
 )
 
@@ -41,16 +40,10 @@ func refine(ctx context.Context, p *cover.Problem, shots []geom.Rect, opt Option
 		if bestFail == 0 {
 			break
 		}
-		if opt.Trace && iter%25 == 0 {
-			println("iter", iter, "shots", len(e.Shots), "failOn", st.FailOn, "failOff", st.FailOff, "cost", int(st.Cost*1000))
-		}
 		iterSpan := span.Child("mbf.iter")
 		evalsBefore := e.Evals
 		pxBefore := e.PixelsScored + e.PixelsMutated
 		if stalled(history, opt.NH) {
-			if opt.Trace {
-				println("  stall action at iter", iter, "failOn", st.FailOn, "failOff", st.FailOff)
-			}
 			// cost has not improved for NH iterations: change the shot
 			// count (paper lines 5-11)
 			if st.FailOn > st.FailOff {
@@ -218,83 +211,29 @@ func stalled(history []float64, nh int) bool {
 	return first-bestLater < 1e-6
 }
 
-// side identifies one of the four edges of a shot.
-type side uint8
-
-const (
-	left side = iota
-	right
-	bottom
-	top
-)
-
-// movedRect returns r with the given edge shifted by d.
-func movedRect(r geom.Rect, s side, d float64) geom.Rect {
-	switch s {
-	case left:
-		r.X0 += d
-	case right:
-		r.X1 += d
-	case bottom:
-		r.Y0 += d
-	case top:
-		r.Y1 += d
-	}
-	return r
-}
-
-// edgeSegment returns the endpoints of the given edge of r.
-func edgeSegment(r geom.Rect, s side) (geom.Point, geom.Point) {
-	switch s {
-	case left:
-		return geom.Pt(r.X0, r.Y0), geom.Pt(r.X0, r.Y1)
-	case right:
-		return geom.Pt(r.X1, r.Y0), geom.Pt(r.X1, r.Y1)
-	case bottom:
-		return geom.Pt(r.X0, r.Y0), geom.Pt(r.X1, r.Y0)
-	default:
-		return geom.Pt(r.X0, r.Y1), geom.Pt(r.X1, r.Y1)
-	}
-}
-
-// legalMove reports whether replacing shot i by nr keeps the
-// configuration writable: the minimum shot size holds, and when shot i
-// is one arm of an L-shot the moved arm still forms an L with its
-// partner (a single L-aperture flash cannot write a T, staircase or
-// disconnected pair). Unpaired shots only check the size constraint.
-func legalMove(e *cover.Eval, i int, nr geom.Rect) bool {
-	if !e.P.MinSizeOK(nr) {
-		return false
-	}
-	if j := e.Partner(i); j >= 0 && !cover.UnionIsLShot(nr, e.Shots[j]) {
-		return false
-	}
-	return true
-}
-
 // greedyEdgeAdjust implements the paper's main refinement move (§4.1):
 // score moving every shot edge by ±Δp, sort by cost reduction, and
 // accept reducing moves greedily while blocking any further edge within
 // 2σ of an accepted one (to avoid canceling move cycles). Reports
 // whether any edge moved. Paired L-shot arms participate like any
 // other shot — DeltaCost and ApplyDelta carry the shared-dose overlap
-// term — but only moves that keep the pair an L are considered.
+// term — but only moves that Eval.LegalMove accepts are considered.
 func greedyEdgeAdjust(e *cover.Eval, opt Options) bool {
 	p := e.P
 	pitch := p.Params.Pitch
 	type cand struct {
 		shot  int
-		s     side
+		s     geom.Side
 		d     float64
 		delta float64
 	}
 	var cands []cand
 	for i, r := range e.Shots {
-		for _, s := range []side{left, right, bottom, top} {
+		for _, s := range geom.Sides {
 			best := cand{delta: math.Inf(1)}
 			for _, d := range []float64{pitch, -pitch} {
-				nr := movedRect(r, s, d)
-				if !legalMove(e, i, nr) {
+				nr := r.MoveEdge(s, d)
+				if !e.LegalMove(i, nr) {
 					continue
 				}
 				delta := e.DeltaCost(i, nr)
@@ -316,12 +255,11 @@ func greedyEdgeAdjust(e *cover.Eval, opt Options) bool {
 	var blocked []seg
 	moved := false
 	for _, c := range cands {
-		cur := e.Shots[c.shot]
-		nr := movedRect(cur, c.s, c.d)
-		if !legalMove(e, c.shot, nr) {
+		nr := e.Shots[c.shot].MoveEdge(c.s, c.d)
+		if !e.LegalMove(c.shot, nr) {
 			continue // opposite edge (or the L partner) may have moved already
 		}
-		a, b := edgeSegment(nr, c.s)
+		a, b := nr.EdgeSegment(c.s)
 		if !opt.DisableBlocking {
 			hit := false
 			for _, bs := range blocked {
@@ -347,76 +285,31 @@ func greedyEdgeAdjust(e *cover.Eval, opt Options) bool {
 	return moved
 }
 
-// biasAllShots shifts every shot edge by one pixel (paper §4.2): when
-// failing Pon pixels outnumber failing Poff pixels all shots shrink,
-// otherwise all shots expand. (This is the paper's stated direction; it
-// acts as a perturbation to escape local minima, not a greedy step.)
-// Edges are not moved when that would violate the minimum shot size.
-func biasAllShots(e *cover.Eval) {
-	biasAllShotsWith(e, e.Stats())
-}
-
-// biasAllShotsWith is biasAllShots with precomputed stats.
+// biasAllShotsWith shifts every shot edge by one pixel (paper §4.2):
+// when failing Pon pixels outnumber failing Poff pixels in st (the
+// current stats) all shots shrink, otherwise all shots expand. (This is
+// the paper's stated direction; it acts as a perturbation to escape
+// local minima, not a greedy step.) A shot keeps its edges when
+// Eval.LegalMove rejects the biased shot.
 func biasAllShotsWith(e *cover.Eval, st cover.Stats) {
-	p := e.P
-	d := p.Params.Pitch
-	shrink := st.FailOn > st.FailOff
+	d := e.P.Params.Pitch
+	if st.FailOn <= st.FailOff {
+		d = -d // expand
+	}
 	for i, r := range e.Shots {
-		var nr geom.Rect
-		if shrink {
-			nr = geom.Rect{X0: r.X0 + d, Y0: r.Y0 + d, X1: r.X1 - d, Y1: r.Y1 - d}
-			if nr.W() < p.Params.Lmin || nr.H() < p.Params.Lmin {
-				continue
-			}
-		} else {
-			nr = geom.Rect{X0: r.X0 - d, Y0: r.Y0 - d, X1: r.X1 + d, Y1: r.Y1 + d}
+		if nr := r.Inset(d); e.LegalMove(i, nr) {
+			e.SetShot(i, nr)
 		}
-		if j := e.Partner(i); j >= 0 && !cover.UnionIsLShot(nr, e.Shots[j]) {
-			continue
-		}
-		e.SetShot(i, nr)
 	}
 }
 
 // addShot adds one shot over the largest blob of failing Pon pixels
-// (paper §4.3): failing interior pixels are merged into connected
-// components, each component's bounding box is expanded to the minimum
-// shot size, and the box covering the most failing pixels is added.
+// (paper §4.3): the bounding box of the largest connected component of
+// failing interior pixels, grown to the minimum shot size.
 func addShot(e *cover.Eval) {
-	p := e.P
-	failOn, _ := e.FailingBitmaps()
-	if failOn.Count() == 0 {
-		return
+	if r, ok := fixup.LargestFailBox(e); ok {
+		e.Add(e.P.Legalize(r))
 	}
-	labels := raster.ConnectedComponents(failOn)
-	boxes := labels.Boxes()
-	bestIdx, bestCount := -1, 0
-	for i, b := range boxes {
-		if b.Count > bestCount {
-			bestIdx, bestCount = i, b.Count
-		}
-	}
-	if bestIdx < 0 {
-		return
-	}
-	b := boxes[bestIdx]
-	g := p.Grid
-	r := geom.Rect{
-		X0: g.X0 + float64(b.I0)*g.Pitch,
-		Y0: g.Y0 + float64(b.J0)*g.Pitch,
-		X1: g.X0 + float64(b.I1+1)*g.Pitch,
-		Y1: g.Y0 + float64(b.J1+1)*g.Pitch,
-	}
-	lmin := p.Params.Lmin
-	if r.W() < lmin {
-		c := (r.X0 + r.X1) / 2
-		r.X0, r.X1 = c-lmin/2, c+lmin/2
-	}
-	if r.H() < lmin {
-		c := (r.Y0 + r.Y1) / 2
-		r.Y0, r.Y1 = c-lmin/2, c+lmin/2
-	}
-	e.Add(r)
 }
 
 // removeShot removes the shot with the most failing Poff pixels within

@@ -75,25 +75,18 @@ func initialShots(p *cover.Problem, opt Options) []geom.Rect {
 		}
 		rects = append(rects, rs...)
 	}
-	lmin := p.Params.Lmin
 	out := make([]geom.Rect, 0, len(rects))
 	for _, r := range rects {
-		r = r.Inset(-opt.Bias)
-		if r.W() < lmin {
-			c := (r.X0 + r.X1) / 2
-			r.X0, r.X1 = c-lmin/2, c+lmin/2
-		}
-		if r.H() < lmin {
-			c := (r.Y0 + r.Y1) / 2
-			r.Y0, r.Y1 = c-lmin/2, c+lmin/2
-		}
-		out = append(out, r)
+		out = append(out, p.Legalize(r.Inset(-opt.Bias)))
 	}
 	return mergePass(p, out)
 }
 
 // mergePass collapses contained shots and merges aligned shots whose
-// union stays mostly inside the target.
+// union stays mostly inside the target. It applies the Fig-5 rules as
+// mbf.mergeShots does, but deletes in order-preserving fashion where
+// Eval.Remove swap-deletes, so the two stay separate: sharing one would
+// change PROTO-EDA output.
 func mergePass(p *cover.Problem, shots []geom.Rect) []geom.Rect {
 	gamma := p.Params.Gamma
 	for {

@@ -20,18 +20,10 @@ import (
 func Candidates(p *cover.Problem) []geom.Rect {
 	base := MaximalRects(p.Inside)
 	pitch := p.Params.Pitch
-	lmin := p.Params.Lmin
 	seen := make(map[geom.Rect]bool)
 	var out []geom.Rect
 	add := func(r geom.Rect) {
-		if r.W() < lmin {
-			c := (r.X0 + r.X1) / 2
-			r.X0, r.X1 = c-lmin/2, c+lmin/2
-		}
-		if r.H() < lmin {
-			c := (r.Y0 + r.Y1) / 2
-			r.Y0, r.Y1 = c-lmin/2, c+lmin/2
-		}
+		r = p.Legalize(r)
 		if !seen[r] {
 			seen[r] = true
 			out = append(out, r)

@@ -125,6 +125,57 @@ func (r Rect) Inset(d float64) Rect {
 	return Rect{r.X0 + d, r.Y0 + d, r.X1 - d, r.Y1 - d}
 }
 
+// Side names one of the four edges of a Rect.
+type Side uint8
+
+// The four edges, in the order the ±Δp edge loops visit them.
+const (
+	Left Side = iota
+	Right
+	Bottom
+	Top
+)
+
+// Sides lists the four edges in visiting order.
+var Sides = [4]Side{Left, Right, Bottom, Top}
+
+// edge returns a pointer to the coordinate of edge s of r.
+func (r *Rect) edge(s Side) *float64 {
+	switch s {
+	case Left:
+		return &r.X0
+	case Right:
+		return &r.X1
+	case Bottom:
+		return &r.Y0
+	default:
+		return &r.Y1
+	}
+}
+
+// Edge returns the coordinate of edge s of r.
+func (r Rect) Edge(s Side) float64 { return *r.edge(s) }
+
+// MoveEdge returns r with edge s shifted by d.
+func (r Rect) MoveEdge(s Side, d float64) Rect {
+	*r.edge(s) += d
+	return r
+}
+
+// EdgeSegment returns the endpoints of edge s of r.
+func (r Rect) EdgeSegment(s Side) (Point, Point) {
+	switch s {
+	case Left:
+		return Pt(r.X0, r.Y0), Pt(r.X0, r.Y1)
+	case Right:
+		return Pt(r.X1, r.Y0), Pt(r.X1, r.Y1)
+	case Bottom:
+		return Pt(r.X0, r.Y0), Pt(r.X1, r.Y0)
+	default:
+		return Pt(r.X0, r.Y1), Pt(r.X1, r.Y1)
+	}
+}
+
 // Dist returns the Euclidean distance from p to the closest point of r
 // (zero when p is inside r).
 func (r Rect) Dist(p Point) float64 {

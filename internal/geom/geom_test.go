@@ -133,6 +133,29 @@ func TestRectDist(t *testing.T) {
 	}
 }
 
+func TestRectMoveEdgeAndEdgeSegment(t *testing.T) {
+	r := Rect{X0: 0, Y0: 0, X1: 10, Y1: 20}
+	if got := r.MoveEdge(Left, 2); got != (Rect{X0: 2, Y0: 0, X1: 10, Y1: 20}) {
+		t.Errorf("left move = %v", got)
+	}
+	if got := r.MoveEdge(Top, -3); got != (Rect{X0: 0, Y0: 0, X1: 10, Y1: 17}) {
+		t.Errorf("top move = %v", got)
+	}
+	for s, want := range map[Side]float64{Left: 0, Right: 10, Bottom: 0, Top: 20} {
+		if got := r.Edge(s); got != want {
+			t.Errorf("Edge(%d) = %v, want %v", s, got, want)
+		}
+	}
+	a, b := r.EdgeSegment(Right)
+	if a != Pt(10, 0) || b != Pt(10, 20) {
+		t.Errorf("right segment = %v %v", a, b)
+	}
+	a, b = r.EdgeSegment(Bottom)
+	if a != Pt(0, 0) || b != Pt(10, 0) {
+		t.Errorf("bottom segment = %v %v", a, b)
+	}
+}
+
 func TestRectCorners(t *testing.T) {
 	c := (Rect{1, 2, 3, 4}).Corners()
 	want := [4]Point{{1, 2}, {3, 2}, {3, 4}, {1, 4}}

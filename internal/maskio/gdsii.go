@@ -1,13 +1,13 @@
 // GDSII stream format support: the industry-standard binary layout
-// interchange format mask shapes actually arrive in. Each shape is
-// stored as one structure containing one BOUNDARY element; coordinates
-// are written in database units of 1 picometer (1000 dbu per nm) so the
-// sub-nanometer vertices produced by contour extraction survive the
-// round trip.
+// interchange format mask shapes actually arrive in. This file holds
+// the record-level codec (record framing, strings, XY boundaries and
+// 8-byte reals) that WriteGDSLib and ReadGDSLib in gdslib.go build on.
+// Coordinates are written in database units of 1 picometer (1000 dbu
+// per nm) so the sub-nanometer vertices produced by contour extraction
+// survive the round trip.
 package maskio
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -45,83 +45,6 @@ const (
 // dbuPerNm is the database resolution: 1000 database units per
 // nanometer (1 dbu = 1 pm).
 const dbuPerNm = 1000
-
-// WriteGDS writes shapes as a GDSII stream library. Every shape becomes
-// a structure of its own name holding a single BOUNDARY on layer 0.
-func WriteGDS(w io.Writer, libname string, shapes []NamedShape) error {
-	bw := bufio.NewWriter(w)
-	enc := gdsEncoder{w: bw}
-	enc.record(recHeader, dtInt16, i16bytes(600)) // stream version 6
-	enc.record(recBgnLib, dtInt16, make([]byte, 24))
-	enc.record(recLibName, dtString, strbytes(libname))
-	// UNITS: dbu per user unit (0.001 user units = 1 dbu when the user
-	// unit is 1 nm... we store user unit = 1 µm convention: 1e-3 µm/dbu
-	// would be 1 nm; with dbuPerNm = 1000 the dbu is 1e-6 µm = 1 pm),
-	// then the dbu in meters (1e-12).
-	units := append(real8bytes(1.0/(1000*dbuPerNm)), real8bytes(1e-12)...)
-	enc.record(recUnits, dtReal8, units)
-	for _, s := range shapes {
-		enc.record(recBgnStr, dtInt16, make([]byte, 24))
-		enc.record(recStrName, dtString, strbytes(s.Name))
-		enc.record(recBoundary, dtNone, nil)
-		enc.record(recLayer, dtInt16, i16bytes(0))
-		enc.record(recDatatype, dtInt16, i16bytes(0))
-		enc.record(recXY, dtInt32, xybytes(s.Polygon))
-		enc.record(recEndEl, dtNone, nil)
-		enc.record(recEndStr, dtNone, nil)
-	}
-	enc.record(recEndLib, dtNone, nil)
-	if enc.err != nil {
-		return enc.err
-	}
-	return bw.Flush()
-}
-
-// ReadGDS parses a GDSII stream written by WriteGDS (and any stream
-// whose polygons are BOUNDARY elements). Returns one NamedShape per
-// boundary, named after its enclosing structure (with an index suffix
-// for structures holding several boundaries).
-func ReadGDS(r io.Reader) ([]NamedShape, error) {
-	br := bufio.NewReader(r)
-	var shapes []NamedShape
-	curName := ""
-	boundaryIdx := 0
-	inBoundary := false
-	for {
-		rec, data, err := readRecord(br)
-		if err == io.EOF {
-			return nil, fmt.Errorf("maskio: gds: missing ENDLIB")
-		}
-		if err != nil {
-			return nil, err
-		}
-		switch rec {
-		case recEndLib:
-			return shapes, nil
-		case recStrName:
-			curName = cstring(data)
-			boundaryIdx = 0
-		case recBoundary:
-			inBoundary = true
-		case recEndEl:
-			inBoundary = false
-		case recXY:
-			if !inBoundary {
-				continue // paths/labels are ignored
-			}
-			pg, err := xyparse(data)
-			if err != nil {
-				return nil, err
-			}
-			name := curName
-			if boundaryIdx > 0 {
-				name = fmt.Sprintf("%s_%d", curName, boundaryIdx)
-			}
-			boundaryIdx++
-			shapes = append(shapes, NamedShape{Name: name, Polygon: pg})
-		}
-	}
-}
 
 // gdsEncoder emits length-prefixed records, capturing the first error.
 type gdsEncoder struct {

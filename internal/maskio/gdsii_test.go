@@ -9,31 +9,54 @@ import (
 	"maskfrac/internal/geom"
 )
 
+// shapeLib returns a library holding one cell per shape, named after
+// the shape, with the shape as the cell's only boundary.
+func shapeLib(name string, shapes []NamedShape) *Library {
+	lib := &Library{Name: name}
+	for _, s := range shapes {
+		lib.Cells = append(lib.Cells, &Cell{Name: s.Name, Boundaries: []geom.Polygon{s.Polygon}})
+	}
+	return lib
+}
+
+// roundTrip writes shapes as a one-cell-per-shape library and reads
+// the stream back.
+func roundTrip(name string, shapes []NamedShape) (*Library, error) {
+	var buf bytes.Buffer
+	if err := WriteGDSLib(&buf, shapeLib(name, shapes)); err != nil {
+		return nil, err
+	}
+	return ReadGDSLib(&buf)
+}
+
 func TestGDSRoundTrip(t *testing.T) {
 	in := []NamedShape{
 		{Name: "clip1", Polygon: geom.Polygon{geom.Pt(0, 0), geom.Pt(100, 0), geom.Pt(100, 50), geom.Pt(0, 50)}},
 		{Name: "clip2", Polygon: geom.Polygon{geom.Pt(-5, -5), geom.Pt(20.25, -5), geom.Pt(10.5, 30.125)}},
 	}
-	var buf bytes.Buffer
-	if err := WriteGDS(&buf, "testlib", in); err != nil {
-		t.Fatal(err)
-	}
-	out, err := ReadGDS(&buf)
+	out, err := roundTrip("testlib", in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != 2 {
-		t.Fatalf("shapes = %d", len(out))
+	if out.Name != "testlib" {
+		t.Errorf("library name = %q", out.Name)
+	}
+	if len(out.Cells) != 2 {
+		t.Fatalf("cells = %d", len(out.Cells))
 	}
 	for i := range in {
-		if out[i].Name != in[i].Name {
-			t.Errorf("name %q != %q", out[i].Name, in[i].Name)
+		c := out.Cells[i]
+		if c.Name != in[i].Name {
+			t.Errorf("name %q != %q", c.Name, in[i].Name)
 		}
-		if len(out[i].Polygon) != len(in[i].Polygon) {
-			t.Fatalf("shape %d: %d vertices, want %d", i, len(out[i].Polygon), len(in[i].Polygon))
+		if len(c.Boundaries) != 1 || len(c.Refs) != 0 {
+			t.Fatalf("cell %d: %d boundaries, %d refs", i, len(c.Boundaries), len(c.Refs))
+		}
+		if len(c.Boundaries[0]) != len(in[i].Polygon) {
+			t.Fatalf("shape %d: %d vertices, want %d", i, len(c.Boundaries[0]), len(in[i].Polygon))
 		}
 		for j, p := range in[i].Polygon {
-			got := out[i].Polygon[j]
+			got := c.Boundaries[0][j]
 			// 1 pm database resolution
 			if math.Abs(got.X-p.X) > 1e-3 || math.Abs(got.Y-p.Y) > 1e-3 {
 				t.Errorf("shape %d vertex %d: %v != %v", i, j, got, p)
@@ -44,7 +67,7 @@ func TestGDSRoundTrip(t *testing.T) {
 
 func TestGDSHeaderStructure(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteGDS(&buf, "lib", nil); err != nil {
+	if err := WriteGDSLib(&buf, &Library{Name: "lib"}); err != nil {
 		t.Fatal(err)
 	}
 	b := buf.Bytes()
@@ -64,17 +87,17 @@ func TestGDSHeaderStructure(t *testing.T) {
 func TestGDSErrors(t *testing.T) {
 	// truncated stream
 	var buf bytes.Buffer
-	if err := WriteGDS(&buf, "lib", []NamedShape{
+	if err := WriteGDSLib(&buf, shapeLib("lib", []NamedShape{
 		{Name: "s", Polygon: geom.Polygon{geom.Pt(0, 0), geom.Pt(4, 0), geom.Pt(4, 4)}},
-	}); err != nil {
+	})); err != nil {
 		t.Fatal(err)
 	}
 	trunc := buf.Bytes()[:buf.Len()-6]
-	if _, err := ReadGDS(bytes.NewReader(trunc)); err == nil {
+	if _, err := ReadGDSLib(bytes.NewReader(trunc)); err == nil {
 		t.Error("truncated stream accepted")
 	}
 	// garbage header
-	if _, err := ReadGDS(bytes.NewReader([]byte{0, 1, 2})); err == nil {
+	if _, err := ReadGDSLib(bytes.NewReader([]byte{0, 1, 2})); err == nil {
 		t.Error("garbage accepted")
 	}
 }
@@ -121,16 +144,16 @@ func TestGDSQuickPolygonRoundTrip(t *testing.T) {
 		if pg.Validate() != nil {
 			return true // skip degenerate random polygons
 		}
-		var buf bytes.Buffer
-		if err := WriteGDS(&buf, "q", []NamedShape{{Name: "s", Polygon: pg}}); err != nil {
+		out, err := roundTrip("q", []NamedShape{{Name: "s", Polygon: pg}})
+		if err != nil || len(out.Cells) != 1 || len(out.Cells[0].Boundaries) != 1 {
 			return false
 		}
-		out, err := ReadGDS(&buf)
-		if err != nil || len(out) != 1 || len(out[0].Polygon) != len(pg) {
+		back := out.Cells[0].Boundaries[0]
+		if len(back) != len(pg) {
 			return false
 		}
 		for i, p := range pg {
-			got := out[0].Polygon[i]
+			got := back[i]
 			if math.Abs(got.X-p.X) > 1e-3 || math.Abs(got.Y-p.Y) > 1e-3 {
 				return false
 			}

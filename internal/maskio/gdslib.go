@@ -1,8 +1,9 @@
 // GDSII stream encoding of layout hierarchies: structures containing
 // BOUNDARY elements plus SREF/AREF cell references with STRANS/ANGLE
-// placement transforms. Shares the record-level encoder/decoder with
-// gdsii.go; ReadGDS remains the flat single-boundary reader, while
-// ReadGDSLib parses the full hierarchy into a Library.
+// placement transforms. Built on the record-level encoder/decoder in
+// gdsii.go; WriteGDSLib and ReadGDSLib are the package's one GDSII
+// writer and reader. A flat shape list is a library of one cell per
+// shape.
 package maskio
 
 import (
@@ -14,7 +15,7 @@ import (
 	"maskfrac/internal/geom"
 )
 
-// Hierarchy record types (in addition to the flat-stream set in
+// Hierarchy record types (in addition to the boundary set in
 // gdsii.go).
 const (
 	recSRef   = 0x0A
@@ -42,6 +43,7 @@ func WriteGDSLib(w io.Writer, lib *Library) error {
 	enc.record(recHeader, dtInt16, i16bytes(600))
 	enc.record(recBgnLib, dtInt16, make([]byte, 24))
 	enc.record(recLibName, dtString, strbytes(lib.Name))
+	// UNITS: the dbu in user units (µm), then the dbu in meters (1 pm)
 	units := append(real8bytes(1.0/(1000*dbuPerNm)), real8bytes(1e-12)...)
 	enc.record(recUnits, dtReal8, units)
 	for _, c := range lib.Cells {

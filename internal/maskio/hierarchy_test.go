@@ -292,21 +292,3 @@ func TestGDSLibRoundTrip(t *testing.T) {
 		t.Fatalf("round-tripped count %d != %d", n, len(orig))
 	}
 }
-
-// TestGDSLibFlatReaderCompat checks the flat ReadGDS reader still parses
-// a hierarchical stream without choking on reference records (it sees
-// only the dictionary boundaries).
-func TestGDSLibFlatReaderCompat(t *testing.T) {
-	lib := deepLib()
-	var buf bytes.Buffer
-	if err := WriteGDSLib(&buf, lib); err != nil {
-		t.Fatal(err)
-	}
-	shapes, err := ReadGDS(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(shapes) != 2 { // the two leaf boundaries
-		t.Fatalf("flat reader saw %d shapes, want 2", len(shapes))
-	}
-}

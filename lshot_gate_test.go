@@ -106,7 +106,7 @@ func TestLShotSuiteGate(t *testing.T) {
 // BenchmarkLShapeSuite measures the L-shape evaluation protocol's
 // headline numbers: flashes and CD violations of mbf-l vs the
 // rectangle-only mbf baseline over the whole suite, reported as custom
-// benchmark metrics for scripts/benchstat.sh.
+// benchmark metrics (make bench BENCH=BenchmarkLShapeSuite).
 func BenchmarkLShapeSuite(b *testing.B) {
 	suite := lShapeSuite()
 	probs := make([]*Problem, len(suite))

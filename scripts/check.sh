@@ -17,6 +17,12 @@ fi
 echo "== go vet =="
 go vet ./...
 
+# perfbench is a module of its own (replace maskfrac => ../), so the
+# root ./... never builds it; vet and test it here so an internal API
+# change that breaks the benchmark fails the gate
+echo "== perfbench vet + test =="
+(cd perfbench && go vet ./... && go test -count=1 ./...)
+
 # -shuffle=on randomizes test execution order so hidden inter-test
 # dependencies surface in CI rather than in a refactor
 echo "== go test =="
