@@ -22,8 +22,12 @@ package maskfrac
 import (
 	"context"
 	"fmt"
+	"os"
 	"reflect"
 	"runtime"
+	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -674,52 +678,119 @@ func BenchmarkEngineRegions(b *testing.B) {
 	}
 }
 
-// TestEngineParallelSpeedup is the multicore acceptance gate: on a
-// machine with at least 4 CPUs the four-region instance must solve at
-// least 2x faster with 4 workers than with 1, producing identical shot
-// lists. Single-CPU builders skip with an explicit message (the
-// benchmark pair above still runs there and shows parity, which is the
-// expected single-core result, not a regression).
+// TestEngineParallelSpeedup is the multicore acceptance gate: the
+// four-region instance must solve with 4 workers at least 0.8 ×
+// min(4, CPUs) times as fast as with 1, producing identical shot
+// lists. Builders with fewer than 2 usable CPUs skip with an explicit
+// message (the benchmark pair above still runs there and shows parity,
+// which is the expected single-core result, not a regression), and so
+// does a run that never found the CPUs free of other work.
 func TestEngineParallelSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multicore speedup gate skipped in -short mode")
 	}
-	if n, g := runtime.NumCPU(), runtime.GOMAXPROCS(0); n < 4 || g < 4 {
-		t.Skipf("SKIP multicore speedup gate: needs >=4 usable CPUs, have NumCPU=%d GOMAXPROCS=%d "+
-			"(single-CPU builders cannot demonstrate parallel speedup; this is a skip, not a pass)", n, g)
+	const workers = 4
+	cpus := min(runtime.NumCPU(), runtime.GOMAXPROCS(0))
+	if cpus < 2 {
+		t.Skipf("SKIP multicore speedup gate: needs >=2 usable CPUs, have NumCPU=%d GOMAXPROCS=%d "+
+			"(single-CPU builders cannot demonstrate parallel speedup; this is a skip, not a pass)",
+			runtime.NumCPU(), runtime.GOMAXPROCS(0))
 	}
+	bound := 0.8 * float64(min(workers, cpus))
 	targets := engineBenchTargets()
 	prob, err := NewMultiProblem(targets, DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	// min-of-3 wall time filters scheduler noise; the MBF solver is
-	// deterministic, so every run returns the same shot list
-	measure := func(workers int) (time.Duration, *Result) {
-		best := time.Duration(1<<62 - 1)
-		var res *Result
-		for rep := 0; rep < 3; rep++ {
-			start := time.Now()
-			r, err := prob.FractureCtx(ctx, MethodMBF, &Options{Workers: workers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if d := time.Since(start); d < best {
-				best = d
-			}
-			res = r
+	ref, err := prob.FractureCtx(ctx, MethodMBF, &Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	solve := func(workers int) time.Duration {
+		start := time.Now()
+		r, err := prob.FractureCtx(ctx, MethodMBF, &Options{Workers: workers})
+		d := time.Since(start)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return best, res
+		if !reflect.DeepEqual(r.Shots, ref.Shots) {
+			t.Fatalf("%d-worker run produced a different shot list", workers)
+		}
+		return d
 	}
-	seq, seqRes := measure(1)
-	par, parRes := measure(4)
-	if !reflect.DeepEqual(seqRes.Shots, parRes.Shots) {
-		t.Fatal("1-worker and 4-worker runs produced different shot lists")
+	// Each round times a 1-worker and a 4-worker solve back to back,
+	// in alternating order, so both see the same machine speed. A
+	// round counts only when other processes and the hypervisor took
+	// under a tenth of the CPUs meanwhile (another test binary of `go
+	// test ./...` or a neighbour VM would otherwise decide the ratio).
+	// The speedup is the median ratio of nine counted rounds.
+	const want, maxRounds = 9, 40
+	var ratios []float64
+	skipped := 0
+	for round := 0; len(ratios) < want && round < maxRounds; round++ {
+		busy0, self0, measured := cpuTicks()
+		start := time.Now()
+		var seq, par time.Duration
+		if round%2 == 0 {
+			seq = solve(1)
+			par = solve(workers)
+		} else {
+			par = solve(workers)
+			seq = solve(1)
+		}
+		wall := time.Since(start)
+		if measured {
+			busy1, self1, _ := cpuTicks()
+			others := time.Duration((busy1-busy0)-(self1-self0)) * time.Second / clockTicks
+			if others*10 > wall*time.Duration(cpus) {
+				skipped++
+				continue
+			}
+		}
+		ratios = append(ratios, float64(seq)/float64(par))
 	}
-	speedup := float64(seq) / float64(par)
-	t.Logf("4-region solve: 1 worker %v, 4 workers %v — %.2fx speedup", seq, par, speedup)
-	if speedup < 2 {
-		t.Errorf("4-worker speedup %.2fx below the 2x gate (1 worker %v, 4 workers %v)", speedup, seq, par)
+	if len(ratios) < want {
+		t.Skipf("SKIP multicore speedup gate: other work held the CPUs in %d of %d rounds "+
+			"(this is a skip, not a pass)", skipped, skipped+len(ratios))
 	}
+	sort.Float64s(ratios)
+	speedup := ratios[len(ratios)/2]
+	t.Logf("4-region solve on %d CPUs: 1-worker / 4-worker ratios %.2f (%d busy rounds skipped); speedup %.2fx, gate %.2fx",
+		cpus, ratios, skipped, speedup, bound)
+	if speedup < bound {
+		t.Errorf("4-worker speedup %.2fx below the %.2fx gate", speedup, bound)
+	}
+}
+
+// clockTicks is the Linux USER_HZ, the unit of /proc's CPU times.
+const clockTicks = 100
+
+// cpuTicks returns the machine's busy CPU time (every state but idle
+// and iowait, the hypervisor's steal included) and this process's own
+// CPU time, in clock ticks; measured is false where /proc is missing.
+func cpuTicks() (busy, self int64, measured bool) {
+	stat, err := os.ReadFile("/proc/stat")
+	if err != nil {
+		return 0, 0, false
+	}
+	own, err := os.ReadFile("/proc/self/stat")
+	if err != nil {
+		return 0, 0, false
+	}
+	line, _, _ := strings.Cut(string(stat), "\n")
+	// cpu user nice system idle iowait irq softirq steal guest guest_nice;
+	// guest time is already counted in user and nice
+	f := strings.Fields(line)
+	for _, k := range []int{1, 2, 3, 6, 7, 8} {
+		n, _ := strconv.ParseInt(f[k], 10, 64)
+		busy += n
+	}
+	// the fields after the parenthesized command name start at state
+	// (field 3), so utime (field 14) and stime (field 15) follow at 11, 12
+	_, rest, _ := strings.Cut(string(own), ") ")
+	g := strings.Fields(rest)
+	utime, _ := strconv.ParseInt(g[11], 10, 64)
+	stime, _ := strconv.ParseInt(g[12], 10, 64)
+	return busy, utime + stime, true
 }

@@ -63,7 +63,7 @@ func main() {
 		lmin    = flag.Float64("lmin", 8, "minimum shot size in nm")
 		batch   = flag.Bool("batch", false, "fracture every shape in the file concurrently")
 		multi   = flag.Bool("multi", false, "solve all shapes in the file as one multi-shape instance (default: built-in SRAF cluster)")
-		workers = flag.Int("workers", 0, "concurrent batch shapes / independent regions (0 = GOMAXPROCS)")
+		workers = flag.Int("workers", 0, "concurrent batch shapes / independent regions / helpers inside one solve (0 = GOMAXPROCS)")
 		cacheN  = flag.Int("cache", 4096, "batch shape cache entry bound (0 disables)")
 		verbose = flag.Bool("v", false, "print problem detail (pixel counts, bounds, eval time)")
 		trace   = flag.Bool("trace", false, "record solver phase spans; print the span tree and per-phase timings")

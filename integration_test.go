@@ -1,12 +1,14 @@
 package maskfrac
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"maskfrac/internal/cover"
 	"maskfrac/internal/fracture/mbf"
 	"maskfrac/internal/shapegen"
+	"maskfrac/internal/telemetry"
 )
 
 // TestIntegrationILTClip runs the full paper pipeline end to end on one
@@ -114,6 +116,47 @@ func TestIntegrationSuiteStability(t *testing.T) {
 			if a[i].Target[j] != b[i].Target[j] {
 				t.Fatalf("suite vertex drift at %s[%d]", a[i].Name, j)
 			}
+		}
+	}
+}
+
+// TestRefineStopReasons checks why refine stops on two Table 2 clips:
+// ILT-1 ends feasible, so its loop converges; ILT-2 keeps one failing
+// pixel, last improves at iteration 195 and stops on patience 1000
+// iterations later, well short of the 3000-iteration cap.
+func TestRefineStopReasons(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs two MBF solves; skipped under -short")
+	}
+	ilt := ILTSuite()
+	for _, c := range []struct {
+		clip  int
+		stop  string
+		iters int64
+	}{{0, "converged", 0}, {1, "patience", 1196}} {
+		prob, err := NewProblem(ilt[c.clip].Target, DefaultParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, root := telemetry.WithTrace(context.Background(), "test")
+		res, err := prob.FractureCtx(ctx, MethodMBF, nil)
+		root.End()
+		if err != nil {
+			t.Fatal(err)
+		}
+		attrs := map[string]any{}
+		for _, a := range root.Find("mbf.refine").Attrs() {
+			attrs[a.Key] = a.Value
+		}
+		name := ilt[c.clip].Name
+		if attrs["stop"] != c.stop {
+			t.Errorf("%s: refine stop = %v, want %s", name, attrs["stop"], c.stop)
+		}
+		if iters := attrs["iterations"]; iters != res.Stage.Iterations {
+			t.Errorf("%s: span iterations %v, StageInfo %d", name, iters, res.Stage.Iterations)
+		}
+		if c.iters > 0 && int64(res.Stage.Iterations) != c.iters {
+			t.Errorf("%s: refine ran %d iterations, want %d", name, res.Stage.Iterations, c.iters)
 		}
 	}
 }

@@ -531,7 +531,9 @@ var evalCheckEnv = os.Getenv("MASKFRAC_EVAL_CHECK") != ""
 // dose of a single L-aperture flash over the union, and it prices as
 // one flash. Every mutator below stays incremental on paired shots.
 //
-// An Eval is not safe for concurrent use.
+// An Eval is not safe for concurrent use, with one exception: while
+// nothing mutates it, any number of goroutines may score moves against
+// it through Scorers of their own.
 type Eval struct {
 	P     *Problem
 	Shots []geom.Rect
@@ -562,11 +564,64 @@ type Eval struct {
 	PixelsMutated int64
 	PixelsScored  int64
 
-	check  bool      // cross-check mode, see SetCrossCheck
-	buf    []float32 // scan scratch: the terms' 1D edge tables
-	row    []float64 // scan scratch: one window row's dose change
-	accBuf []float32 // AccumulateShotBuf scratch, reused across resets
-	arena  *Arena    // owner of the grids, bitmaps, buf and accBuf
+	check   bool      // cross-check mode, see SetCrossCheck
+	scr     scratch   // the evaluator's own scan scratch
+	scorers []*Scorer // handed out by Scorers, reused across calls
+	accBuf  []float32 // AccumulateShotBuf scratch, reused across resets
+	arena   *Arena    // owner of the grids, bitmaps, edge tables and accBuf
+}
+
+// scratch is one goroutine's scan scratch.
+type scratch struct {
+	buf []float32 // the terms' 1D edge tables
+	row []float64 // one window row's dose change
+}
+
+// A Scorer scores moves against its Eval's current state with scan
+// scratch and effort counters of its own, so several goroutines, each
+// with its own Scorer, may score against one Eval at once while nothing
+// mutates it. Its scores are bit-identical to the Eval's DeltaCost, and
+// in cross-check mode it re-scores every move densely as DeltaCost
+// does. Fold adds its counters into the Eval.
+type Scorer struct {
+	e     *Eval
+	scr   scratch
+	evals int
+	px    int64
+}
+
+// Scorers returns n Scorers of e. They are created on first use and
+// reused by later calls; their scratch returns to the arena when e is
+// closed. Call it from the goroutine that owns e, before fanning out.
+func (e *Eval) Scorers(n int) []*Scorer {
+	for len(e.scorers) < n {
+		e.scorers = append(e.scorers, &Scorer{e: e})
+	}
+	return e.scorers[:n]
+}
+
+// DeltaCost is Eval.DeltaCost, scored with the Scorer's scratch and
+// counted in its counters.
+func (sc *Scorer) DeltaCost(i int, repl geom.Rect) float64 {
+	e := sc.e
+	if e.Shots[i] == repl {
+		return 0
+	}
+	sc.evals++
+	terms, n := e.moveTerms(i, repl)
+	delta, px := e.scoreTerms(terms[:n], &sc.scr)
+	sc.px += px
+	return delta
+}
+
+// Fold adds the Scorer's counters into its Eval's and the process-wide
+// ones, then zeroes them. Call it after the goroutine that scored
+// through the Scorer has joined.
+func (sc *Scorer) Fold() {
+	sc.e.Evals += sc.evals
+	sc.e.PixelsScored += sc.px
+	evalPixelsScoredTotal.Add(sc.px)
+	sc.evals, sc.px = 0, 0
 }
 
 // NewEval returns an evaluator seeded with the given shots. The shot
@@ -591,9 +646,9 @@ func NewEval(p *Problem, shots []geom.Rect) *Eval {
 }
 
 // Close returns the evaluator's buffers (dose field, failing and live
-// bitmaps, edge tables, accumulation scratch) to the problem's arena
-// and nils the fields, so a use-after-close panics instead of
-// corrupting a successor evaluator's state. Close is idempotent; the
+// bitmaps, its own and its Scorers' edge tables, accumulation scratch)
+// to the problem's arena and nils the fields, so a use-after-close
+// panics instead of corrupting a successor evaluator's state. Close is idempotent; the
 // shot list stays readable. Callers that keep the dose field (via
 // e.Dose) must not Close until they are done with it.
 func (e *Eval) Close() {
@@ -605,11 +660,14 @@ func (e *Eval) Close() {
 		a.putBits(e.failOn.Bits)
 		a.putBits(e.failOff.Bits)
 		a.putU64(e.live)
-		a.putF32(e.buf)
+		a.putF32(e.scr.buf)
+		for _, sc := range e.scorers {
+			a.putF32(sc.scr.buf)
+		}
 		a.putF32(e.accBuf)
 	}
 	e.Dose, e.failOn, e.failOff, e.live = nil, nil, nil, nil
-	e.buf, e.row, e.accBuf = nil, nil, nil
+	e.scr, e.scorers, e.accBuf = scratch{}, nil, nil
 	e.arena = nil
 }
 
@@ -908,21 +966,32 @@ const skipSlack = 1e-9
 // the move, and adding zero leaves the sum bit-identical. Rows with a
 // larger bound, and every commit, take the dense pass.
 func (e *Eval) scan(terms []doseTerm, commit bool) float64 {
-	var s strips
-	e.fill(&s, terms)
 	if commit {
+		var s strips
+		e.fill(&s, terms, &e.scr)
 		e.commit(&s)
 		return 0
 	}
-	delta, px := e.score(&s, true)
-	if e.check {
-		if dense, _ := e.score(&s, false); math.Float64bits(dense) != math.Float64bits(delta) {
-			panic(fmt.Sprintf("cover: sparse score %v != dense score %v", delta, dense))
-		}
-	}
+	delta, px := e.scoreTerms(terms, &e.scr)
 	e.PixelsScored += px
 	evalPixelsScoredTotal.Add(px)
 	return delta
+}
+
+// scoreTerms is scan's scoring pass with the given scratch: it returns
+// the Eq. 5 cost change of the terms and the number of pixels scored,
+// and reads e without writing it, so goroutines with scratch of their
+// own may run it at once.
+func (e *Eval) scoreTerms(terms []doseTerm, scr *scratch) (float64, int64) {
+	var s strips
+	e.fill(&s, terms, scr)
+	delta, px := e.score(&s, true, scr.row)
+	if e.check {
+		if dense, _ := e.score(&s, false, scr.row); math.Float64bits(dense) != math.Float64bits(delta) {
+			panic(fmt.Sprintf("cover: sparse score %v != dense score %v", delta, dense))
+		}
+	}
+	return delta, px
 }
 
 // strips is one scan's pixel window and its per-term, per-component 1D
@@ -934,14 +1003,15 @@ type strips struct {
 	sw               [maxTerms][2]float64 // term sign × component weight
 }
 
-// fill sets the scan window for terms and fills their edge tables over
-// it: O(W+H) float32 strip-kernel fills up front make the area pass
-// pure widening multiply-adds (float32 loads, float64 accumulation).
+// fill sets the scan window for terms and fills their edge tables,
+// held in scr, over it: O(W+H) float32 strip-kernel fills up front
+// make the area pass pure widening multiply-adds (float32 loads,
+// float64 accumulation).
 // The second term shares the first term's table on an axis where both
 // rectangles have the same edges, as a move's unchanged axis does; the
 // kernels are deterministic, so a shared table holds the very values a
 // second fill would.
-func (e *Eval) fill(s *strips, terms []doseTerm) {
+func (e *Eval) fill(s *strips, terms []doseTerm, scr *scratch) {
 	if len(terms) == 0 || len(terms) > maxTerms {
 		panic("cover: scan: need 1 to 4 terms")
 	}
@@ -988,18 +1058,18 @@ func (e *Eval) fill(s *strips, terms []doseTerm) {
 	*s = strips{wi0: wi0, wj0: wj0, nx: nx, ny: ny, nt: nt, nc: nc}
 
 	need := nt * nc * (nx + ny)
-	if cap(e.buf) < need {
+	if cap(scr.buf) < need {
 		if a := e.arena; a != nil {
-			a.putF32(e.buf)
-			e.buf = a.getF32(need)
+			a.putF32(scr.buf)
+			scr.buf = a.getF32(need)
 		} else {
-			e.buf = make([]float32, need)
+			scr.buf = make([]float32, need)
 		}
 	}
-	if cap(e.row) < g.W {
-		e.row = make([]float64, g.W)
+	if cap(scr.row) < g.W {
+		scr.row = make([]float64, g.W)
 	}
-	buf := e.buf[:need]
+	buf := scr.buf[:need]
 	for t, term := range terms {
 		r := term.r
 		sameX := t == 1 && r.X0 == terms[0].r.X0 && r.X1 == terms[0].r.X1
@@ -1120,10 +1190,11 @@ func (rb *rowBound) of(s *strips, w *[maxTerms][2]float64) float64 {
 }
 
 // score returns the Eq. 5 cost change of the scan's dose change and the
-// number of pixels whose cost term it evaluated. With sparse set, a row
-// whose bound is below the live margin walks only its live bits (see
-// scan); every other row is scored densely, skipping the band.
-func (e *Eval) score(s *strips, sparse bool) (delta float64, px int64) {
+// number of pixels whose cost term it evaluated, using row as the dense
+// rows' scratch. With sparse set, a row whose bound is below the live
+// margin walks only its live bits (see scan); every other row is scored
+// densely, skipping the band.
+func (e *Eval) score(s *strips, sparse bool, row []float64) (delta float64, px int64) {
 	p := e.P
 	g := p.Grid
 	rho := p.Params.Rho
@@ -1132,7 +1203,7 @@ func (e *Eval) score(s *strips, sparse bool) (delta float64, px int64) {
 		rb = s.bound()
 	}
 	reach := p.liveMargin - skipSlack
-	row := e.row[:s.nx]
+	row = row[:s.nx]
 	var w [maxTerms][2]float64
 	for jo := 0; jo < s.ny; jo++ {
 		s.rowWeights(jo, &w)
@@ -1182,7 +1253,7 @@ func (e *Eval) commit(s *strips) {
 	p := e.P
 	g := p.Grid
 	rho, margin := p.Params.Rho, p.liveMargin
-	row := e.row[:s.nx]
+	row := e.scr.row[:s.nx]
 	var w [maxTerms][2]float64
 	for jo := 0; jo < s.ny; jo++ {
 		s.rowWeights(jo, &w)

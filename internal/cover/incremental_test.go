@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"maskfrac/internal/ebeam"
@@ -142,9 +143,9 @@ func TestDeltaCostSparseMatchesDense(t *testing.T) {
 			compare := func(e *Eval, terms []doseTerm, what string) (float64, bool) {
 				t.Helper()
 				var s strips
-				e.fill(&s, terms)
-				sparse, pxSparse := e.score(&s, true)
-				dense, pxDense := e.score(&s, false)
+				e.fill(&s, terms, &e.scr)
+				sparse, pxSparse := e.score(&s, true, e.scr.row)
+				dense, pxDense := e.score(&s, false, e.scr.row)
 				if math.Float64bits(sparse) != math.Float64bits(dense) {
 					t.Fatalf("%s: sparse score %v (%#x) != dense %v (%#x)",
 						what, sparse, math.Float64bits(sparse), dense, math.Float64bits(dense))
@@ -213,6 +214,83 @@ func TestDeltaCostSparseMatchesDense(t *testing.T) {
 				t.Fatalf("scans that skipped pixels %d, scans with a dense row %d: want both > 0", skipped, fellBack)
 			}
 			t.Logf("%d scans skipped pixels, %d scored a row densely", skipped, fellBack)
+		})
+	}
+}
+
+// TestScorersConcurrent scores random moves of paired and unpaired
+// shots from several goroutines at once, each through its own Scorer
+// against one Eval, and checks every score equals Eval.DeltaCost bit
+// for bit and the folded Evals and PixelsScored equal the sequential
+// run's.
+func TestScorersConcurrent(t *testing.T) {
+	const side, goroutines = 60.0, 4
+	for name, params := range propParams() {
+		t.Run(name, func(t *testing.T) {
+			p, err := NewProblem(square(side), params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pitch := p.Params.Pitch
+			for seq := 0; seq < 4; seq++ {
+				rng := rand.New(rand.NewSource(int64(7100 + seq)))
+				var shots []geom.Rect
+				for range 6 {
+					shots = append(shots, randShot(rng, p, side))
+				}
+				e := NewEval(p, shots)
+				for range 2 {
+					if i, j := unpairedPair(rng, e); i >= 0 {
+						e.Pair(i, j)
+					}
+				}
+				type move struct {
+					i  int
+					nr geom.Rect
+				}
+				var moves []move
+				for range 120 {
+					i := rng.Intn(len(e.Shots))
+					nr := e.Shots[i].MoveEdge(geom.Sides[rng.Intn(4)], float64(rng.Intn(7)-3)*pitch)
+					if !nr.Empty() {
+						moves = append(moves, move{i, nr})
+					}
+				}
+				want := make([]float64, len(moves))
+				evals0, px0 := e.Evals, e.PixelsScored
+				for k, m := range moves {
+					want[k] = e.DeltaCost(m.i, m.nr)
+				}
+				evals1, px1 := e.Evals, e.PixelsScored
+
+				got := make([]float64, len(moves))
+				scorers := e.Scorers(goroutines)
+				var wg sync.WaitGroup
+				for g, sc := range scorers {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						for k := g; k < len(moves); k += goroutines {
+							got[k] = sc.DeltaCost(moves[k].i, moves[k].nr)
+						}
+					}()
+				}
+				wg.Wait()
+				for _, sc := range scorers {
+					sc.Fold()
+				}
+				for k, m := range moves {
+					if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+						t.Fatalf("seq %d move %d (shot %d, partner %d): scorer %v != DeltaCost %v",
+							seq, k, m.i, e.Partner(m.i), got[k], want[k])
+					}
+				}
+				if e.Evals-evals1 != evals1-evals0 || e.PixelsScored-px1 != px1-px0 {
+					t.Fatalf("seq %d: scorers folded %d evals and %d pixels, sequential run %d and %d",
+						seq, e.Evals-evals1, e.PixelsScored-px1, evals1-evals0, px1-px0)
+				}
+				e.Close()
+			}
 		})
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"runtime"
 	"runtime/debug"
 	"strconv"
 	"sync"
@@ -25,8 +26,11 @@ import (
 // Config tunes a fracturing server. Zero values select the defaults
 // noted on each field.
 type Config struct {
-	// Workers is the solver pool size (default GOMAXPROCS via
-	// maskfrac's convention; here default 4).
+	// Workers is the number of shapes solved at once (default 4).
+	// The solves share one pool of GOMAXPROCS goroutine tokens: a
+	// worker holds a token while it solves, and a solve takes helpers
+	// (for its regions and for the work inside one solve) only from
+	// tokens no one holds.
 	Workers int
 	// QueueDepth bounds the number of shapes waiting for a worker;
 	// requests that would overflow it are rejected with 429 (default
@@ -110,6 +114,7 @@ type job struct {
 type Server struct {
 	cfg    Config
 	cache  *maskfrac.ShapeCache
+	pool   *engine.Pool // solver goroutine tokens, shared by every job
 	jobs   chan *job
 	mux    *http.ServeMux
 	log    *telemetry.Logger
@@ -157,6 +162,7 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:    cfg,
+		pool:   engine.NewPool(runtime.GOMAXPROCS(0)),
 		jobs:   make(chan *job, cfg.QueueDepth),
 		log:    cfg.Logger,
 		reg:    cfg.Metrics,
@@ -477,6 +483,14 @@ func (s *Server) run(j *job) {
 		s.record(j.method, &item)
 		return
 	}
+	// workers and helpers share the GOMAXPROCS tokens, and a helper
+	// runs only on a token, so once every busy worker holds one the
+	// server runs at most max(busy workers, GOMAXPROCS) solver
+	// goroutines; a worker that finds every token taken by helpers
+	// solves without one, and those helpers end with their fan-out
+	if s.pool.TryAcquire() {
+		defer s.pool.Release()
+	}
 	// one span per shape so the solver's phase spans (via StartSpan in
 	// the engine and mbf packages) nest under the request's trace
 	sctx, shapeSpan := telemetry.StartSpan(j.ctx, "fracd.shape")
@@ -606,6 +620,7 @@ func (s *Server) handleFracture(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := context.WithTimeout(tctx, timeout)
 	defer cancel()
+	ctx = engine.WithPool(ctx, s.pool)
 
 	results := make([]ItemResult, len(wires))
 	var wg sync.WaitGroup

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
-	"sync"
 	"time"
 
 	"maskfrac/internal/cover"
@@ -90,10 +89,12 @@ type Config struct {
 	Method string
 	// Options are the method-generic solver knobs.
 	Options Options
-	// Workers caps the number of regions solved concurrently; <= 0
-	// selects GOMAXPROCS. Ignored when the context already carries a
-	// Pool (the enclosing batch then owns the budget). Workers never
-	// changes the result — parallel and sequential runs stitch
+	// Workers caps the goroutines of the run — region solves and the
+	// helpers that fan out inside one solve — at the caller plus
+	// Workers−1 pool tokens; <= 0 selects GOMAXPROCS and 1 runs
+	// sequentially. Ignored when the context already carries a Pool
+	// (the enclosing batch or server then owns the budget). Workers
+	// never changes the result — parallel and sequential runs stitch
 	// byte-identical shot lists.
 	Workers int
 }
@@ -129,13 +130,28 @@ type Result struct {
 // single-region instance
 // (the common case: one shape, or a main feature whose SRAFs all sit
 // within interaction range) is solved directly on the original problem
-// with no subproblem construction. When ctx carries a telemetry trace,
-// the run records "plan", per-region "region" and "stitch" spans.
+// with no subproblem construction. On both paths the solver's ctx
+// carries the run's Pool, from which a solver may take helpers for the
+// work inside one solve. When ctx carries a telemetry trace, the run
+// records "plan", per-region "region" and "stitch" spans.
 func Solve(ctx context.Context, p *cover.Problem, cfg Config) (*Result, error) {
 	fn, ok := Lookup(cfg.Method)
 	if !ok {
 		return nil, fmt.Errorf("engine: unknown method %q (registered: %s)",
 			cfg.Method, strings.Join(Names(), ", "))
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	pool := PoolFrom(ctx)
+	if pool == nil {
+		workers := cfg.Workers
+		if workers <= 0 {
+			workers = runtime.GOMAXPROCS(0)
+		}
+		// the calling goroutine solves too, so it needs workers-1 extras
+		pool = NewPool(workers - 1)
+		ctx = WithPool(ctx, pool)
 	}
 	_, planSpan := telemetry.StartSpan(ctx, "plan")
 	regions := Plan(p)
@@ -162,21 +178,21 @@ func Solve(ctx context.Context, p *cover.Problem, cfg Config) (*Result, error) {
 		}, nil
 	}
 
-	pool := PoolFrom(ctx)
-	if pool == nil {
-		workers := cfg.Workers
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		// the calling goroutine solves too, so it needs workers-1 extras
-		pool = NewPool(workers - 1)
-	}
 	results := make([]RegionResult, len(regions))
 	shots := make([][]geom.Rect, len(regions))
 	pairs := make([][][2]int, len(regions))
 	errs := make([]error, len(regions))
+	// Region solves may take helpers only from a pool with fewer
+	// tokens than CPUs. With a token per CPU or more, the region
+	// goroutines can keep every CPU busy themselves, and a fan-out
+	// inside one region would wait at its join for a helper queued
+	// behind the other regions.
+	regionCtx := ctx
+	if pool.Extra() >= runtime.GOMAXPROCS(0) {
+		regionCtx = WithPool(ctx, nil)
+	}
 	solveRegion := func(i int) {
-		rctx, span := telemetry.StartSpan(ctx, "region")
+		rctx, span := telemetry.StartSpan(regionCtx, "region")
 		span.Set("index", i)
 		span.Set("targets", len(regions[i].Targets))
 		defer span.End()
@@ -216,29 +232,18 @@ func Solve(ctx context.Context, p *cover.Problem, cfg Config) (*Result, error) {
 	// no token free the caller drains the whole queue inline — the
 	// engine always makes progress with zero extra concurrency.
 	queue := newRegionQueue(p, regions)
-	drain := func(stealing bool) {
+	pool.Fan(len(regions)-1, func(slot int) {
 		for {
 			i, ok := queue.pop()
 			if !ok {
 				return
 			}
-			if stealing {
+			if slot > 0 {
 				engineStealsTotal.Add(1)
 			}
 			solveRegion(i)
 		}
-	}
-	var wg sync.WaitGroup
-	for extra := 0; extra < len(regions)-1 && pool.TryAcquire(); extra++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer pool.Release()
-			drain(true)
-		}()
-	}
-	drain(false)
-	wg.Wait()
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

@@ -2,7 +2,9 @@ package engine_test
 
 import (
 	"context"
+	"errors"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"maskfrac/internal/cover"
@@ -159,11 +161,19 @@ func TestSolveParallelDeterminism(t *testing.T) {
 }
 
 func TestSolveCancelled(t *testing.T) {
-	p := multiProblem(t, square(0, 0, 60), square(260, 0, 60))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := engine.Solve(ctx, p, engine.Config{Method: "gsc"}); err == nil {
-		t.Fatal("cancelled context produced no error")
+	for name, p := range map[string]*cover.Problem{
+		"multi-region":  multiProblem(t, square(0, 0, 60), square(260, 0, 60)),
+		"single-region": multiProblem(t, square(0, 0, 60)),
+	} {
+		res, err := engine.Solve(ctx, p, engine.Config{Method: "gsc"})
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: cancelled context gave error %v, want context.Canceled", name, err)
+		}
+		if res != nil {
+			t.Errorf("%s: cancelled context returned %d shots", name, len(res.Shots))
+		}
 	}
 }
 
@@ -196,5 +206,77 @@ func TestPool(t *testing.T) {
 	}
 	if engine.PoolFrom(context.Background()) != nil {
 		t.Error("PoolFrom invented a pool")
+	}
+}
+
+// TestPoolFan checks the fan-out helper: a zero-token pool runs every
+// unit inline on the caller, helpers take only free tokens and give
+// every one back, each unit runs exactly once, and a helper's panic is
+// re-raised on the caller after the join.
+func TestPoolFan(t *testing.T) {
+	const units = 64
+	drain := func(pool *engine.Pool, slots *[units]int32) int {
+		var next atomic.Int64
+		return pool.Fan(units-1, func(slot int) {
+			for {
+				u := next.Add(1) - 1
+				if u >= units {
+					return
+				}
+				if !atomic.CompareAndSwapInt32(&slots[u], 0, int32(slot)+1) {
+					t.Errorf("unit %d ran twice", u)
+				}
+			}
+		})
+	}
+	for _, pool := range []*engine.Pool{nil, engine.NewPool(0)} {
+		var slots [units]int32
+		if n := drain(pool, &slots); n != 1 {
+			t.Errorf("zero-token pool ran %d goroutines, want 1", n)
+		}
+		for u, s := range slots {
+			if s != 1 {
+				t.Fatalf("zero-token pool: unit %d ran on slot %d, want the caller", u, s-1)
+			}
+		}
+	}
+
+	pool := engine.NewPool(3)
+	if !pool.TryAcquire() {
+		t.Fatal("fresh pool refused a token")
+	}
+	var slots [units]int32
+	n := drain(pool, &slots)
+	if n != 3 {
+		t.Errorf("Fan ran %d goroutines with 2 free tokens, want 3", n)
+	}
+	for u, s := range slots {
+		if s < 1 || int(s) > n {
+			t.Fatalf("unit %d ran on slot %d, want one of 0..%d", u, s-1, n-1)
+		}
+	}
+	// every token Fan took is back: the two it could take are free
+	if !pool.TryAcquire() || !pool.TryAcquire() || pool.TryAcquire() {
+		t.Error("Fan did not return every token it took")
+	}
+	pool.Release()
+	pool.Release()
+	pool.Release()
+
+	pool = engine.NewPool(1)
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		pool.Fan(1, func(slot int) {
+			if slot == 1 {
+				panic("helper boom")
+			}
+		})
+		return nil
+	}()
+	if got != "helper boom" {
+		t.Errorf("caller recovered %v, want the helper's panic", got)
+	}
+	if !pool.TryAcquire() {
+		t.Error("panicking helper did not return its token")
 	}
 }

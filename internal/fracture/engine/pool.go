@@ -1,12 +1,16 @@
 package engine
 
-import "context"
+import (
+	"context"
+	"sync"
+)
 
 // Pool bounds the number of extra solver goroutines a process may run
 // beyond the goroutines that already carry work. Batch-level solving
-// (one goroutine per shape) and region-level solving (one goroutine per
-// independent region) draw tokens from the same pool, so nesting the
-// two never oversubscribes the configured worker budget.
+// (one goroutine per shape), region-level solving (one goroutine per
+// independent region) and the fan-outs inside one solve draw tokens
+// from the same pool, so nesting them never oversubscribes the
+// configured worker budget.
 //
 // Acquisition is strictly non-blocking: a caller that gets no token
 // runs the work inline on its own goroutine. A token holder therefore
@@ -53,6 +57,50 @@ func (p *Pool) Extra() int {
 		return 0
 	}
 	return cap(p.sem)
+}
+
+// Fan runs work on the calling goroutine and on one helper goroutine
+// for each token, up to extra, that it can take without blocking, and
+// returns once every call has returned and every token is back. Each
+// call gets its own slot — 0 on the caller, 1 to n−1 on the helpers —
+// and Fan returns n, so the caller can fold per-slot state afterwards.
+// The calls typically drain a shared work cursor: with no token free
+// the caller does all the work inline. A helper's panic is re-raised
+// on the caller after the join.
+func (p *Pool) Fan(extra int, work func(slot int)) int {
+	var (
+		wg       sync.WaitGroup
+		mu       sync.Mutex
+		panicked bool
+		pval     any
+	)
+	n := 1
+	for ; n <= extra && p.TryAcquire(); n++ {
+		wg.Add(1)
+		go func(slot int) {
+			defer wg.Done()
+			defer p.Release()
+			defer func() {
+				if r := recover(); r != nil {
+					mu.Lock()
+					if !panicked {
+						panicked, pval = true, r
+					}
+					mu.Unlock()
+				}
+			}()
+			work(slot)
+		}(n)
+	}
+	func() {
+		// join the helpers even when the caller's own share panics
+		defer wg.Wait()
+		work(0)
+	}()
+	if panicked {
+		panic(pval)
+	}
+	return n
 }
 
 type poolKey struct{}

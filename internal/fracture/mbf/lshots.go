@@ -20,6 +20,7 @@ import (
 	"math"
 
 	"maskfrac/internal/cover"
+	"maskfrac/internal/fracture/engine"
 	"maskfrac/internal/geom"
 	"maskfrac/internal/graphx"
 	"maskfrac/internal/telemetry"
@@ -52,6 +53,7 @@ type lStats struct {
 func lshotPass(ctx context.Context, p *cover.Problem, shots []geom.Rect, opt Options) ([]geom.Rect, [][2]int, lStats) {
 	_, span := telemetry.StartSpan(ctx, "mbf.lshots")
 	defer span.End()
+	pool := engine.PoolFrom(ctx)
 	var ls lStats
 	cands := lCandidates(p, shots)
 	ls.candidates = len(cands)
@@ -92,7 +94,7 @@ func lshotPass(ctx context.Context, p *cover.Problem, shots []geom.Rect, opt Opt
 		if e.Stats().Fail() <= baseFail {
 			break
 		}
-		if greedyEdgeAdjust(e, opt) {
+		if greedyEdgeAdjust(e, opt, pool) {
 			loosened = false
 			continue
 		}
@@ -104,7 +106,7 @@ func lshotPass(ctx context.Context, p *cover.Problem, shots []geom.Rect, opt Opt
 		}
 		// cost-greedy is stuck above the violation floor — typically one
 		// marginal pixel at a pairing seam; hunt moves by fail count
-		if failCountRepair(e, opt, baseFail) {
+		if failCountRepair(e, opt, pool, baseFail) {
 			loosened = false
 			continue
 		}
@@ -125,7 +127,7 @@ func lshotPass(ctx context.Context, p *cover.Problem, shots []geom.Rect, opt Opt
 		}
 		e.Unpair(bestI)
 		for iter := 0; iter < 4 && e.Stats().Fail() > baseFail; iter++ {
-			if !greedyEdgeAdjust(e, opt) {
+			if !greedyEdgeAdjust(e, opt, pool) {
 				break
 			}
 		}
@@ -195,7 +197,7 @@ func loosenPairs(e *cover.Eval) bool {
 // fail-descent single move resolves; the kick walks through the
 // fail-neutral intermediate deterministically (fixed shot/edge/step
 // order, first improvement wins).
-func failCountRepair(e *cover.Eval, opt Options, baseFail int) bool {
+func failCountRepair(e *cover.Eval, opt Options, pool *engine.Pool, baseFail int) bool {
 	pitch := e.P.Params.Pitch
 	entry := e.Stats().Fail()
 	snapShots := e.SnapshotShots()
@@ -214,7 +216,7 @@ func failCountRepair(e *cover.Eval, opt Options, baseFail int) bool {
 	descendAndJudge := func() bool {
 		if e.Stats().Fail() <= entry {
 			for k := 0; k < 3 && e.Stats().Fail() > baseFail; k++ {
-				if !greedyEdgeAdjust(e, opt) {
+				if !greedyEdgeAdjust(e, opt, pool) {
 					break
 				}
 			}

@@ -429,7 +429,7 @@ func TestGreedyEdgeAdjustImproves(t *testing.T) {
 	e := cover.NewEval(p, []geom.Rect{{X0: 3, Y0: 3, X1: 37, Y1: 37}})
 	before := e.Stats().Cost
 	opt := Options{}.withDefaults(p)
-	if !greedyEdgeAdjust(e, opt) {
+	if !greedyEdgeAdjust(e, opt, nil) {
 		t.Fatal("no edge moved")
 	}
 	after := e.Stats().Cost

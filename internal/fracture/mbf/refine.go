@@ -3,9 +3,12 @@ package mbf
 import (
 	"context"
 	"math"
+	"runtime"
 	"sort"
+	"sync/atomic"
 
 	"maskfrac/internal/cover"
+	"maskfrac/internal/fracture/engine"
 	"maskfrac/internal/fracture/fixup"
 	"maskfrac/internal/geom"
 	"maskfrac/internal/telemetry"
@@ -14,30 +17,43 @@ import (
 // refine runs the iterative shot refinement of paper §4 (Algorithm 1) on
 // the approximate solution and returns the best configuration found
 // (fewest failing pixels, ties broken by shot count) plus the number of
-// iterations executed. When ctx carries a trace, the pass records a
-// "mbf.refine" span with one "mbf.iter" child per iteration annotated
-// with the shot count, remaining CD violations and evaluations used.
+// iterations executed. The loop stops when no pixel fails, when
+// refinePatience iterations pass without a new best, or at opt.Nmax.
+// Edge moves are scored on the caller plus helpers from the ctx's
+// engine pool. When ctx carries a trace, the pass records a
+// "mbf.refine" span, tagged with why the loop stopped, with one
+// "mbf.iter" child per iteration annotated with the shot count,
+// remaining CD violations and evaluations used.
 func refine(ctx context.Context, p *cover.Problem, shots []geom.Rect, opt Options) ([]geom.Rect, int) {
 	span := telemetry.ActiveSpan(ctx).Child("mbf.refine")
+	pool := engine.PoolFrom(ctx)
 	e := cover.NewEval(p, shots)
 	defer e.Close()
 	best := e.SnapshotShots()
 	bestFail := e.Stats().Fail()
 	if bestFail == 0 {
 		span.Set("iterations", 0)
+		span.Set("stop", "converged")
 		span.End()
 		return best, 0
 	}
 	var history []float64 // recent cost values for stall detection
-	iters := 0
+	iters, lastBest := 0, 0
+	stop := "cap"
 	st := e.Stats()
 	for iter := 0; iter < opt.Nmax; iter++ {
 		iters = iter + 1
 		if st.Fail() < bestFail || (st.Fail() == bestFail && len(e.Shots) < len(best)) {
 			best = e.SnapshotShots()
 			bestFail = st.Fail()
+			lastBest = iter
 		}
 		if bestFail == 0 {
+			stop = "converged"
+			break
+		}
+		if iter-lastBest >= refinePatience {
+			stop = "patience"
 			break
 		}
 		iterSpan := span.Child("mbf.iter")
@@ -56,7 +72,7 @@ func refine(ctx context.Context, p *cover.Problem, shots []geom.Rect, opt Option
 			}
 			history = history[:0]
 		} else {
-			moved := greedyEdgeAdjust(e, opt)
+			moved := greedyEdgeAdjust(e, opt, pool)
 			if !moved && !opt.DisableBias {
 				biasAllShotsWith(e, st)
 			}
@@ -76,6 +92,7 @@ func refine(ctx context.Context, p *cover.Problem, shots []geom.Rect, opt Option
 		}
 	}
 	span.Set("iterations", iters)
+	span.Set("stop", stop)
 	span.Set("fail", bestFail)
 	span.Set("evals", e.Evals)
 	span.Set("mutations", e.Mutations)
@@ -158,7 +175,9 @@ func postCleanup(ctx context.Context, p *cover.Problem, shots []geom.Rect, opt O
 			candidate.Close()
 		}
 	}
-	return removeAndRepair(ctx, p, e.SnapshotShots(), baseFail)
+	out, speculative := removeAndRepair(ctx, p, e.SnapshotShots(), baseFail)
+	span.Set("speculative_trials", speculative)
+	return out
 }
 
 // removeAndRepair tries to delete each shot and let a bounded
@@ -168,33 +187,64 @@ func postCleanup(ctx context.Context, p *cover.Problem, shots []geom.Rect, opt O
 // cliques produce shots that almost shadow each other), and this pass
 // collapses them while the paper's in-loop removal cannot (refinement
 // exits the moment the solution turns feasible).
-func removeAndRepair(ctx context.Context, p *cover.Problem, shots []geom.Rect, baseFail int) []geom.Rect {
+//
+// Each round scans the trials in index order and keeps the first that
+// succeeds. The trials of a round depend only on the round's shot
+// list, so the caller and helpers from the ctx's engine pool run them
+// as an ordered parallel search: they claim indices in ascending
+// order, stop claiming past the lowest success found so far, and the
+// round keeps the lowest-index success — the one the sequential scan
+// keeps. removeAndRepair also returns how many trials ran past a
+// round's first success and were discarded.
+func removeAndRepair(ctx context.Context, p *cover.Problem, shots []geom.Rect, baseFail int) ([]geom.Rect, int) {
 	if len(shots) > 48 {
-		return shots // quadratic pass too costly; counts this high never win anyway
+		return shots, 0 // quadratic pass too costly; counts this high never win anyway
 	}
-	cur := shots
+	pool := engine.PoolFrom(ctx)
+	cur, speculative := shots, 0
 	for {
-		improved := false
-		for i := 0; i < len(cur); i++ {
-			trial := make([]geom.Rect, 0, len(cur)-1)
-			trial = append(trial, cur[:i]...)
-			trial = append(trial, cur[i+1:]...)
-			e := cover.NewEval(p, trial)
-			fixup.EdgeAdjustCtx(ctx, p, e, 30)
-			repaired := e.Stats().Fail() <= baseFail
-			if repaired {
-				cur = e.SnapshotShots()
-				improved = true
+		n := len(cur)
+		repaired := make([][]geom.Rect, n) // trial i's shots, nil unless it succeeded
+		var next, first, ran atomic.Int64
+		first.Store(int64(n))
+		pool.Fan(helpers(pool, n), func(int) {
+			for {
+				i := next.Add(1) - 1
+				if i >= int64(n) || i > first.Load() {
+					return
+				}
+				trial := make([]geom.Rect, 0, n-1)
+				trial = append(trial, cur[:i]...)
+				trial = append(trial, cur[i+1:]...)
+				e := cover.NewEval(p, trial)
+				fixup.EdgeAdjustCtx(ctx, p, e, 30)
+				if e.Stats().Fail() <= baseFail {
+					repaired[i] = e.SnapshotShots()
+					for f := first.Load(); i < f; f = first.Load() {
+						if first.CompareAndSwap(f, i) {
+							break
+						}
+					}
+				}
+				e.Close()
+				ran.Add(1)
 			}
-			e.Close()
-			if repaired {
-				break
-			}
+		})
+		f := int(first.Load())
+		if f == n {
+			return cur, speculative
 		}
-		if !improved {
-			return cur
-		}
+		// every trial up to the first success ran; the rest were speculative
+		speculative += int(ran.Load()) - (f + 1)
+		cur = repaired[f]
 	}
+}
+
+// helpers returns how many helpers a fan-out over units items of work
+// asks the pool for: no more than its tokens, the CPUs beside the
+// caller's, or the items beside the caller's first one.
+func helpers(pool *engine.Pool, units int) int {
+	return max(0, min(pool.Extra(), runtime.GOMAXPROCS(0)-1, units-1))
 }
 
 // stalled reports whether the cost failed to improve by more than 1e-6
@@ -218,7 +268,7 @@ func stalled(history []float64, nh int) bool {
 // whether any edge moved. Paired L-shot arms participate like any
 // other shot — DeltaCost and ApplyDelta carry the shared-dose overlap
 // term — but only moves that Eval.LegalMove accepts are considered.
-func greedyEdgeAdjust(e *cover.Eval, opt Options) bool {
+func greedyEdgeAdjust(e *cover.Eval, opt Options, pool *engine.Pool) bool {
 	p := e.P
 	pitch := p.Params.Pitch
 	type cand struct {
@@ -227,23 +277,46 @@ func greedyEdgeAdjust(e *cover.Eval, opt Options) bool {
 		d     float64
 		delta float64
 	}
-	var cands []cand
-	for i, r := range e.Shots {
-		for _, s := range geom.Sides {
+	if len(e.Shots) == 0 {
+		return false
+	}
+	// score each (shot, side) unit's better move against the current
+	// state into the unit's slot: the caller and pool helpers claim
+	// units off a shared cursor, each scoring through its own Scorer,
+	// and the slots merge in unit order, so the candidate list is the
+	// sequential loop's whatever the helper count
+	units := make([]cand, len(e.Shots)*len(geom.Sides))
+	scorers := e.Scorers(1 + helpers(pool, len(units)))
+	var next atomic.Int64
+	used := pool.Fan(len(scorers)-1, func(slot int) {
+		sc := scorers[slot]
+		for {
+			u := int(next.Add(1) - 1)
+			if u >= len(units) {
+				return
+			}
+			i, s := u/len(geom.Sides), geom.Sides[u%len(geom.Sides)]
+			r := e.Shots[i]
 			best := cand{delta: math.Inf(1)}
-			for _, d := range []float64{pitch, -pitch} {
+			for _, d := range [2]float64{pitch, -pitch} {
 				nr := r.MoveEdge(s, d)
 				if !e.LegalMove(i, nr) {
 					continue
 				}
-				delta := e.DeltaCost(i, nr)
-				if delta < best.delta {
+				if delta := sc.DeltaCost(i, nr); delta < best.delta {
 					best = cand{shot: i, s: s, d: d, delta: delta}
 				}
 			}
-			if best.delta < -1e-12 {
-				cands = append(cands, best)
-			}
+			units[u] = best
+		}
+	})
+	for _, sc := range scorers[:used] {
+		sc.Fold()
+	}
+	cands := units[:0]
+	for _, c := range units {
+		if c.delta < -1e-12 {
+			cands = append(cands, c)
 		}
 	}
 	if len(cands) == 0 {

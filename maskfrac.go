@@ -115,12 +115,15 @@ type Options struct {
 	ColoringOrder string
 	// SkipRefinement stops MethodMBF after the coloring stage.
 	SkipRefinement bool
-	// Workers caps the number of independent regions of a multi-target
-	// instance solved concurrently; 0 selects GOMAXPROCS. Inside a
-	// FractureBatch run, region- and batch-level concurrency share the
-	// batch's bounded pool instead. Workers never changes the solution:
-	// parallel and sequential runs return byte-identical shot lists, so
-	// it is excluded from the shape-cache key.
+	// Workers caps the goroutines of one run: the independent regions
+	// of a multi-target instance solved concurrently, and the helpers
+	// that fan out inside one solve (MBF's edge-move scoring and
+	// cleanup trials); 0 selects GOMAXPROCS and 1 runs sequentially.
+	// Inside a FractureBatch run, batch-, region- and solve-level
+	// concurrency share the batch's bounded pool instead. Workers never
+	// changes the solution: parallel and sequential runs return
+	// byte-identical shot lists, so it is excluded from the shape-cache
+	// key.
 	Workers int
 }
 

@@ -73,13 +73,14 @@ go test -race -run '^$' -bench 'BenchmarkRefine' -benchtime 1x .
 
 # the engine benchmark smoke runs the work-stealing region scheduler at
 # -cpu 1 and 4 under the race detector (identical shot lists asserted
-# inside the benchmark), then the ≥2x multicore speedup gate. On
-# builders with fewer than 4 CPUs the gate logs an explicit SKIP — a
-# visible skip, never a silent pass.
+# inside the benchmark), then the multicore speedup gate: 4 workers
+# must be at least 0.8 × min(4, CPUs) times as fast as 1. On builders
+# with fewer than 2 CPUs the gate logs an explicit SKIP — a visible
+# skip, never a silent pass.
 echo "== go test -race -bench EngineRegions -cpu 1,4 (smoke) =="
 go test -race -run '^$' -bench 'BenchmarkEngineRegions' -benchtime 1x -cpu 1,4 .
 
-echo "== go test engine multicore speedup gate (>=2x at 4 workers) =="
+echo "== go test engine multicore speedup gate (>=0.8x min(4, CPUs) at 4 workers) =="
 go test -count=1 -run 'TestEngineParallelSpeedup' -v . | grep -E 'SKIP|PASS|FAIL|speedup' || true
 go test -count=1 -run 'TestEngineParallelSpeedup' .
 
@@ -90,6 +91,17 @@ go test -count=1 -run 'TestEngineParallelSpeedup' .
 # lists across 1/2/8 engine workers.
 echo "== go test -race L-shot gate (flashes <= rectangle shots) =="
 go test -race -count=1 -run 'TestLShotSuiteGate|TestLShotEngineDeterminism' .
+
+# the fan-outs inside one solve: goroutines scoring through their own
+# cover.Scorers against one evaluator (bit-identical to DeltaCost,
+# counters folded exactly) and the engine.Pool fan-out helper (inline
+# on a zero-token pool, tokens returned, helper panics re-raised),
+# repeated under the race detector; then MBF on ILT-1 and ILT-3 at 1, 2
+# and 8 workers must return identical shot lists
+echo "== go test -race fan-outs inside one solve =="
+go test -race -count=10 -run 'TestScorersConcurrent' ./internal/cover
+go test -race -count=10 -run 'TestPoolFan' ./internal/fracture/engine
+go test -race -count=3 -run 'TestSingleRegionDeterminism/^ILT-[13]$' .
 
 # the evaluator cross-check mode: every commit path of cover.Eval's one
 # strip scanner (Add, Remove, SetShot/ApplyDelta, Pair, Unpair, resets)
