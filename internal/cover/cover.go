@@ -523,7 +523,7 @@ var evalCheckEnv = os.Getenv("MASKFRAC_EVAL_CHECK") != ""
 // demand). FailOn/FailOff counts and the bitmaps are exact. The live
 // bitmap marks the constrained pixels that fail or whose dose lies
 // within the problem's live margin of ρ; scoring visits only those on
-// rows where no pixel's dose can move by the margin (see scan).
+// rows where no pixel's dose can move by the margin (see fill).
 //
 // Shots may be merged pairwise into L-shots (Pair/Unpair, see
 // lshot.go): a paired shot keeps its slot in Shots but the pair shares
@@ -565,8 +565,8 @@ type Eval struct {
 	PixelsScored  int64
 
 	check   bool      // cross-check mode, see SetCrossCheck
-	scr     scratch   // the evaluator's own scan scratch
-	scorers []*Scorer // handed out by Scorers, reused across calls
+	own     Scorer    // behind DeltaCost; its scratch also serves the commits
+	scorers []*Scorer // handed out by Scorers, &own first, reused across calls
 	accBuf  []float32 // AccumulateShotBuf scratch, reused across resets
 	arena   *Arena    // owner of the grids, bitmaps, edge tables and accBuf
 }
@@ -580,9 +580,10 @@ type scratch struct {
 // A Scorer scores moves against its Eval's current state with scan
 // scratch and effort counters of its own, so several goroutines, each
 // with its own Scorer, may score against one Eval at once while nothing
-// mutates it. Its scores are bit-identical to the Eval's DeltaCost, and
-// in cross-check mode it re-scores every move densely as DeltaCost
-// does. Fold adds its counters into the Eval.
+// mutates it. Every score of an Eval goes through a Scorer: DeltaCost,
+// PairDelta and UnpairDelta through the Eval's own, which they fold at
+// once. In cross-check mode a Scorer re-scores every move densely.
+// Fold adds its counters into the Eval.
 type Scorer struct {
 	e     *Eval
 	scr   scratch
@@ -590,18 +591,21 @@ type Scorer struct {
 	px    int64
 }
 
-// Scorers returns n Scorers of e. They are created on first use and
-// reused by later calls; their scratch returns to the arena when e is
-// closed. Call it from the goroutine that owns e, before fanning out.
+// Scorers returns n Scorers of e, the Eval's own first. The others are
+// created on first use and reused by later calls; their scratch
+// returns to the arena when e is closed. Call it from the goroutine
+// that owns e, before fanning out.
 func (e *Eval) Scorers(n int) []*Scorer {
+	if len(e.scorers) == 0 {
+		e.scorers = append(e.scorers, &e.own)
+	}
 	for len(e.scorers) < n {
 		e.scorers = append(e.scorers, &Scorer{e: e})
 	}
 	return e.scorers[:n]
 }
 
-// DeltaCost is Eval.DeltaCost, scored with the Scorer's scratch and
-// counted in its counters.
+// DeltaCost is Eval.DeltaCost, counted in the Scorer's counters.
 func (sc *Scorer) DeltaCost(i int, repl geom.Rect) float64 {
 	e := sc.e
 	if e.Shots[i] == repl {
@@ -609,7 +613,23 @@ func (sc *Scorer) DeltaCost(i int, repl geom.Rect) float64 {
 	}
 	sc.evals++
 	terms, n := e.moveTerms(i, repl)
-	delta, px := e.scoreTerms(terms[:n], &sc.scr)
+	return sc.scoreTerms(terms[:n])
+}
+
+// scoreTerms is the scoring pass of the strip scanner (see fill): it
+// returns the Eq. 5 cost change of the terms and counts the pixels it
+// scored. It reads the Eval without writing it, so Scorers of one Eval
+// may run it at once.
+func (sc *Scorer) scoreTerms(terms []doseTerm) float64 {
+	e := sc.e
+	var s strips
+	e.fill(&s, terms, &sc.scr)
+	delta, px := e.score(&s, true, sc.scr.row)
+	if e.check {
+		if dense, _ := e.score(&s, false, sc.scr.row); math.Float64bits(dense) != math.Float64bits(delta) {
+			panic(fmt.Sprintf("cover: sparse score %v != dense score %v", delta, dense))
+		}
+	}
 	sc.px += px
 	return delta
 }
@@ -641,6 +661,7 @@ func NewEval(p *Problem, shots []geom.Rect) *Eval {
 		check:   evalCheckEnv,
 		arena:   a,
 	}
+	e.own.e = e
 	e.Reset(shots)
 	return e
 }
@@ -660,14 +681,14 @@ func (e *Eval) Close() {
 		a.putBits(e.failOn.Bits)
 		a.putBits(e.failOff.Bits)
 		a.putU64(e.live)
-		a.putF32(e.scr.buf)
-		for _, sc := range e.scorers {
+		a.putF32(e.own.scr.buf)
+		for _, sc := range e.scorers[min(1, len(e.scorers)):] {
 			a.putF32(sc.scr.buf)
 		}
 		a.putF32(e.accBuf)
 	}
 	e.Dose, e.failOn, e.failOff, e.live = nil, nil, nil, nil
-	e.scr, e.scorers, e.accBuf = scratch{}, nil, nil
+	e.own, e.scorers, e.accBuf = Scorer{}, nil, nil
 	e.arena = nil
 }
 
@@ -698,7 +719,7 @@ func (e *Eval) RecomputeStats() Stats {
 func (e *Eval) Add(s geom.Rect) {
 	e.Shots = append(e.Shots, s)
 	e.partner = append(e.partner, -1)
-	e.scan([]doseTerm{{s, 1}}, true)
+	e.apply([]doseTerm{{s, 1}})
 	if e.check {
 		e.crossCheck("Add")
 	}
@@ -734,7 +755,7 @@ func (e *Eval) Remove(i int) {
 			e.partner[p] = i
 		}
 	}
-	e.scan([]doseTerm{{s, -1}}, true)
+	e.apply([]doseTerm{{s, -1}})
 	if e.check {
 		e.crossCheck("Remove")
 	}
@@ -785,10 +806,10 @@ func (e *Eval) SetShot(i int, s geom.Rect) {
 		return
 	}
 	e.Shots[i] = s
-	e.scan([]doseTerm{{s, 1}, {old, -1}}, true)
+	e.apply([]doseTerm{{s, 1}, {old, -1}})
 	if j := e.partner[i]; j >= 0 {
 		if ot, n := overlapMove(old, s, e.Shots[j]); n > 0 {
-			e.scan(ot[:n], true)
+			e.apply(ot[:n])
 		}
 	}
 	if e.check {
@@ -880,7 +901,7 @@ func (e *Eval) crossCheck(op string) {
 // repl, without modifying the evaluator. The computation is local: only
 // pixels whose dose changes (the union of the strips around moved edges)
 // are considered, and on rows where the dose change stays below the
-// live margin only the live pixels are scored (see scan), which makes
+// live margin only the live pixels are scored (see fill), which makes
 // candidate scoring during shot refinement cheap (paper §4.1). Commit
 // the move afterwards with ApplyDelta.
 //
@@ -890,12 +911,17 @@ func (e *Eval) crossCheck(op string) {
 // breakpoint at ρ, so scoring the dose terms separately and summing
 // would be wrong wherever their strips overlap.
 func (e *Eval) DeltaCost(i int, repl geom.Rect) float64 {
-	if e.Shots[i] == repl {
-		return 0
-	}
-	e.Evals++
-	terms, n := e.moveTerms(i, repl)
-	return e.scan(terms[:n], false)
+	delta := e.own.DeltaCost(i, repl)
+	e.own.Fold()
+	return delta
+}
+
+// scoreOwn scores terms through the Eval's own Scorer and folds its
+// counters at once.
+func (e *Eval) scoreOwn(terms []doseTerm) float64 {
+	delta := e.own.scoreTerms(terms)
+	e.own.Fold()
+	return delta
 }
 
 // moveTerms returns the dose terms of replacing shot i by repl: the new
@@ -930,12 +956,30 @@ const maxTerms = 4
 // magnitude below it.
 const skipSlack = 1e-9
 
-// scan is the evaluator's one strip scanner, behind every incremental
-// mutator and scorer. It visits the pixels whose dose the summed terms
-// change and either scores the Eq. 5 cost change (commit=false) or
-// commits it (commit=true: dose written and each constrained pixel's
-// cost term, fail bit and live bit replaced against its new dose; band
-// pixels still get their dose update).
+// apply is the commit pass of the strip scanner (see fill): it writes
+// the dose change of the terms and, per constrained pixel, replaces the
+// cost term, fail bit and live bit against the new dose; band pixels
+// still get their dose update. It uses the scratch of the Eval's own
+// Scorer.
+func (e *Eval) apply(terms []doseTerm) {
+	var s strips
+	e.fill(&s, terms, &e.own.scr)
+	e.commit(&s)
+}
+
+// strips is one scan's pixel window and its per-term, per-component 1D
+// edge tables.
+type strips struct {
+	wi0, wj0, nx, ny int
+	nt, nc           int
+	ex, ey           [maxTerms][2][]float32
+	sw               [maxTerms][2]float64 // term sign × component weight
+}
+
+// fill starts a scan of the evaluator's one strip scanner, behind every
+// incremental mutator and scorer. A scan visits the pixels whose dose
+// the summed terms change; after fill, a Scorer's scoreTerms scores
+// their Eq. 5 cost change or apply commits it.
 //
 // The pixel window is the terms' union support box, narrowed for a move
 // — one positive and one negative term — to the strips around the edges
@@ -965,44 +1009,7 @@ const skipSlack = 1e-9
 // float64. Its Eq. 5 term is therefore exactly zero before and after
 // the move, and adding zero leaves the sum bit-identical. Rows with a
 // larger bound, and every commit, take the dense pass.
-func (e *Eval) scan(terms []doseTerm, commit bool) float64 {
-	if commit {
-		var s strips
-		e.fill(&s, terms, &e.scr)
-		e.commit(&s)
-		return 0
-	}
-	delta, px := e.scoreTerms(terms, &e.scr)
-	e.PixelsScored += px
-	evalPixelsScoredTotal.Add(px)
-	return delta
-}
-
-// scoreTerms is scan's scoring pass with the given scratch: it returns
-// the Eq. 5 cost change of the terms and the number of pixels scored,
-// and reads e without writing it, so goroutines with scratch of their
-// own may run it at once.
-func (e *Eval) scoreTerms(terms []doseTerm, scr *scratch) (float64, int64) {
-	var s strips
-	e.fill(&s, terms, scr)
-	delta, px := e.score(&s, true, scr.row)
-	if e.check {
-		if dense, _ := e.score(&s, false, scr.row); math.Float64bits(dense) != math.Float64bits(delta) {
-			panic(fmt.Sprintf("cover: sparse score %v != dense score %v", delta, dense))
-		}
-	}
-	return delta, px
-}
-
-// strips is one scan's pixel window and its per-term, per-component 1D
-// edge tables.
-type strips struct {
-	wi0, wj0, nx, ny int
-	nt, nc           int
-	ex, ey           [maxTerms][2][]float32
-	sw               [maxTerms][2]float64 // term sign × component weight
-}
-
+//
 // fill sets the scan window for terms and fills their edge tables,
 // held in scr, over it: O(W+H) float32 strip-kernel fills up front
 // make the area pass pure widening multiply-adds (float32 loads,
@@ -1107,7 +1114,7 @@ func (s *strips) rowWeights(jo int, w *[maxTerms][2]float64) {
 
 // denseRow writes the summed dose change of every pixel of a window row
 // into row: one tight pass per component and extra term, the sums in
-// the order scan's doc comment gives.
+// the order fill's doc comment gives.
 func (s *strips) denseRow(row []float64, w *[maxTerms][2]float64) {
 	for c := 0; c < s.nc; c++ {
 		a, b := s.ex[0][c][:len(row)], s.ex[1][c][:len(row)]
@@ -1192,7 +1199,7 @@ func (rb *rowBound) of(s *strips, w *[maxTerms][2]float64) float64 {
 // score returns the Eq. 5 cost change of the scan's dose change and the
 // number of pixels whose cost term it evaluated, using row as the dense
 // rows' scratch. With sparse set, a row whose bound is below the live
-// margin walks only its live bits (see scan); every other row is scored
+// margin walks only its live bits (see fill); every other row is scored
 // densely, skipping the band.
 func (e *Eval) score(s *strips, sparse bool, row []float64) (delta float64, px int64) {
 	p := e.P
@@ -1253,7 +1260,7 @@ func (e *Eval) commit(s *strips) {
 	p := e.P
 	g := p.Grid
 	rho, margin := p.Params.Rho, p.liveMargin
-	row := e.scr.row[:s.nx]
+	row := e.own.scr.row[:s.nx]
 	var w [maxTerms][2]float64
 	for jo := 0; jo < s.ny; jo++ {
 		s.rowWeights(jo, &w)

@@ -143,9 +143,9 @@ func TestDeltaCostSparseMatchesDense(t *testing.T) {
 			compare := func(e *Eval, terms []doseTerm, what string) (float64, bool) {
 				t.Helper()
 				var s strips
-				e.fill(&s, terms, &e.scr)
-				sparse, pxSparse := e.score(&s, true, e.scr.row)
-				dense, pxDense := e.score(&s, false, e.scr.row)
+				e.fill(&s, terms, &e.own.scr)
+				sparse, pxSparse := e.score(&s, true, e.own.scr.row)
+				dense, pxDense := e.score(&s, false, e.own.scr.row)
 				if math.Float64bits(sparse) != math.Float64bits(dense) {
 					t.Fatalf("%s: sparse score %v (%#x) != dense %v (%#x)",
 						what, sparse, math.Float64bits(sparse), dense, math.Float64bits(dense))

@@ -134,7 +134,7 @@ func (e *Eval) Pair(i, j int) {
 	}
 	e.partner[i], e.partner[j] = j, i
 	if o := pairOverlap(e.Shots[i], e.Shots[j]); o != (geom.Rect{}) {
-		e.scan([]doseTerm{{o, -1}}, true)
+		e.apply([]doseTerm{{o, -1}})
 	} else {
 		e.finishMutation(0)
 	}
@@ -153,7 +153,7 @@ func (e *Eval) Unpair(i int) {
 	}
 	e.partner[i], e.partner[j] = -1, -1
 	if o := pairOverlap(e.Shots[i], e.Shots[j]); o != (geom.Rect{}) {
-		e.scan([]doseTerm{{o, 1}}, true)
+		e.apply([]doseTerm{{o, 1}})
 	} else {
 		e.finishMutation(0)
 	}
@@ -177,7 +177,7 @@ func (e *Eval) PairDelta(i, j int) float64 {
 	if o == (geom.Rect{}) {
 		return 0
 	}
-	return e.scan([]doseTerm{{o, -1}}, false)
+	return e.scoreOwn([]doseTerm{{o, -1}})
 }
 
 // UnpairDelta returns the change in Eq. 5 cost if the L-shot containing
@@ -193,7 +193,7 @@ func (e *Eval) UnpairDelta(i int) float64 {
 	if o == (geom.Rect{}) {
 		return 0
 	}
-	return e.scan([]doseTerm{{o, 1}}, false)
+	return e.scoreOwn([]doseTerm{{o, 1}})
 }
 
 // ResetPaired replaces the entire configuration with the given shots

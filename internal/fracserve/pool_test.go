@@ -9,6 +9,7 @@ import (
 	"maskfrac/internal/cover"
 	"maskfrac/internal/fracture/engine"
 	"maskfrac/internal/geom"
+	"maskfrac/internal/maskio"
 )
 
 // poolProbe records, for every solve of the "test-pool-probe" method,
@@ -82,5 +83,58 @@ func TestServerSharesOnePool(t *testing.T) {
 	}
 	if t.Failed() {
 		t.Logf("free tokens per solve: %v", poolProbe.free)
+	}
+}
+
+// TestSolveSharesServerPool checks that a /solve request takes its
+// helpers from the server's pool, at most Workers−1 of them, and
+// holds a server token while it solves.
+func TestSolveSharesServerPool(t *testing.T) {
+	s, c := newTestServer(t, Config{Workers: 4, QueueDepth: 4, CacheEntries: -1})
+	g := runtime.GOMAXPROCS(0)
+	wires := [][][2]float64{maskio.PolygonWire(testShape(60))}
+	for _, tc := range []struct {
+		name           string
+		workers, taken int // request cap; server tokens held elsewhere
+		want           int // free tokens the solve sees
+	}{
+		{"workers=1", 1, 0, 0},
+		{"workers=4", 4, 0, min(3, g-1)},
+		{"server pool exhausted", 4, g, 0},
+	} {
+		poolProbe.mu.Lock()
+		poolProbe.pools, poolProbe.free = nil, nil
+		poolProbe.mu.Unlock()
+		for range tc.taken {
+			if !s.pool.TryAcquire() {
+				t.Fatalf("%s: server pool refused a token", tc.name)
+			}
+		}
+		_, err := c.Solve(context.Background(), &SolveRequest{
+			Shapes: wires, Method: "test-pool-probe", Workers: tc.workers,
+		})
+		for range tc.taken {
+			s.pool.Release()
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		poolProbe.mu.Lock()
+		if len(poolProbe.free) != 1 {
+			t.Fatalf("%s: probe ran %d solves, want 1", tc.name, len(poolProbe.free))
+		}
+		if got := poolProbe.free[0]; got != tc.want {
+			t.Errorf("%s: solve saw %d free tokens, want %d", tc.name, got, tc.want)
+		}
+		poolProbe.mu.Unlock()
+	}
+	// every token is back once the requests are done
+	for range g {
+		if !s.pool.TryAcquire() {
+			t.Fatal("a /solve request kept a server token")
+		}
+	}
+	for range g {
+		s.pool.Release()
 	}
 }

@@ -26,11 +26,12 @@ import (
 // Config tunes a fracturing server. Zero values select the defaults
 // noted on each field.
 type Config struct {
-	// Workers is the number of shapes solved at once (default 4).
-	// The solves share one pool of GOMAXPROCS goroutine tokens: a
-	// worker holds a token while it solves, and a solve takes helpers
-	// (for its regions and for the work inside one solve) only from
-	// tokens no one holds.
+	// Workers is the number of /fracture shapes solved at once, and
+	// the default cap on one /solve request's goroutines (default 4).
+	// Every solve shares one pool of GOMAXPROCS goroutine tokens: a
+	// /fracture worker or a /solve request holds a token while it
+	// solves, and a solve takes helpers (for its regions and for the
+	// work inside one solve) only from tokens no one holds.
 	Workers int
 	// QueueDepth bounds the number of shapes waiting for a worker;
 	// requests that would overflow it are rejected with 429 (default
@@ -483,11 +484,12 @@ func (s *Server) run(j *job) {
 		s.record(j.method, &item)
 		return
 	}
-	// workers and helpers share the GOMAXPROCS tokens, and a helper
-	// runs only on a token, so once every busy worker holds one the
-	// server runs at most max(busy workers, GOMAXPROCS) solver
-	// goroutines; a worker that finds every token taken by helpers
-	// solves without one, and those helpers end with their fan-out
+	// workers, /solve requests and helpers share the GOMAXPROCS
+	// tokens, and a helper runs only on a token, so once every busy
+	// solver holds one the server runs at most max(busy solvers,
+	// GOMAXPROCS) solver goroutines; a solver that finds every token
+	// taken by helpers solves without one, and those helpers end with
+	// their fan-out
 	if s.pool.TryAcquire() {
 		defer s.pool.Release()
 	}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"maskfrac"
+	"maskfrac/internal/fracture/engine"
 	"maskfrac/internal/geom"
 	"maskfrac/internal/maskio"
 	"maskfrac/internal/telemetry"
@@ -16,8 +17,8 @@ import (
 
 // handleSolve serves POST /solve: one multi-shape instance through the
 // decompose–solve–stitch engine. The solve runs on the request
-// goroutine — region-level concurrency is bounded by the engine's own
-// worker pool, not the /fracture shape queue.
+// goroutine, not through the /fracture shape queue, and takes its
+// helpers from the server's pool, at most Workers−1 of them.
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "POST only")
@@ -78,6 +79,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := context.WithTimeout(tctx, timeout)
 	defer cancel()
+	ctx = engine.WithPool(ctx, s.pool.Limit(opt.Workers-1))
 
 	targets := make([]geom.Polygon, len(req.Shapes))
 	for i, wire := range req.Shapes {
@@ -94,7 +96,13 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	// the request goroutine solves, so like a /fracture worker it holds
+	// a server token while it does
+	held := s.pool.TryAcquire()
 	res, err := prob.FractureCtx(ctx, method, opt)
+	if held {
+		s.pool.Release()
+	}
 	item := ItemResult{}
 	if err != nil {
 		item.Error = err.Error()

@@ -128,9 +128,9 @@ type SolveRequest struct {
 	// Options tunes the selected method.
 	Options *OptionsWire `json:"options,omitempty"`
 	// Workers caps the goroutines of the solve — regions solved
-	// concurrently and the helpers inside one region's solve; 0
-	// selects the server's worker count. Workers never changes the
-	// solution.
+	// concurrently and the helpers inside one region's solve — all
+	// taken from the server's shared pool; 0 selects the server's
+	// worker count. Workers never changes the solution.
 	Workers int `json:"workers,omitempty"`
 	// TimeoutMS caps this request's wall time in milliseconds; 0
 	// selects the server default. The server clamps it to its maximum.

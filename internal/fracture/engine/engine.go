@@ -182,17 +182,8 @@ func Solve(ctx context.Context, p *cover.Problem, cfg Config) (*Result, error) {
 	shots := make([][]geom.Rect, len(regions))
 	pairs := make([][][2]int, len(regions))
 	errs := make([]error, len(regions))
-	// Region solves may take helpers only from a pool with fewer
-	// tokens than CPUs. With a token per CPU or more, the region
-	// goroutines can keep every CPU busy themselves, and a fan-out
-	// inside one region would wait at its join for a helper queued
-	// behind the other regions.
-	regionCtx := ctx
-	if pool.Extra() >= runtime.GOMAXPROCS(0) {
-		regionCtx = WithPool(ctx, nil)
-	}
 	solveRegion := func(i int) {
-		rctx, span := telemetry.StartSpan(regionCtx, "region")
+		rctx, span := telemetry.StartSpan(ctx, "region")
 		span.Set("index", i)
 		span.Set("targets", len(regions[i].Targets))
 		defer span.End()

@@ -207,6 +207,32 @@ func TestPool(t *testing.T) {
 	if engine.PoolFrom(context.Background()) != nil {
 		t.Error("PoolFrom invented a pool")
 	}
+
+	// a limited pool lends at most its own count, each token also
+	// taken from the parent, and gives both back on Release
+	parent := engine.NewPool(3)
+	lim := parent.Limit(2)
+	if !lim.TryAcquire() || !lim.TryAcquire() || lim.TryAcquire() {
+		t.Fatal("limited pool did not lend exactly its 2 tokens")
+	}
+	if !parent.TryAcquire() || parent.TryAcquire() {
+		t.Fatal("limited pool's tokens are not held in the parent")
+	}
+	// with the parent exhausted the limit refuses, and keeps no token
+	lim.Release()
+	if !parent.TryAcquire() {
+		t.Fatal("Release did not return the parent's token")
+	}
+	if lim.TryAcquire() {
+		t.Fatal("limited pool lent a token its parent did not have")
+	}
+	parent.Release()
+	if !lim.TryAcquire() {
+		t.Fatal("limited pool kept a token after a refused acquire")
+	}
+	if (*engine.Pool)(nil).Limit(4).TryAcquire() {
+		t.Error("limit of a nil pool handed out a token")
+	}
 }
 
 // TestPoolFan checks the fan-out helper: a zero-token pool runs every

@@ -17,7 +17,8 @@ import (
 // never waits on another token, which makes the pool deadlock-free
 // under arbitrary nesting. A nil *Pool hands out nothing.
 type Pool struct {
-	sem chan struct{}
+	sem    chan struct{}
+	parent *Pool // set by Limit: each token lent also holds one of parent's
 }
 
 // NewPool returns a pool of extra goroutine tokens; extra <= 0 yields a
@@ -29,6 +30,18 @@ func NewPool(extra int) *Pool {
 	return &Pool{sem: make(chan struct{}, extra)}
 }
 
+// Limit returns a pool that lends at most extra tokens, each of which
+// it also takes from p: a run under it shares p's budget with a cap of
+// its own. The limit of a nil pool is nil.
+func (p *Pool) Limit(extra int) *Pool {
+	if p == nil {
+		return nil
+	}
+	q := NewPool(extra)
+	q.parent = p
+	return q
+}
+
 // TryAcquire takes a token without blocking and reports whether it got
 // one. Every successful TryAcquire must be paired with Release.
 func (p *Pool) TryAcquire() bool {
@@ -37,10 +50,14 @@ func (p *Pool) TryAcquire() bool {
 	}
 	select {
 	case p.sem <- struct{}{}:
-		return true
 	default:
 		return false
 	}
+	if p.parent != nil && !p.parent.TryAcquire() {
+		<-p.sem
+		return false
+	}
+	return true
 }
 
 // Release returns a token taken with TryAcquire.
@@ -48,6 +65,7 @@ func (p *Pool) Release() {
 	if p == nil || cap(p.sem) == 0 {
 		return
 	}
+	p.parent.Release()
 	<-p.sem
 }
 
