@@ -682,8 +682,10 @@ func (e *Eval) Close() {
 		a.putBits(e.failOff.Bits)
 		a.putU64(e.live)
 		a.putF32(e.own.scr.buf)
-		for _, sc := range e.scorers[min(1, len(e.scorers)):] {
-			a.putF32(sc.scr.buf)
+		for _, sc := range e.scorers {
+			if sc != &e.own {
+				a.putF32(sc.scr.buf)
+			}
 		}
 		a.putF32(e.accBuf)
 	}
