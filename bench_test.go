@@ -725,9 +725,9 @@ func TestEngineParallelSpeedup(t *testing.T) {
 	// round is quiet when other processes and the hypervisor took
 	// under a tenth of the CPUs meanwhile (another test binary of `go
 	// test ./...` or a neighbour VM would otherwise decide the ratio).
-	// The speedup is the median ratio of the first 21 quiet rounds, or
+	// The speedup is the median ratio of the first 31 quiet rounds, or
 	// of every round when five minutes hold fewer quiet ones.
-	const want, maxWait = 21, 5 * time.Minute
+	const want, maxWait = 31, 5 * time.Minute
 	var quiet, all []float64
 	for begin := time.Now(); len(quiet) < want && time.Since(begin) < maxWait; {
 		busy0, self0, measured := cpuTicks()
