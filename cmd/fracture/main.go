@@ -111,12 +111,15 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
+	} else if *in == "" {
+		b := maskfrac.ILTSuite()[0]
+		targets, name = []maskfrac.Polygon{b.Target}, b.Name
 	} else {
-		target, n, err := loadTarget(*in, *shape)
+		s, err := maskio.LoadShape(*in, *shape)
 		if err != nil {
 			fatal(err)
 		}
-		targets, name = []maskfrac.Polygon{target}, n
+		targets, name = []maskfrac.Polygon{s.Polygon}, s.Name
 	}
 
 	if *server != "" {
@@ -274,36 +277,6 @@ func loadMulti(path string) ([]maskfrac.Polygon, string, error) {
 		return nil, "", fmt.Errorf("no shapes in %s", path)
 	}
 	return polys(shapes), shapes[0].Name + "+", nil
-}
-
-// loadTarget reads the requested shape, falling back to the first
-// built-in benchmark clip.
-func loadTarget(path, name string) (maskfrac.Polygon, string, error) {
-	if path == "" {
-		suite := maskfrac.ILTSuite()
-		return suite[0].Target, suite[0].Name, nil
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, "", err
-	}
-	defer f.Close()
-	shapes, err := maskio.ReadShapes(f)
-	if err != nil {
-		return nil, "", err
-	}
-	if len(shapes) == 0 {
-		return nil, "", fmt.Errorf("no shapes in %s", path)
-	}
-	if name == "" {
-		return shapes[0].Polygon, shapes[0].Name, nil
-	}
-	for _, s := range shapes {
-		if s.Name == name {
-			return s.Polygon, s.Name, nil
-		}
-	}
-	return nil, "", fmt.Errorf("shape %q not found in %s", name, path)
 }
 
 // render writes the targets and shots to an SVG file.

@@ -29,9 +29,15 @@ func main() {
 		method = flag.String("method", "mbf", "fracturing method when -shots is empty")
 	)
 	flag.Parse()
-	target, err := loadTarget(*in, *shape)
-	if err != nil {
-		fatal(err)
+	var target maskfrac.Polygon
+	if *in == "" {
+		target = maskfrac.ILTSuite()[0].Target
+	} else {
+		s, err := maskio.LoadShape(*in, *shape)
+		if err != nil {
+			fatal(err)
+		}
+		target = s.Polygon
 	}
 	params := maskfrac.DefaultParams()
 	p, err := cover.NewProblem(target, params)
@@ -77,33 +83,6 @@ func main() {
 	slope, minSlope := metrics.DoseSlope(p, shotList, 4)
 	fmt.Printf("dose slope:     mean %.4f /nm, min %.4f /nm\n", slope, minSlope)
 	fmt.Printf("write proxy:    %.2f (shots + area term)\n", metrics.WriteTimeProxy(shotList))
-}
-
-func loadTarget(path, name string) (maskfrac.Polygon, error) {
-	if path == "" {
-		return maskfrac.ILTSuite()[0].Target, nil
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	shapes, err := maskio.ReadShapes(f)
-	if err != nil {
-		return nil, err
-	}
-	if len(shapes) == 0 {
-		return nil, fmt.Errorf("no shapes in %s", path)
-	}
-	if name == "" {
-		return shapes[0].Polygon, nil
-	}
-	for _, s := range shapes {
-		if s.Name == name {
-			return s.Polygon, nil
-		}
-	}
-	return nil, fmt.Errorf("shape %q not found", name)
 }
 
 func fatal(err error) {

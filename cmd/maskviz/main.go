@@ -39,9 +39,15 @@ func main() {
 		out   = flag.String("out", "maskviz.svg", "output SVG file")
 	)
 	flag.Parse()
-	target, err := loadTarget(*in, *shape)
-	if err != nil {
-		fatal(err)
+	var target maskfrac.Polygon
+	if *in == "" {
+		target = maskfrac.ILTSuite()[0].Target
+	} else {
+		s, err := maskio.LoadShape(*in, *shape)
+		if err != nil {
+			fatal(err)
+		}
+		target = s.Polygon
 	}
 	params := maskfrac.DefaultParams()
 	p, err := cover.NewProblem(target, params)
@@ -158,33 +164,6 @@ func typeColor(t mbf.CornerType) string {
 	default:
 		return "#1f77b4"
 	}
-}
-
-func loadTarget(path, name string) (maskfrac.Polygon, error) {
-	if path == "" {
-		return maskfrac.ILTSuite()[0].Target, nil
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	shapes, err := maskio.ReadShapes(f)
-	if err != nil {
-		return nil, err
-	}
-	if len(shapes) == 0 {
-		return nil, fmt.Errorf("no shapes in %s", path)
-	}
-	if name == "" {
-		return shapes[0].Polygon, nil
-	}
-	for _, s := range shapes {
-		if s.Name == name {
-			return s.Polygon, nil
-		}
-	}
-	return nil, fmt.Errorf("shape %q not found", name)
 }
 
 func fatal(err error) {

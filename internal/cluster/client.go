@@ -210,15 +210,6 @@ func (c *Client) AddNode(id, baseURL string) {
 	c.ring.Add(id)
 }
 
-// RemoveNode leaves a node from the ring. In-flight requests to it are
-// unaffected; new classes route around it.
-func (c *Client) RemoveNode(id string) {
-	c.ring.Remove(id)
-	c.mu.Lock()
-	delete(c.nodes, id)
-	c.mu.Unlock()
-}
-
 // Nodes returns the ring members, sorted.
 func (c *Client) Nodes() []string { return c.ring.Members() }
 

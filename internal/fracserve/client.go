@@ -124,27 +124,9 @@ func (c *Client) http() *http.Client {
 
 // Do sends a raw fracture request.
 func (c *Client) Do(ctx context.Context, req *Request) (*Response, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, fmt.Errorf("fracserve: encode request: %w", err)
-	}
-	hr, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/fracture", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	hr.Header.Set("Content-Type", "application/json")
-	decorate(ctx, hr)
-	resp, err := c.http().Do(hr)
-	if err != nil {
-		return nil, err
-	}
-	defer drainClose(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return nil, statusError(resp)
-	}
 	var out Response
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("%w: decode response: %v", ErrProtocol, err)
+	if err := c.roundTrip(ctx, "/fracture", req, &out); err != nil {
+		return nil, err
 	}
 	return &out, nil
 }
@@ -185,27 +167,9 @@ func (ir *ItemResult) ShotRects() ([]geom.Rect, error) {
 // Solve fractures one multi-shape instance through the server's
 // decompose–solve–stitch engine (POST /solve).
 func (c *Client) Solve(ctx context.Context, req *SolveRequest) (*SolveResponse, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, fmt.Errorf("fracserve: encode request: %w", err)
-	}
-	hr, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/solve", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	hr.Header.Set("Content-Type", "application/json")
-	decorate(ctx, hr)
-	resp, err := c.http().Do(hr)
-	if err != nil {
-		return nil, err
-	}
-	defer drainClose(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return nil, statusError(resp)
-	}
 	var out SolveResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("%w: decode response: %v", ErrProtocol, err)
+	if err := c.roundTrip(ctx, "/solve", req, &out); err != nil {
+		return nil, err
 	}
 	return &out, nil
 }
@@ -228,27 +192,9 @@ func (sr *SolveResponse) ShotRects() ([]geom.Rect, error) {
 // Plan asks the server to plan a character-projection stencil from its
 // cache's class statistics (POST /plan).
 func (c *Client) Plan(ctx context.Context, req *PlanRequest) (*PlanResponse, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, fmt.Errorf("fracserve: encode request: %w", err)
-	}
-	hr, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/plan", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	hr.Header.Set("Content-Type", "application/json")
-	decorate(ctx, hr)
-	resp, err := c.http().Do(hr)
-	if err != nil {
-		return nil, err
-	}
-	defer drainClose(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return nil, statusError(resp)
-	}
 	var out PlanResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("%w: decode response: %v", ErrProtocol, err)
+	if err := c.roundTrip(ctx, "/plan", req, &out); err != nil {
+		return nil, err
 	}
 	return &out, nil
 }
@@ -257,67 +203,59 @@ func (c *Client) Plan(ctx context.Context, req *PlanRequest) (*PlanResponse, err
 // caller resolved locally (POST /stats/classes), keeping the server's
 // class statistics counting placements instead of wire requests.
 func (c *Client) ReportClassUses(ctx context.Context, req *ClassUsesRequest) (*ClassUsesReply, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, fmt.Errorf("fracserve: encode request: %w", err)
-	}
-	hr, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/stats/classes", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	hr.Header.Set("Content-Type", "application/json")
-	decorate(ctx, hr)
-	resp, err := c.http().Do(hr)
-	if err != nil {
-		return nil, err
-	}
-	defer drainClose(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return nil, statusError(resp)
-	}
 	var out ClassUsesReply
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("%w: decode response: %v", ErrProtocol, err)
+	if err := c.roundTrip(ctx, "/stats/classes", req, &out); err != nil {
+		return nil, err
 	}
 	return &out, nil
 }
 
 // Stats fetches the server statistics.
 func (c *Client) Stats(ctx context.Context) (*StatsReply, error) {
-	return c.stats(ctx, c.BaseURL+"/stats")
+	return c.stats(ctx, "/stats")
 }
 
 // StatsTop fetches the server statistics including the cache's top-k
 // congruence classes (GET /stats?classes=k).
 func (c *Client) StatsTop(ctx context.Context, k int) (*StatsReply, error) {
-	return c.stats(ctx, c.BaseURL+"/stats?classes="+strconv.Itoa(k))
+	return c.stats(ctx, "/stats?classes="+strconv.Itoa(k))
 }
 
-func (c *Client) stats(ctx context.Context, url string) (*StatsReply, error) {
-	hr, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.http().Do(hr)
-	if err != nil {
-		return nil, err
-	}
-	defer drainClose(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return nil, statusError(resp)
-	}
+func (c *Client) stats(ctx context.Context, path string) (*StatsReply, error) {
 	var out StatsReply
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("%w: decode stats: %v", ErrProtocol, err)
+	if err := c.roundTrip(ctx, path, nil, &out); err != nil {
+		return nil, err
 	}
 	return &out, nil
 }
 
 // Healthz probes the server's liveness endpoint.
 func (c *Client) Healthz(ctx context.Context) error {
-	hr, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/healthz", nil)
+	return c.roundTrip(ctx, "/healthz", nil, nil)
+}
+
+// roundTrip is every client call: it sends in to path and decodes a
+// 200 reply into out (nil discards the body). A non-nil in is sent as
+// a JSON POST carrying the context's traceparent and request ID; a nil
+// in sends a bare GET. A non-2xx reply becomes a typed status error
+// (statusError), and a 200 body that fails to decode wraps
+// ErrProtocol.
+func (c *Client) roundTrip(ctx context.Context, path string, in, out any) error {
+	method, body := http.MethodGet, io.Reader(nil)
+	if in != nil {
+		b, err := json.Marshal(in)
+		if err != nil {
+			return fmt.Errorf("fracserve: encode request: %w", err)
+		}
+		method, body = http.MethodPost, bytes.NewReader(b)
+	}
+	hr, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, body)
 	if err != nil {
 		return err
+	}
+	if in != nil {
+		hr.Header.Set("Content-Type", "application/json")
+		decorate(ctx, hr)
 	}
 	resp, err := c.http().Do(hr)
 	if err != nil {
@@ -326,6 +264,12 @@ func (c *Client) Healthz(ctx context.Context) error {
 	defer drainClose(resp.Body)
 	if resp.StatusCode != http.StatusOK {
 		return statusError(resp)
+	}
+	if out == nil {
+		return nil
+	}
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		return fmt.Errorf("%w: decode response: %v", ErrProtocol, err)
 	}
 	return nil
 }

@@ -2,7 +2,6 @@ package fracserve
 
 import (
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"time"
@@ -49,32 +48,14 @@ func (s *Server) handleClassUses(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req ClassUsesRequest
-	r.Body = http.MaxBytesReader(w, r.Body, 8<<20)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+	if err := decodeBody(w, r, 8<<20, &req); err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	// the key derivation must mirror handleFracture exactly — method,
-	// params and options are baked into the class key
-	method := maskfrac.MethodMBF
-	if req.Method != "" {
-		method = maskfrac.Method(req.Method)
-		if !knownMethod(method) {
-			writeError(w, http.StatusBadRequest, "unknown method "+req.Method)
-			return
-		}
-	}
-	params := s.cfg.Params
-	if req.Params != nil {
-		params = mergeParams(params, *req.Params)
-	}
-	var opt *maskfrac.Options
-	if req.Options != nil {
-		opt = &maskfrac.Options{
-			MaxIterations:  req.Options.MaxIterations,
-			ColoringOrder:  req.Options.ColoringOrder,
-			SkipRefinement: req.Options.SkipRefinement,
-		}
+	method, params, opt, err := s.resolve(req.Method, req.Params, req.Options)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
+		return
 	}
 	reply := ClassUsesReply{}
 	for i, cu := range req.Classes {
@@ -144,9 +125,8 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req PlanRequest
-	r.Body = http.MaxBytesReader(w, r.Body, 1<<20)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		fail(http.StatusBadRequest, "bad request body: "+err.Error())
+	if err := decodeBody(w, r, 1<<20, &req); err != nil {
+		fail(http.StatusBadRequest, err.Error())
 		return
 	}
 	topK := req.TopK

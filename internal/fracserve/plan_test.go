@@ -108,10 +108,17 @@ func TestE2EClassUses(t *testing.T) {
 	_, c := newTestServer(t, Config{Workers: 2, QueueDepth: 8})
 	ctx := context.Background()
 
-	// one real solve establishes the class record with its solution
-	item, err := c.Fracture(ctx, testL(), "proto-eda")
+	// one real solve establishes the class record with its solution;
+	// its params override and option are part of the class key
+	params := &ParamsWire{Gamma: 3}
+	opts := &OptionsWire{MaxIterations: 40}
+	resp, err := c.Do(ctx, &Request{Shape: maskio.PolygonWire(testL()), Method: "proto-eda", Params: params, Options: opts})
 	if err != nil {
 		t.Fatalf("fracture: %v", err)
+	}
+	item := resp.Results[0]
+	if item.Error != "" {
+		t.Fatalf("fracture: %s", item.Error)
 	}
 	st, err := c.StatsTop(ctx, 0)
 	if err != nil {
@@ -122,9 +129,12 @@ func TestE2EClassUses(t *testing.T) {
 	}
 
 	// the report carries the shape; the server re-derives the class key
-	// with its own params so the credit lands on the solve's record
+	// from the same method, params and options so the credit lands on
+	// the solve's record
 	reply, err := c.ReportClassUses(ctx, &ClassUsesRequest{
 		Method:  "proto-eda",
+		Params:  params,
+		Options: opts,
 		Classes: []ClassUse{{Shape: maskio.PolygonWire(testL()), Uses: 41}},
 	})
 	if err != nil {

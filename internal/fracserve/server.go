@@ -3,12 +3,14 @@ package fracserve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/pprof"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -410,15 +412,6 @@ func (s *Server) Serve(l net.Listener) error {
 	return err
 }
 
-// ListenAndServe binds addr and serves until Shutdown.
-func (s *Server) ListenAndServe(addr string) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(l)
-}
-
 // Shutdown drains the server gracefully: it stops accepting
 // connections, waits for in-flight requests (and therefore their queued
 // shapes) to finish within ctx, then stops the worker pool. It logs the
@@ -569,9 +562,8 @@ func (s *Server) handleFracture(w http.ResponseWriter, r *http.Request) {
 	}
 
 	var req Request
-	r.Body = http.MaxBytesReader(w, r.Body, 256<<20)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		fail(http.StatusBadRequest, "bad request body: "+err.Error())
+	if err := decodeBody(w, r, maxSolveBody, &req); err != nil {
+		fail(http.StatusBadRequest, err.Error())
 		return
 	}
 	wires := req.Shapes
@@ -591,35 +583,14 @@ func (s *Server) handleFracture(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("%d shapes exceeds the per-request limit of %d", len(wires), s.cfg.MaxShapes))
 		return
 	}
-	method := maskfrac.MethodMBF
-	if req.Method != "" {
-		method = maskfrac.Method(req.Method)
-		if !knownMethod(method) {
-			fail(http.StatusBadRequest, "unknown method "+req.Method)
-			return
-		}
+	method, params, opt, err := s.resolve(req.Method, req.Params, req.Options)
+	if err != nil {
+		fail(http.StatusBadRequest, err.Error())
+		return
 	}
 	root.Set("shapes", len(wires))
 	root.Set("method", string(method))
-	params := s.cfg.Params
-	if req.Params != nil {
-		params = mergeParams(params, *req.Params)
-	}
-	var opt *maskfrac.Options
-	if req.Options != nil {
-		opt = &maskfrac.Options{
-			MaxIterations:  req.Options.MaxIterations,
-			ColoringOrder:  req.Options.ColoringOrder,
-			SkipRefinement: req.Options.SkipRefinement,
-		}
-	}
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	}
-	if timeout > s.cfg.MaxTimeout {
-		timeout = s.cfg.MaxTimeout
-	}
+	timeout := s.requestTimeout(req.TimeoutMS)
 	ctx, cancel := context.WithTimeout(tctx, timeout)
 	defer cancel()
 	ctx = engine.WithPool(ctx, s.pool)
@@ -767,14 +738,55 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, reply)
 }
 
-// knownMethod reports whether m is a supported fracturing method.
-func knownMethod(m maskfrac.Method) bool {
-	for _, k := range maskfrac.Methods() {
-		if m == k {
-			return true
+// maxSolveBody bounds the JSON body of a /fracture or /solve request.
+const maxSolveBody = 256 << 20
+
+// decodeBody decodes r's JSON body into v, reading at most limit
+// bytes. Its error is the 400 message every endpoint sends.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) error {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v); err != nil {
+		return errors.New("bad request body: " + err.Error())
+	}
+	return nil
+}
+
+// resolve is the one mapping from a request's method, params and
+// options to solver inputs, shared by /fracture, /solve and
+// /stats/classes: the method defaults to MBF and must be known, wire
+// params overlay the server's, and options map field for field. The
+// class key /stats/classes credits is therefore the key /fracture
+// stored.
+func (s *Server) resolve(method string, pw *ParamsWire, ow *OptionsWire) (maskfrac.Method, maskfrac.Params, *maskfrac.Options, error) {
+	m := maskfrac.MethodMBF
+	if method != "" {
+		m = maskfrac.Method(method)
+		if !slices.Contains(maskfrac.Methods(), m) {
+			return "", maskfrac.Params{}, nil, errors.New("unknown method " + method)
 		}
 	}
-	return false
+	params := s.cfg.Params
+	if pw != nil {
+		params = mergeParams(params, *pw)
+	}
+	var opt *maskfrac.Options
+	if ow != nil {
+		opt = &maskfrac.Options{
+			MaxIterations:  ow.MaxIterations,
+			ColoringOrder:  ow.ColoringOrder,
+			SkipRefinement: ow.SkipRefinement,
+		}
+	}
+	return m, params, opt, nil
+}
+
+// requestTimeout is a request's time budget: timeoutMS when positive,
+// else the server default, clamped to MaxTimeout.
+func (s *Server) requestTimeout(timeoutMS int) time.Duration {
+	d := s.cfg.DefaultTimeout
+	if timeoutMS > 0 {
+		d = time.Duration(timeoutMS) * time.Millisecond
+	}
+	return min(d, s.cfg.MaxTimeout)
 }
 
 // mergeParams overlays non-zero wire fields on the base parameters.

@@ -2,9 +2,12 @@ package fracserve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"net"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -231,6 +234,32 @@ func TestE2EBadRequests(t *testing.T) {
 		Shapes: [][][2]float64{{{0, 0}, {60, 0}, {60, 60}, {0, 60}}},
 	}); err == nil {
 		t.Error("shape+shapes accepted")
+	}
+
+	// an unknown method and a malformed body get the same 400 and
+	// message on every endpoint that resolves a method
+	square := `[[0,0],[60,0],[60,60],[0,60]]`
+	for _, tc := range []struct{ path, body, want string }{
+		{"/fracture", `{"shape":` + square + `,"method":"bogus"}`, "unknown method bogus"},
+		{"/solve", `{"shapes":[` + square + `],"method":"bogus"}`, "unknown method bogus"},
+		{"/stats/classes", `{"method":"bogus","classes":[{"shape":` + square + `,"uses":1}]}`, "unknown method bogus"},
+		{"/fracture", `{"shape":`, "bad request body: unexpected EOF"},
+		{"/solve", `{"shapes":`, "bad request body: unexpected EOF"},
+		{"/stats/classes", `{"classes":`, "bad request body: unexpected EOF"},
+	} {
+		resp, err := http.Post(c.BaseURL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.path, err)
+		}
+		var er ErrorReply
+		err = json.NewDecoder(resp.Body).Decode(&er)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s %s: decode error reply: %v", tc.path, tc.body, err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || er.Error != tc.want {
+			t.Errorf("%s %s: HTTP %d %q, want 400 %q", tc.path, tc.body, resp.StatusCode, er.Error, tc.want)
+		}
 	}
 }
 

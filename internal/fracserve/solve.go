@@ -2,7 +2,6 @@ package fracserve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -33,9 +32,8 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 
 	var req SolveRequest
-	r.Body = http.MaxBytesReader(w, r.Body, 256<<20)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		fail(http.StatusBadRequest, "bad request body: "+err.Error())
+	if err := decodeBody(w, r, maxSolveBody, &req); err != nil {
+		fail(http.StatusBadRequest, err.Error())
 		return
 	}
 	if len(req.Shapes) == 0 {
@@ -47,36 +45,21 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("%d shapes exceeds the per-request limit of %d", len(req.Shapes), s.cfg.MaxShapes))
 		return
 	}
-	method := maskfrac.MethodMBF
-	if req.Method != "" {
-		method = maskfrac.Method(req.Method)
-		if !knownMethod(method) {
-			fail(http.StatusBadRequest, "unknown method "+req.Method)
-			return
-		}
+	method, params, opt, err := s.resolve(req.Method, req.Params, req.Options)
+	if err != nil {
+		fail(http.StatusBadRequest, err.Error())
+		return
 	}
 	root.Set("shapes", len(req.Shapes))
 	root.Set("method", string(method))
-	params := s.cfg.Params
-	if req.Params != nil {
-		params = mergeParams(params, *req.Params)
+	if opt == nil {
+		opt = &maskfrac.Options{}
 	}
-	opt := &maskfrac.Options{Workers: req.Workers}
+	opt.Workers = req.Workers
 	if opt.Workers <= 0 {
 		opt.Workers = s.cfg.Workers
 	}
-	if req.Options != nil {
-		opt.MaxIterations = req.Options.MaxIterations
-		opt.ColoringOrder = req.Options.ColoringOrder
-		opt.SkipRefinement = req.Options.SkipRefinement
-	}
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	}
-	if timeout > s.cfg.MaxTimeout {
-		timeout = s.cfg.MaxTimeout
-	}
+	timeout := s.requestTimeout(req.TimeoutMS)
 	ctx, cancel := context.WithTimeout(tctx, timeout)
 	defer cancel()
 	ctx = engine.WithPool(ctx, s.pool.Limit(opt.Workers-1))

@@ -1,8 +1,9 @@
 // Package fixup provides the greedy completion passes shared by the
 // solvers: covering residual failing interior pixels with component
 // bounding-box shots (GSC, MP), the largest-failing-blob box behind
-// every add-shot operator (MBF's addShot, Patch), and bounded ±Δp
-// edge adjustment (GSC, MP, PROTO-EDA, MBF's polish and cleanup).
+// every add-shot operator (MBF's addShot, Patch), bounded ±Δp edge
+// adjustment (GSC, MP, PROTO-EDA, MBF's polish and cleanup), and
+// redundant-shot deletion (PROTO-EDA, MBF's cleanup).
 // Dictionary-driven methods cannot always fix convex-corner residues
 // exactly; Patch finishes the cover the way a set-cover heuristic
 // would, trying a few box variants per component and picking the one
@@ -80,20 +81,6 @@ func ScoreCandidate(p *cover.Problem, e *cover.Eval, failOn *raster.Bitmap, c ge
 		}
 	}
 	return float64(fixed) - offPenalty*float64(broken)
-}
-
-// PatchCtx is Patch with telemetry: when ctx carries a trace it
-// records a "fixup.patch" span annotated with shots added and the
-// remaining interior violations.
-func PatchCtx(ctx context.Context, p *cover.Problem, e *cover.Eval, maxShots int) {
-	span := telemetry.ActiveSpan(ctx).Child("fixup.patch")
-	before := len(e.Shots)
-	Patch(p, e, maxShots)
-	if span != nil {
-		span.Set("shots_added", len(e.Shots)-before)
-		span.Set("fail_on", e.Stats().FailOn)
-		span.End()
-	}
 }
 
 // Patch adds shots over failing interior pixel components until the
@@ -209,6 +196,31 @@ func EdgeAdjust(p *cover.Problem, e *cover.Eval, sweeps int) {
 	// final sweep already holds it); moves never change the pairing
 	if !rectsEqual(e.Shots, best) {
 		e.ResetPaired(best, e.Pairs())
+	}
+}
+
+// DropRedundant deletes every shot whose removal leaves the violation
+// count and the cost no worse than they were on entry. It tries the
+// shots in index order, keeps the first removal that passes, and
+// rescans from the first shot until no removal passes; a failed trial
+// is undone with the original order restored. Overlap often makes
+// shots redundant; MBF's cleanup and PROTO-EDA both run this pass.
+func DropRedundant(e *cover.Eval) {
+	base := e.Stats()
+	for {
+		removed := false
+		for i := 0; i < len(e.Shots); i++ {
+			s := e.Shots[i]
+			e.Remove(i)
+			if st := e.Stats(); st.Fail() <= base.Fail() && st.Cost <= base.Cost+1e-9 {
+				removed = true
+				break
+			}
+			e.UndoRemove(i, s)
+		}
+		if !removed {
+			return
+		}
 	}
 }
 

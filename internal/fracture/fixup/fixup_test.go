@@ -149,3 +149,33 @@ func TestEdgeAdjustKeepsLPairs(t *testing.T) {
 		}
 	}
 }
+
+func TestDropRedundant(t *testing.T) {
+	p := square(t, 80)
+	full := geom.Rect{X0: -0.5, Y0: -0.5, X1: 80.5, Y1: 80.5}
+	e := cover.NewEval(p, []geom.Rect{
+		full,
+		{X0: 20, Y0: 20, X1: 60, Y1: 60}, // inside the cover: redundant
+	})
+	defer e.Close()
+	DropRedundant(e)
+	if len(e.Shots) != 1 || e.Shots[0] != full {
+		t.Errorf("redundant shot kept: %v", e.Shots)
+	}
+
+	// a thin shot outside the left edge fixes no failing pixel and
+	// breaks none, but lifts the underdosed interior toward the
+	// threshold: removing it keeps the fail count and raises the cost,
+	// so it stays
+	core := geom.Rect{X0: 20, Y0: 20, X1: 60, Y1: 60}
+	thin := geom.Rect{X0: -6, Y0: 0, X1: -2, Y1: 80}
+	with, without := p.Evaluate([]geom.Rect{core, thin}), p.Evaluate([]geom.Rect{core})
+	if without.Fail() != with.Fail() || without.Cost <= with.Cost {
+		t.Fatalf("removing the thin shot: %+v -> %+v, want the same fails at a higher cost", with, without)
+	}
+	e.Reset([]geom.Rect{core, thin})
+	DropRedundant(e)
+	if len(e.Shots) != 2 || e.Shots[0] != core || e.Shots[1] != thin {
+		t.Errorf("shot whose removal raises the cost was dropped: %v", e.Shots)
+	}
+}

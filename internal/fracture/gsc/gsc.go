@@ -17,11 +17,9 @@ import (
 	"maskfrac/internal/geom"
 )
 
-// Options tune the baseline.
-type Options struct {
-	MaxShots   int     // shot cap (default 200)
-	OffPenalty float64 // weight of new exterior violations (default 4)
-}
+// offPenalty is the main greedy phase's weight of new exterior
+// violations.
+const offPenalty = 4
 
 // Result is the outcome of the GSC baseline.
 type Result struct {
@@ -29,21 +27,19 @@ type Result struct {
 	Stats cover.Stats
 }
 
-// Fracture runs greedy set cover on the problem.
-func Fracture(p *cover.Problem, opt Options) *Result {
-	if opt.MaxShots == 0 {
-		opt.MaxShots = 200
-	}
-	if opt.OffPenalty == 0 {
-		opt.OffPenalty = 4
+// Fracture runs greedy set cover on the problem with a cap of maxShots
+// shots (0 selects 200).
+func Fracture(p *cover.Problem, maxShots int) *Result {
+	if maxShots == 0 {
+		maxShots = 200
 	}
 	cands := shotdict.Candidates(p)
 	e := cover.NewEval(p, nil)
 	defer e.Close()
-	fixup.GreedyCover(p, e, cands, opt.OffPenalty, opt.MaxShots)
+	fixup.GreedyCover(p, e, cands, offPenalty, maxShots)
 	// second chance with a looser penalty, then box patching
-	fixup.GreedyCover(p, e, cands, 1, opt.MaxShots)
-	fixup.Patch(p, e, opt.MaxShots)
+	fixup.GreedyCover(p, e, cands, 1, maxShots)
+	fixup.Patch(p, e, maxShots)
 	fixup.EdgeAdjust(p, e, 40)
 	return &Result{Shots: e.SnapshotShots(), Stats: e.Stats()}
 }

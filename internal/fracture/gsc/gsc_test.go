@@ -19,7 +19,7 @@ func problem(t *testing.T, pg geom.Polygon) *cover.Problem {
 
 func TestFractureSquare(t *testing.T) {
 	p := problem(t, geom.Polygon{geom.Pt(0, 0), geom.Pt(80, 0), geom.Pt(80, 80), geom.Pt(0, 80)})
-	res := Fracture(p, Options{})
+	res := Fracture(p, 0)
 	if res.Stats.Fail() != 0 {
 		t.Errorf("square: %+v", res.Stats)
 	}
@@ -38,7 +38,7 @@ func TestFractureLShape(t *testing.T) {
 		geom.Pt(0, 0), geom.Pt(120, 0), geom.Pt(120, 50),
 		geom.Pt(50, 50), geom.Pt(50, 120), geom.Pt(0, 120),
 	})
-	res := Fracture(p, Options{})
+	res := Fracture(p, 0)
 	if res.Stats.Fail() > 2 {
 		t.Errorf("L: %+v", res.Stats)
 	}
@@ -50,7 +50,7 @@ func TestFractureRGBShape(t *testing.T) {
 		t.Fatal("generation failed")
 	}
 	p := problem(t, sh.Target)
-	res := Fracture(p, Options{})
+	res := Fracture(p, 0)
 	if res.Stats.Fail() > 5 {
 		t.Errorf("RGB: %+v", res.Stats)
 	}
@@ -62,7 +62,7 @@ func TestFractureRGBShape(t *testing.T) {
 
 func TestMaxShotsCap(t *testing.T) {
 	p := problem(t, geom.Polygon{geom.Pt(0, 0), geom.Pt(80, 0), geom.Pt(80, 80), geom.Pt(0, 80)})
-	res := Fracture(p, Options{MaxShots: 1})
+	res := Fracture(p, 1)
 	if len(res.Shots) > 1 {
 		t.Errorf("cap ignored: %d shots", len(res.Shots))
 	}

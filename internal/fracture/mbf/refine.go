@@ -148,23 +148,7 @@ func postCleanup(ctx context.Context, p *cover.Problem, shots []geom.Rect, opt O
 	baseStats := e.Stats()
 	baseFail := baseStats.Fail()
 	baseCost := baseStats.Cost
-	// drop redundant shots: rescan after every removal until stable
-	for {
-		removed := false
-		for i := 0; i < len(e.Shots); i++ {
-			s := e.Shots[i]
-			e.Remove(i)
-			if st := e.Stats(); st.Fail() <= baseFail && st.Cost <= baseCost+1e-9 {
-				removed = true
-				break
-			}
-			// removal hurt: back out, restoring the original order
-			e.UndoRemove(i, s)
-		}
-		if !removed {
-			break
-		}
-	}
+	fixup.DropRedundant(e)
 	if !opt.DisableMerge {
 		candidate := cover.NewEval(p, e.SnapshotShots())
 		mergeShots(candidate, opt)

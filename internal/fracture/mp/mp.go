@@ -20,11 +20,9 @@ import (
 	"maskfrac/internal/raster"
 )
 
-// Options tune the baseline.
-type Options struct {
-	MaxShots int     // iteration cap (default 150)
-	MinCorr  float64 // stop when best normalized correlation falls below this (default 0.5)
-}
+// minCorr stops the pursuit when the best normalized correlation falls
+// below it.
+const minCorr = 0.5
 
 // Result is the outcome of the MP baseline.
 type Result struct {
@@ -32,13 +30,11 @@ type Result struct {
 	Stats cover.Stats
 }
 
-// Fracture runs matching pursuit on the problem.
-func Fracture(p *cover.Problem, opt Options) *Result {
-	if opt.MaxShots == 0 {
-		opt.MaxShots = 150
-	}
-	if opt.MinCorr == 0 {
-		opt.MinCorr = 0.5
+// Fracture runs matching pursuit on the problem with a cap of maxShots
+// iterations and shots (0 selects 150).
+func Fracture(p *cover.Problem, maxShots int) *Result {
+	if maxShots == 0 {
+		maxShots = 150
 	}
 	cands := shotdict.Rich(p, 24, 0.55)
 	g := p.Grid
@@ -53,9 +49,9 @@ func Fracture(p *cover.Problem, opt Options) *Result {
 	e := cover.NewEval(p, nil)
 	defer e.Close()
 	sat := make([]float64, (g.W+1)*(g.H+1))
-	for len(e.Shots) < opt.MaxShots {
+	for len(e.Shots) < maxShots {
 		buildSAT(res, sat)
-		best, bestScore := geom.Rect{}, opt.MinCorr
+		best, bestScore := geom.Rect{}, minCorr
 		for _, c := range cands {
 			s := boxSum(g, sat, c)
 			if s <= 0 {
@@ -80,14 +76,14 @@ func Fracture(p *cover.Problem, opt Options) *Result {
 	// matching pursuit leaves residues its dictionary cannot express
 	// (typically corner patches and crescents); complete the cover with
 	// the dose-aware greedy pass, then box patching
-	fixup.GreedyCover(p, e, cands, 1, opt.MaxShots)
-	fixup.Patch(p, e, opt.MaxShots)
+	fixup.GreedyCover(p, e, cands, 1, maxShots)
+	fixup.Patch(p, e, maxShots)
 	// unit-dose atoms overdose the exterior near boundary overlaps;
 	// repair with bounded edge-adjustment passes (matching pursuit is
 	// the slowest heuristic in the paper's tables, so a generous repair
 	// budget is in character)
 	fixup.EdgeAdjust(p, e, 150)
-	fixup.Patch(p, e, opt.MaxShots)
+	fixup.Patch(p, e, maxShots)
 	fixup.EdgeAdjust(p, e, 150)
 	return &Result{Shots: e.SnapshotShots(), Stats: e.Stats()}
 }

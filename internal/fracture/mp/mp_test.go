@@ -21,7 +21,7 @@ func problem(t *testing.T, pg geom.Polygon) *cover.Problem {
 
 func TestFractureSquare(t *testing.T) {
 	p := problem(t, geom.Polygon{geom.Pt(0, 0), geom.Pt(80, 0), geom.Pt(80, 80), geom.Pt(0, 80)})
-	res := Fracture(p, Options{})
+	res := Fracture(p, 0)
 	if res.Stats.Fail() > 2 {
 		t.Errorf("square: %+v", res.Stats)
 	}
@@ -36,7 +36,7 @@ func TestFractureAGBShape(t *testing.T) {
 		t.Fatal("generation failed")
 	}
 	p := problem(t, sh.Target)
-	res := Fracture(p, Options{})
+	res := Fracture(p, 0)
 	if res.Stats.Fail() > 10 {
 		t.Errorf("AGB: %+v", res.Stats)
 	}
@@ -47,7 +47,7 @@ func TestFractureAGBShape(t *testing.T) {
 
 func TestMaxShotsCap(t *testing.T) {
 	p := problem(t, geom.Polygon{geom.Pt(0, 0), geom.Pt(80, 0), geom.Pt(80, 80), geom.Pt(0, 80)})
-	res := Fracture(p, Options{MaxShots: 1})
+	res := Fracture(p, 1)
 	if len(res.Shots) > 1 {
 		t.Errorf("cap ignored: %d shots", len(res.Shots))
 	}

@@ -11,7 +11,7 @@ import (
 // registry.
 func init() {
 	engine.Register("mp", func(_ context.Context, p *cover.Problem, opt engine.Options) (*engine.Solution, error) {
-		r := Fracture(p, Options{MaxShots: opt.MaxIterations})
+		r := Fracture(p, opt.MaxIterations)
 		return &engine.Solution{Shots: r.Shots}, nil
 	})
 }

@@ -19,7 +19,7 @@ func problem(t *testing.T, pg geom.Polygon) *cover.Problem {
 
 func TestFractureSquare(t *testing.T) {
 	p := problem(t, geom.Polygon{geom.Pt(0, 0), geom.Pt(80, 0), geom.Pt(80, 80), geom.Pt(0, 80)})
-	res := Fracture(p, Options{})
+	res := Fracture(p, 0)
 	if res.Stats.Fail() != 0 {
 		t.Errorf("square: %+v", res.Stats)
 	}
@@ -33,7 +33,7 @@ func TestFractureLShape(t *testing.T) {
 		geom.Pt(0, 0), geom.Pt(120, 0), geom.Pt(120, 50),
 		geom.Pt(50, 50), geom.Pt(50, 120), geom.Pt(0, 120),
 	})
-	res := Fracture(p, Options{})
+	res := Fracture(p, 0)
 	if res.Stats.Fail() > 2 {
 		t.Errorf("L: %+v", res.Stats)
 	}
@@ -48,7 +48,7 @@ func TestFractureRGBShape(t *testing.T) {
 		t.Fatal("generation failed")
 	}
 	p := problem(t, sh.Target)
-	res := Fracture(p, Options{})
+	res := Fracture(p, 0)
 	if res.Stats.Fail() > 10 {
 		t.Errorf("RGB: %+v", res.Stats)
 	}
@@ -84,24 +84,12 @@ func TestMergePassAligned(t *testing.T) {
 	}
 }
 
-func TestDropRedundant(t *testing.T) {
-	p := problem(t, geom.Polygon{geom.Pt(0, 0), geom.Pt(80, 0), geom.Pt(80, 80), geom.Pt(0, 80)})
-	shots := []geom.Rect{
-		{X0: -0.5, Y0: -0.5, X1: 80.5, Y1: 80.5}, // covers everything
-		{X0: 20, Y0: 20, X1: 60, Y1: 60},         // redundant
-	}
-	out := dropRedundant(p, shots)
-	if len(out) != 1 {
-		t.Errorf("redundant shot kept: %v", out)
-	}
-}
-
 func TestInitialShotsProduceLegalSizes(t *testing.T) {
 	p := problem(t, geom.Polygon{
 		geom.Pt(0, 0), geom.Pt(120, 0), geom.Pt(120, 50),
 		geom.Pt(50, 50), geom.Pt(50, 120), geom.Pt(0, 120),
 	})
-	shots := initialShots(p, Options{FractureGrid: 6, Bias: 1})
+	shots := initialShots(p)
 	if len(shots) == 0 {
 		t.Fatal("no initial shots")
 	}

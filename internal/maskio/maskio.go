@@ -16,6 +16,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"os"
 	"strconv"
 	"strings"
 
@@ -45,6 +46,32 @@ func WriteShapes(w io.Writer, shapes []NamedShape) error {
 		}
 	}
 	return bw.Flush()
+}
+
+// LoadShape opens the .msk file at path and returns the shape called
+// name, or the file's first shape when name is "".
+func LoadShape(path, name string) (NamedShape, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return NamedShape{}, err
+	}
+	defer f.Close()
+	shapes, err := ReadShapes(f)
+	if err != nil {
+		return NamedShape{}, fmt.Errorf("%s: %w", path, err)
+	}
+	if len(shapes) == 0 {
+		return NamedShape{}, fmt.Errorf("no shapes in %s", path)
+	}
+	if name == "" {
+		return shapes[0], nil
+	}
+	for _, s := range shapes {
+		if s.Name == name {
+			return s, nil
+		}
+	}
+	return NamedShape{}, fmt.Errorf("shape %q not found in %s", name, path)
 }
 
 // ReadShapes parses .msk-format shapes.

@@ -2,6 +2,8 @@ package maskio
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -34,6 +36,30 @@ func TestShapesRoundTrip(t *testing.T) {
 				t.Errorf("shape %d vertex %d: %v != %v", i, j, out[i].Polygon[j], in[i].Polygon[j])
 			}
 		}
+	}
+}
+
+func TestLoadShape(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "two.msk")
+	in := []NamedShape{
+		{Name: "square", Polygon: geom.Polygon{geom.Pt(0, 0), geom.Pt(10, 0), geom.Pt(10, 10), geom.Pt(0, 10)}},
+		{Name: "tri", Polygon: geom.Polygon{geom.Pt(0, 0), geom.Pt(5, 0), geom.Pt(2.5, 4.5)}},
+	}
+	var buf bytes.Buffer
+	if err := WriteShapes(&buf, in); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string]string{"": "square", "tri": "tri"} {
+		s, err := LoadShape(path, name)
+		if err != nil || s.Name != want {
+			t.Errorf("LoadShape(%q) = %q, %v; want %q", name, s.Name, err, want)
+		}
+	}
+	if _, err := LoadShape(path, "hex"); err == nil || !strings.Contains(err.Error(), path) {
+		t.Errorf("missing shape: err = %v, want one naming %s", err, path)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"container/list"
 	"context"
+	"errors"
 	"sort"
 	"sync"
 
@@ -128,48 +129,57 @@ func (c *Cache) Put(k Key, e *Entry) {
 // wait for its result (or their context). The boolean reports whether
 // the entry came from the cache or a concurrent computation rather than
 // this call's own compute. Errors are returned to every waiter and
-// never cached.
+// never cached, except that a waiter whose own ctx is live does not
+// inherit a leader's context error: it looks the key up again.
 func (c *Cache) Do(ctx context.Context, k Key, compute func() (*Entry, error)) (*Entry, bool, error) {
-	c.mu.Lock()
-	if e := c.getLocked(k); e != nil {
-		c.hits++
-		c.noteClassLocked(k, e)
-		c.mu.Unlock()
-		return e, true, nil
-	}
-	if fl, ok := c.flights[k]; ok {
-		c.mu.Unlock()
-		select {
-		case <-fl.done:
-		case <-ctx.Done():
-			return nil, false, ctx.Err()
-		}
-		if fl.err != nil {
-			return nil, false, fl.err
-		}
+	for {
 		c.mu.Lock()
-		c.hits++
-		c.coalesced++
-		c.noteClassLocked(k, fl.entry)
+		if e := c.getLocked(k); e != nil {
+			c.hits++
+			c.noteClassLocked(k, e)
+			c.mu.Unlock()
+			return e, true, nil
+		}
+		if fl, ok := c.flights[k]; ok {
+			c.mu.Unlock()
+			select {
+			case <-fl.done:
+			case <-ctx.Done():
+				return nil, false, ctx.Err()
+			}
+			if fl.err != nil {
+				// the flight is gone from the map, so the next lap finds
+				// the entry, joins a new flight or computes
+				if ctx.Err() == nil &&
+					(errors.Is(fl.err, context.Canceled) || errors.Is(fl.err, context.DeadlineExceeded)) {
+					continue
+				}
+				return nil, false, fl.err
+			}
+			c.mu.Lock()
+			c.hits++
+			c.coalesced++
+			c.noteClassLocked(k, fl.entry)
+			c.mu.Unlock()
+			return fl.entry, true, nil
+		}
+		fl := &flight{done: make(chan struct{})}
+		c.flights[k] = fl
+		c.misses++
 		c.mu.Unlock()
-		return fl.entry, true, nil
-	}
-	fl := &flight{done: make(chan struct{})}
-	c.flights[k] = fl
-	c.misses++
-	c.mu.Unlock()
 
-	e, err := compute()
-	fl.entry, fl.err = e, err
-	c.mu.Lock()
-	delete(c.flights, k)
-	if err == nil {
-		c.putLocked(k, e)
-		c.noteClassLocked(k, e)
+		e, err := compute()
+		fl.entry, fl.err = e, err
+		c.mu.Lock()
+		delete(c.flights, k)
+		if err == nil {
+			c.putLocked(k, e)
+			c.noteClassLocked(k, e)
+		}
+		c.mu.Unlock()
+		close(fl.done)
+		return e, false, err
 	}
-	c.mu.Unlock()
-	close(fl.done)
-	return e, false, err
 }
 
 // Stats returns a snapshot of the counters.

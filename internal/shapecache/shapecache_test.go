@@ -207,6 +207,67 @@ func TestCacheDoContextCancelledWaiter(t *testing.T) {
 	}
 }
 
+// doneProbe is a live context that reports the first call of Done: a
+// Do waiter calls it once it has joined an in-flight computation.
+type doneProbe struct {
+	context.Context
+	joined chan struct{}
+	once   sync.Once
+}
+
+func (p *doneProbe) Done() <-chan struct{} {
+	p.once.Do(func() { close(p.joined) })
+	return p.Context.Done()
+}
+
+// TestCacheDoLeaderCancelNotInherited: a waiter whose own context is
+// live does not inherit the context error of a leader that gave up; it
+// looks the key up again, computes the entry itself and succeeds.
+func TestCacheDoLeaderCancelNotInherited(t *testing.T) {
+	c := New(16)
+	k := Canonicalize(lShape()).KeyWith(nil)
+	leaderCtx, cancelLeader := context.WithCancel(context.Background())
+	started := make(chan struct{})
+	leaderErr := make(chan error, 1)
+	go func() {
+		_, _, err := c.Do(leaderCtx, k, func() (*Entry, error) {
+			close(started)
+			<-leaderCtx.Done()
+			return nil, leaderCtx.Err()
+		})
+		leaderErr <- err
+	}()
+	<-started
+
+	waiter := &doneProbe{Context: context.Background(), joined: make(chan struct{})}
+	type result struct {
+		e   *Entry
+		hit bool
+		err error
+	}
+	waiterDone := make(chan result, 1)
+	go func() {
+		e, hit, err := c.Do(waiter, k, func() (*Entry, error) { return &Entry{Bytes: 1}, nil })
+		waiterDone <- result{e, hit, err}
+	}()
+	<-waiter.joined
+	cancelLeader()
+
+	if err := <-leaderErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("leader err = %v, want context.Canceled", err)
+	}
+	r := <-waiterDone
+	if r.err != nil {
+		t.Fatalf("waiter inherited the leader's failure: %v", r.err)
+	}
+	if r.e == nil || r.hit {
+		t.Errorf("waiter got entry %v, hit %v; want its own computed entry", r.e, r.hit)
+	}
+	if c.Len() != 1 {
+		t.Errorf("cache holds %d entries, want the waiter's one", c.Len())
+	}
+}
+
 func TestCacheConcurrentMixedAccess(t *testing.T) {
 	c := New(8)
 	var wg sync.WaitGroup

@@ -52,7 +52,8 @@ func TestHistogramUnsortedAndInfBuckets(t *testing.T) {
 
 // TestExpositionGolden pins the full text exposition format: HELP/TYPE
 // headers, sorted families, escaped labels, histogram bucket/sum/count
-// lines.
+// lines, and the label sets of counter, gauge and histogram families in
+// sorted order.
 func TestExpositionGolden(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("frac_requests_total", "requests received")
@@ -67,11 +68,31 @@ func TestExpositionGolden(t *testing.T) {
 	h.Observe(0.5)
 	h.Observe(2)
 	r.GaugeFunc("frac_uptime_seconds", "uptime", func() float64 { return 12.5 })
+	// label sets registered out of label order: exposition sorts them
+	gv := r.GaugeVec("frac_workers", "workers by node and state", "node", "state")
+	gv.With("n1", "busy").Set(3)
+	gv.With("n0", "idle").Set(1)
+	hv := r.HistogramVec("frac_request_seconds", "latency by path", []float64{0.1, 1}, "path")
+	hv.With("/solve").Observe(0.5)
+	hv.With("/fracture").Observe(0.05)
+	hv.With("/fracture").Observe(2)
 
 	got := string(r.WritePrometheus(nil))
 	want := `# HELP frac_queue_depth queued shapes
 # TYPE frac_queue_depth gauge
 frac_queue_depth 2
+# HELP frac_request_seconds latency by path
+# TYPE frac_request_seconds histogram
+frac_request_seconds_bucket{path="/fracture",le="0.1"} 1
+frac_request_seconds_bucket{path="/fracture",le="1"} 1
+frac_request_seconds_bucket{path="/fracture",le="+Inf"} 2
+frac_request_seconds_sum{path="/fracture"} 2.05
+frac_request_seconds_count{path="/fracture"} 2
+frac_request_seconds_bucket{path="/solve",le="0.1"} 0
+frac_request_seconds_bucket{path="/solve",le="1"} 1
+frac_request_seconds_bucket{path="/solve",le="+Inf"} 1
+frac_request_seconds_sum{path="/solve"} 0.5
+frac_request_seconds_count{path="/solve"} 1
 # HELP frac_requests_total requests received
 # TYPE frac_requests_total counter
 frac_requests_total 3
@@ -89,6 +110,10 @@ frac_wait_seconds_bucket{le="1"} 2
 frac_wait_seconds_bucket{le="+Inf"} 3
 frac_wait_seconds_sum 2.55
 frac_wait_seconds_count 3
+# HELP frac_workers workers by node and state
+# TYPE frac_workers gauge
+frac_workers{node="n0",state="idle"} 1
+frac_workers{node="n1",state="busy"} 3
 `
 	if got != want {
 		t.Errorf("exposition mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -342,9 +341,4 @@ func fmtAttrs(attrs []Attr) string {
 	}
 	sb.WriteByte(']')
 	return sb.String()
-}
-
-// SortPhasesByTotal reorders phase stats heaviest-first.
-func SortPhasesByTotal(stats []PhaseStat) {
-	sort.SliceStable(stats, func(a, b int) bool { return stats[a].Total > stats[b].Total })
 }

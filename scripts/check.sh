@@ -59,6 +59,13 @@ go test -race -run 'TestStencilPlanE2E' ./internal/cluster
 echo "== go test -race loadgen soak smoke (3-node) =="
 go test -race -count=1 -run 'TestSoakSmoke' ./cmd/loadgen
 
+# the shape cache's single-flight Do: one compute per concurrent key,
+# errors never cached, a cancelled waiter returns its own ctx error,
+# and a live waiter does not inherit a cancelled leader's error —
+# repeated under the race detector
+echo "== go test -race shapecache Do =="
+go test -race -count=10 -run 'TestCacheDo' ./internal/shapecache
+
 # -short skips the multi-minute fracturing integration suites, which are
 # too slow under the race detector; the concurrency-heavy tests
 # (shapecache, fracserve, batch, cache, telemetry) all still run.
