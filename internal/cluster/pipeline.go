@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"maskfrac/internal/flight"
 	"maskfrac/internal/geom"
 	"maskfrac/internal/maskio"
 	"maskfrac/internal/shapecache"
@@ -98,41 +99,6 @@ type MaskResult struct {
 	Elapsed time.Duration
 }
 
-// classMemo caches completed class solves for the lifetime of one run,
-// so a class appearing in a million placements crosses the network
-// once.
-type classMemo struct {
-	mu sync.Mutex
-	m  map[shapecache.Key]*memoEntry
-}
-
-type memoEntry struct {
-	done chan struct{}
-	res  *ClassResult
-	err  error
-}
-
-// resolve returns the class result, computing it via fn exactly once
-// per key; concurrent and later callers wait on / reuse the first call.
-func (mc *classMemo) resolve(ctx context.Context, key shapecache.Key, fn func() (*ClassResult, error)) (*ClassResult, bool, error) {
-	mc.mu.Lock()
-	if e, ok := mc.m[key]; ok {
-		mc.mu.Unlock()
-		select {
-		case <-e.done:
-			return e.res, false, e.err
-		case <-ctx.Done():
-			return nil, false, ctx.Err()
-		}
-	}
-	e := &memoEntry{done: make(chan struct{})}
-	mc.m[key] = e
-	mc.mu.Unlock()
-	e.res, e.err = fn()
-	close(e.done)
-	return e.res, true, e.err
-}
-
 // RunPipeline streams lib's placements through the cluster and
 // reassembles results in deterministic walk order. The walker runs
 // incrementally — back-pressure from the reorder window pauses it, so
@@ -158,13 +124,16 @@ func RunPipeline(ctx context.Context, c *Client, lib *maskio.Library, cfg Pipeli
 	order := make(chan chan *PlacementResult, cfg.Window)
 
 	var (
-		memo     = classMemo{m: make(map[shapecache.Key]*memoEntry)}
 		firstErr error
 		errOnce  sync.Once
+		// the run's class memo: a class appearing in a million
+		// placements crosses the network once
+		memo   flight.Group[shapecache.Key, *ClassResult]
+		memoMu sync.Mutex
+		solved = make(map[shapecache.Key]*ClassResult)
 		// classPoly keeps one representative canonical polygon per class
 		// so the post-run multiplicity report can address the owning
 		// node's record (the server re-derives its key from the shape).
-		polyMu    sync.Mutex
 		classPoly = make(map[shapecache.Key]geom.Polygon)
 	)
 	fail := func(err error) {
@@ -208,14 +177,21 @@ func RunPipeline(ctx context.Context, c *Client, lib *maskio.Library, cfg Pipeli
 	for w := 0; w < cfg.Workers; w++ {
 		go func() {
 			for j := range jobs {
-				res, leader, err := memo.resolve(ctx, j.key, func() (*ClassResult, error) {
-					return c.SolveClass(ctx, j.key, j.can.Poly)
+				res, _, err := memo.Do(ctx, j.key, func() (*ClassResult, bool) {
+					memoMu.Lock()
+					defer memoMu.Unlock()
+					res, ok := solved[j.key]
+					return res, ok
+				}, func() (*ClassResult, error) {
+					res, err := c.SolveClass(ctx, j.key, j.can.Poly)
+					if err == nil {
+						memoMu.Lock()
+						solved[j.key] = res
+						classPoly[j.key] = j.can.Poly
+						memoMu.Unlock()
+					}
+					return res, err
 				})
-				if leader {
-					polyMu.Lock()
-					classPoly[j.key] = j.can.Poly
-					polyMu.Unlock()
-				}
 				if err != nil {
 					fail(fmt.Errorf("cluster: placement %d (%s): %w", j.pl.Seq, j.pl.Cell, err))
 					close(j.fut)

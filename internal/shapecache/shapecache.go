@@ -4,10 +4,10 @@ import (
 	"bytes"
 	"container/list"
 	"context"
-	"errors"
 	"sort"
 	"sync"
 
+	"maskfrac/internal/flight"
 	"maskfrac/internal/geom"
 )
 
@@ -65,7 +65,7 @@ type Cache struct {
 	maxEntry  int
 	entries   map[Key]*list.Element
 	order     *list.List // front = most recently used; values are *lruItem
-	flights   map[Key]*flight
+	flights   flight.Group[Key, *Entry]
 	classes   map[Key]*ClassStat // per-class usage, bounded to classCap
 	classCap  int
 	hits      uint64
@@ -80,13 +80,6 @@ type lruItem struct {
 	entry *Entry
 }
 
-// flight is an in-progress computation other goroutines can wait on.
-type flight struct {
-	done  chan struct{}
-	entry *Entry
-	err   error
-}
-
 // New returns a cache bounded to maxEntries stored solutions;
 // maxEntries <= 0 selects a default of 4096.
 func New(maxEntries int) *Cache {
@@ -97,7 +90,6 @@ func New(maxEntries int) *Cache {
 		maxEntry: maxEntries,
 		entries:  make(map[Key]*list.Element),
 		order:    list.New(),
-		flights:  make(map[Key]*flight),
 		classes:  make(map[Key]*ClassStat),
 		classCap: 4 * maxEntries,
 	}
@@ -132,54 +124,38 @@ func (c *Cache) Put(k Key, e *Entry) {
 // never cached, except that a waiter whose own ctx is live does not
 // inherit a leader's context error: it looks the key up again.
 func (c *Cache) Do(ctx context.Context, k Key, compute func() (*Entry, error)) (*Entry, bool, error) {
-	for {
+	hit := false
+	e, joined, err := c.flights.Do(ctx, k, func() (*Entry, bool) {
 		c.mu.Lock()
+		defer c.mu.Unlock()
 		if e := c.getLocked(k); e != nil {
+			hit = true
 			c.hits++
 			c.noteClassLocked(k, e)
-			c.mu.Unlock()
-			return e, true, nil
+			return e, true
 		}
-		if fl, ok := c.flights[k]; ok {
-			c.mu.Unlock()
-			select {
-			case <-fl.done:
-			case <-ctx.Done():
-				return nil, false, ctx.Err()
-			}
-			if fl.err != nil {
-				// the flight is gone from the map, so the next lap finds
-				// the entry, joins a new flight or computes
-				if ctx.Err() == nil &&
-					(errors.Is(fl.err, context.Canceled) || errors.Is(fl.err, context.DeadlineExceeded)) {
-					continue
-				}
-				return nil, false, fl.err
-			}
-			c.mu.Lock()
-			c.hits++
-			c.coalesced++
-			c.noteClassLocked(k, fl.entry)
-			c.mu.Unlock()
-			return fl.entry, true, nil
-		}
-		fl := &flight{done: make(chan struct{})}
-		c.flights[k] = fl
+		return nil, false
+	}, func() (*Entry, error) {
+		c.mu.Lock()
 		c.misses++
 		c.mu.Unlock()
-
 		e, err := compute()
-		fl.entry, fl.err = e, err
-		c.mu.Lock()
-		delete(c.flights, k)
 		if err == nil {
+			c.mu.Lock()
 			c.putLocked(k, e)
 			c.noteClassLocked(k, e)
+			c.mu.Unlock()
 		}
+		return e, err
+	})
+	if joined && err == nil {
+		c.mu.Lock()
+		c.hits++
+		c.coalesced++
+		c.noteClassLocked(k, e)
 		c.mu.Unlock()
-		close(fl.done)
-		return e, false, err
 	}
+	return e, hit || joined, err
 }
 
 // Stats returns a snapshot of the counters.
