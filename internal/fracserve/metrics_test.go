@@ -317,6 +317,33 @@ func TestE2EDrainLogging(t *testing.T) {
 	}
 }
 
+// TestE2ERouteLabels checks that the latency histogram labels each
+// request with the mux pattern that served it — a built-in endpoint, a
+// subtree, a handler mounted with Handle — and a path nothing serves
+// with "other".
+func TestE2ERouteLabels(t *testing.T) {
+	s := New(Config{Workers: 1})
+	s.Handle("/extra", http.HandlerFunc(func(http.ResponseWriter, *http.Request) {}))
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	if _, err := NewClient(ts.URL).Fracture(context.Background(), testShape(60), "proto-eda"); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{"/extra", "/debug/traces/0123", "/no/such/path"} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+	}
+	text := string(s.Metrics().WritePrometheus(nil))
+	for _, label := range []string{"/fracture", "/extra", "/debug/traces/", "other"} {
+		if got := metricValue(t, text, `fracd_request_duration_seconds_count{path="`+label+`"}`); got != "1" {
+			t.Errorf("requests labelled %q = %s, want 1", label, got)
+		}
+	}
+}
+
 // TestClientReusesConnections proves the client drains and closes
 // response bodies on every path: success, JSON error replies and
 // plain-status replies. If any path leaves a body undrained, the
