@@ -59,12 +59,16 @@ go test -race -run 'TestStencilPlanE2E' ./internal/cluster
 echo "== go test -race loadgen soak smoke (3-node) =="
 go test -race -count=1 -run 'TestSoakSmoke' ./cmd/loadgen
 
-# the shape cache's single-flight Do: one compute per concurrent key,
-# errors never cached, a cancelled waiter returns its own ctx error,
-# and a live waiter does not inherit a cancelled leader's error —
-# repeated under the race detector
-echo "== go test -race shapecache Do =="
+# the one single-flight group (internal/flight) and its three users:
+# one fn per key under a lookup that fn fills, errors never kept, a
+# cancelled joiner returns its own ctx error, a live joiner does not
+# inherit a cancelled leader's error, and a panicking leader releases
+# its joiners — the group's own tests, the shape cache's Do and the
+# cluster client's SolveClass, repeated under the race detector
+echo "== go test -race single-flight group (flight, shapecache Do, cluster) =="
+go test -race -count=10 ./internal/flight
 go test -race -count=10 -run 'TestCacheDo' ./internal/shapecache
+go test -race -count=10 -run 'TestSingleflight|TestClusterSingleflight' ./internal/cluster
 
 # -short skips the multi-minute fracturing integration suites, which are
 # too slow under the race detector; the concurrency-heavy tests
