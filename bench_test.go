@@ -570,10 +570,10 @@ func BenchmarkRefine(b *testing.B) {
 }
 
 // TestRefineSteadyStateZeroAlloc asserts the refinement inner loop —
-// DeltaCost scoring plus ApplyDelta commits — allocates nothing once
-// the evaluator's arena-backed scratch buffers are warm. Together with
-// the fracd_eval_arena_* counters this is the acceptance check that
-// the hot path stopped paying the allocator.
+// EdgeDeltas and DeltaCost scoring plus ApplyDelta commits — allocates
+// nothing once the evaluator's arena-backed scratch buffers are warm.
+// Together with the fracd_eval_arena_* counters this is the acceptance
+// check that the hot path stopped paying the allocator.
 func TestRefineSteadyStateZeroAlloc(t *testing.T) {
 	p, seed := refineBenchSetup(t)
 	e := cover.NewEval(p, seed)
@@ -584,16 +584,21 @@ func TestRefineSteadyStateZeroAlloc(t *testing.T) {
 		nr := e.Shots[i]
 		nr.X1 += pitch
 		e.DeltaCost(i, nr)
+		e.EdgeDeltas(i, geom.Right, pitch)
 	}
 	allocs := testing.AllocsPerRun(50, func() {
 		for i := range e.Shots {
-			grow := e.Shots[i]
-			grow.X1 += pitch
-			d := e.DeltaCost(i, grow)
-			e.ApplyDelta(i, grow, d)
+			// the ±Δp pair of every edge, each pair in one call
+			for _, s := range geom.Sides {
+				e.EdgeDeltas(i, s, pitch)
+			}
+			delta, legal := e.EdgeDeltas(i, geom.Right, pitch)
+			if legal[0] {
+				e.ApplyDelta(i, e.Shots[i].MoveEdge(geom.Right, pitch), delta[0])
+			}
 			shrink := e.Shots[i]
 			shrink.X1 -= pitch
-			d = e.DeltaCost(i, shrink)
+			d := e.DeltaCost(i, shrink)
 			e.ApplyDelta(i, shrink, d)
 		}
 	})

@@ -442,20 +442,16 @@ func isLive(c Class, v, rho, margin float64) bool {
 }
 
 // classCost returns the Eq. 5 contribution of a pixel of class c at
-// dose v.
+// dose v: rho−v for a Pon pixel below ρ, v−rho for a Poff pixel at or
+// above it, else 0. It takes no branch on the dose: negating a float
+// difference is exact, so classSign[c]·(v−rho) is rho−v for Pon and
+// v−rho for Poff, and the max keeps the failing side.
 func classCost(c Class, v, rho float64) float64 {
-	switch c {
-	case On:
-		if v < rho {
-			return rho - v
-		}
-	case Off:
-		if v >= rho {
-			return v - rho
-		}
-	}
-	return 0
+	return max(classSign[c]*(v-rho), 0)
 }
+
+// classSign is the sign of a failing pixel's dose excess, by class.
+var classSign = [...]float64{Off: 1, On: -1, Band: 0}
 
 // Process-wide evaluator effort counters, aggregated across every Eval
 // in the process; exported to /metrics by the fracturing service.
@@ -574,7 +570,7 @@ type Eval struct {
 // scratch is one goroutine's scan scratch.
 type scratch struct {
 	buf []float32 // the terms' 1D edge tables
-	row []float64 // one window row's dose change
+	row []float64 // two window rows' dose change, one per scored move
 }
 
 // A Scorer scores moves against its Eval's current state with scan
@@ -613,25 +609,67 @@ func (sc *Scorer) DeltaCost(i int, repl geom.Rect) float64 {
 	}
 	sc.evals++
 	terms, n := e.moveTerms(i, repl)
-	return sc.scoreTerms(terms[:n])
+	return sc.scoreTerms(terms[:n], geom.Rect{})[0]
+}
+
+// EdgeDeltas is Eval.EdgeDeltas, counted in the Scorer's counters.
+func (sc *Scorer) EdgeDeltas(i int, side geom.Side, d float64) (delta [2]float64, legal [2]bool) {
+	e := sc.e
+	r := e.Shots[i]
+	moves := [2]geom.Rect{r.MoveEdge(side, d), r.MoveEdge(side, -d)}
+	for k, nr := range moves {
+		legal[k] = e.LegalMove(i, nr)
+	}
+	if legal[0] && legal[1] && e.partner[i] < 0 && d != 0 {
+		sc.evals += 2
+		return sc.scoreTerms([]doseTerm{{moves[0], 1}, {r, -1}}, moves[1]), legal
+	}
+	for k, nr := range moves {
+		if legal[k] {
+			delta[k] = sc.DeltaCost(i, nr)
+		}
+	}
+	return delta, legal
 }
 
 // scoreTerms is the scoring pass of the strip scanner (see fill): it
-// returns the Eq. 5 cost change of the terms and counts the pixels it
-// scored. It reads the Eval without writing it, so Scorers of one Eval
-// may run it at once.
-func (sc *Scorer) scoreTerms(terms []doseTerm) float64 {
+// returns the Eq. 5 cost change of the terms in delta[0] and, unless
+// alt is the zero Rect, that of the second move alt in delta[1], and
+// counts the pixels it scored. It reads the Eval without writing it,
+// so Scorers of one Eval may run it at once.
+func (sc *Scorer) scoreTerms(terms []doseTerm, alt geom.Rect) [2]float64 {
 	e := sc.e
 	var s strips
-	e.fill(&s, terms, &sc.scr)
+	e.fill(&s, terms, alt, &sc.scr)
 	delta, px := e.score(&s, true, sc.scr.row)
 	if e.check {
-		if dense, _ := e.score(&s, false, sc.scr.row); math.Float64bits(dense) != math.Float64bits(delta) {
-			panic(fmt.Sprintf("cover: sparse score %v != dense score %v", delta, dense))
-		}
+		sc.checkScore(&s, terms, alt, delta)
 	}
 	sc.px += px
 	return delta
+}
+
+// checkScore is the cross-check of a sparse score: the scan's dense
+// score, and for a two-move scan each move's own one-move scan, must
+// give the same float64 bits. It refills the Scorer's tables.
+func (sc *Scorer) checkScore(s *strips, terms []doseTerm, alt geom.Rect, delta [2]float64) {
+	e := sc.e
+	dense, _ := e.score(s, false, sc.scr.row)
+	for m := 0; m < s.nm; m++ {
+		if math.Float64bits(dense[m]) != math.Float64bits(delta[m]) {
+			panic(fmt.Sprintf("cover: sparse score %v != dense score %v (move %d of %d)", delta[m], dense[m], m, s.nm))
+		}
+	}
+	if s.nm == 1 {
+		return
+	}
+	for m, lead := range [2]geom.Rect{terms[0].r, alt} {
+		var one strips
+		e.fill(&one, []doseTerm{{lead, terms[0].sign}, terms[1]}, geom.Rect{}, &sc.scr)
+		if got, _ := e.score(&one, true, sc.scr.row); math.Float64bits(got[0]) != math.Float64bits(delta[m]) {
+			panic(fmt.Sprintf("cover: two-move score %v != one-move score %v (move %d)", delta[m], got[0], m))
+		}
+	}
 }
 
 // Fold adds the Scorer's counters into its Eval's and the process-wide
@@ -918,12 +956,26 @@ func (e *Eval) DeltaCost(i int, repl geom.Rect) float64 {
 	return delta
 }
 
+// EdgeDeltas scores the ±d pair of moves of one shot edge — edge side
+// of shot i moved by +d and by −d — without modifying the evaluator.
+// delta[0] and delta[1] are the cost changes DeltaCost returns for the
+// +d and the −d move, bit for bit, and legal[k] reports whether
+// LegalMove accepts move k; a rejected move is not scored and its
+// delta is 0. When both moves are legal and shot i is unpaired, one
+// scan scores both (see fill); a paired arm, or an edge with one legal
+// direction, takes a one-move scan per legal move.
+func (e *Eval) EdgeDeltas(i int, side geom.Side, d float64) (delta [2]float64, legal [2]bool) {
+	delta, legal = e.own.EdgeDeltas(i, side, d)
+	e.own.Fold()
+	return delta, legal
+}
+
 // scoreOwn scores terms through the Eval's own Scorer and folds its
 // counters at once.
 func (e *Eval) scoreOwn(terms []doseTerm) float64 {
-	delta := e.own.scoreTerms(terms)
+	delta := e.own.scoreTerms(terms, geom.Rect{})
 	e.own.Fold()
-	return delta
+	return delta[0]
 }
 
 // moveTerms returns the dose terms of replacing shot i by repl: the new
@@ -965,17 +1017,20 @@ const skipSlack = 1e-9
 // Scorer.
 func (e *Eval) apply(terms []doseTerm) {
 	var s strips
-	e.fill(&s, terms, &e.own.scr)
+	e.fill(&s, terms, geom.Rect{}, &e.own.scr)
 	e.commit(&s)
 }
 
-// strips is one scan's pixel window and its per-term, per-component 1D
-// edge tables.
+// strips is one scan's pixel window and its per-slot, per-component 1D
+// edge tables. Slots 0 to nt−1 hold the terms of the scan's first
+// move; a second move of the same shot (nm = 2, nt = 2) shares every
+// term but the first, so its own first term sits in slot 2. Move m's
+// first term is in slot 2m, and slot 1 is the shared old rectangle.
 type strips struct {
 	wi0, wj0, nx, ny int
-	nt, nc           int
+	nt, nc, nm, ns   int // terms of a move, components, moves, table slots
 	ex, ey           [maxTerms][2][]float32
-	sw               [maxTerms][2]float64 // term sign × component weight
+	sw               [maxTerms][2]float64 // slot sign × component weight
 }
 
 // fill starts a scan of the evaluator's one strip scanner, behind every
@@ -991,8 +1046,19 @@ type strips struct {
 // contract makes each sample independent of the window it is filled
 // through.
 //
-// For every pixel the first two terms are summed within each Gaussian
-// component before the components are added, so a move adds
+// A scan may score two moves of one unpaired shot at once: alt, unless
+// it is the zero Rect, is a second replacement of the rectangle the
+// two-term move terms replaces (EdgeDeltas passes an edge's +d and −d
+// moves). Both moves share the old rectangle's tables and the
+// unchanged axis's table, filled once, and the window is the union of
+// the two moves' windows. That adds only exact zeros to either move:
+// beyond a move's own strip both of its rectangles' profiles clamp to
+// the same float32 values, so its two products cancel exactly, and
+// both the sparse and the dense pass skip a zero dose change. Each
+// move's score therefore has the float64 bits of its one-move scan.
+//
+// For every pixel a move's first two terms are summed within each
+// Gaussian component before the components are added, so a move adds
 // (a0−b0)+(a1−b1); further terms are added one at a time after them,
 // and a single term is paired with a zero-weight copy of itself. Under
 // the single-Gaussian model a one-term commit therefore writes
@@ -1001,62 +1067,53 @@ type strips struct {
 // Dose values exactly at ρ are common on an aligned grid; a reordered
 // sum could flip such a pixel's class and with it a solver decision.
 //
-// Scoring is sparse and exact. Each row gets an upper bound on its
-// |dI| from the x tables (see rowBound). When the bound is below the
-// live margin, only the row's live pixels are scored, each with the
-// products and sums of the dense pass in the same order. Any other
-// pixel of the row is either in the band, which the dense pass skips
-// too, or constrained and passing by more than the margin, so its dose
-// stays on the same side of ρ: rounding is monotone, and ρ is a
-// float64. Its Eq. 5 term is therefore exactly zero before and after
+// Scoring is sparse and exact. Each row gets an upper bound on each
+// move's |dI| from the x tables (see rowBound). When every bound is
+// below the live margin, only the row's live pixels are scored, each
+// with the products and sums of the dense pass in the same order. Any
+// other pixel of the row is either in the band, which the dense pass
+// skips too, or constrained and passing by more than the margin, so
+// its dose stays on the same side of ρ: rounding is monotone, and ρ is
+// a float64. Its Eq. 5 term is therefore exactly zero before and after
 // the move, and adding zero leaves the sum bit-identical. Rows with a
-// larger bound, and every commit, take the dense pass.
+// larger bound, and every commit, take the dense pass. Either way a
+// pixel's old products and old Eq. 5 term are computed once for both
+// moves.
 //
 // fill sets the scan window for terms and fills their edge tables,
 // held in scr, over it: O(W+H) float32 strip-kernel fills up front
 // make the area pass pure widening multiply-adds (float32 loads,
 // float64 accumulation).
-// The second term shares the first term's table on an axis where both
-// rectangles have the same edges, as a move's unchanged axis does; the
-// kernels are deterministic, so a shared table holds the very values a
-// second fill would.
-func (e *Eval) fill(s *strips, terms []doseTerm, scr *scratch) {
+// The old term and a second move's first term share the first term's
+// table on an axis where their rectangles have the same edges, as a
+// move's unchanged axis does; the kernels are deterministic, so a
+// shared table holds the very values a second fill would.
+func (e *Eval) fill(s *strips, terms []doseTerm, alt geom.Rect, scr *scratch) {
 	if len(terms) == 0 || len(terms) > maxTerms {
 		panic("cover: scan: need 1 to 4 terms")
 	}
 	g := e.P.Grid
 	model := e.P.Model
-	sup := model.Support()
-	nt := len(terms)
-
-	ubox := terms[0].r
-	for _, t := range terms[1:] {
-		ubox = ubox.Union(t.r)
-	}
-	ubox = ubox.Inset(-sup)
-	wi0, wj0 := g.PixelOf(geom.Pt(ubox.X0, ubox.Y0))
-	wi1, wj1 := g.PixelOf(geom.Pt(ubox.X1, ubox.Y1))
-	wi0, wj0 = g.ClampX(wi0), g.ClampY(wj0)
-	wi1, wj1 = g.ClampX(wi1), g.ClampY(wj1)
-	if nt == 2 && terms[0].sign == -terms[1].sign {
-		a, b := terms[0].r, terms[1].r
-		xLo, xHi, xChanged := changedInterval(b.X0, b.X1, a.X0, a.X1, sup)
-		yLo, yHi, yChanged := changedInterval(b.Y0, b.Y1, a.Y0, a.Y1, sup)
+	nt, nm := len(terms), 1
+	var slots [maxTerms]doseTerm
+	copy(slots[:], terms)
+	wi0, wj0, wi1, wj1 := e.window(terms)
+	if alt != (geom.Rect{}) {
+		if nt != 2 {
+			panic("cover: scan: a second move needs a two-term move")
+		}
+		nm = 2
+		slots[2] = doseTerm{alt, terms[0].sign}
+		// the second move's own window: the old rectangle against alt
+		ai0, aj0, ai1, aj1 := e.window(slots[1:3])
 		switch {
-		case xChanged && yChanged:
-			// general move: the whole union support box
-		case xChanged:
-			// vertical strip only
-			i0, _ := g.PixelOf(geom.Pt(xLo, 0))
-			i1, _ := g.PixelOf(geom.Pt(xHi, 0))
-			wi0, wi1 = max(g.ClampX(i0), wi0), min(g.ClampX(i1), wi1)
-		case yChanged:
-			// horizontal strip only
-			_, j0 := g.PixelOf(geom.Pt(0, yLo))
-			_, j1 := g.PixelOf(geom.Pt(0, yHi))
-			wj0, wj1 = max(g.ClampY(j0), wj0), min(g.ClampY(j1), wj1)
+		case ai1 < ai0 || aj1 < aj0:
+			// the second move changes no pixel of the grid
+		case wi1 < wi0 || wj1 < wj0:
+			wi0, wj0, wi1, wj1 = ai0, aj0, ai1, aj1
 		default:
-			wi1 = wi0 - 1 // identical rectangles: nothing changes
+			wi0, wj0 = min(wi0, ai0), min(wj0, aj0)
+			wi1, wj1 = max(wi1, ai1), max(wj1, aj1)
 		}
 	}
 	nx, ny := wi1-wi0+1, wj1-wj0+1
@@ -1064,25 +1121,30 @@ func (e *Eval) fill(s *strips, terms []doseTerm, scr *scratch) {
 		nx, ny = 0, 0
 	}
 	nc := model.Components()
-	*s = strips{wi0: wi0, wj0: wj0, nx: nx, ny: ny, nt: nt, nc: nc}
+	ns := max(nt, 2) + nm - 1
+	*s = strips{wi0: wi0, wj0: wj0, nx: nx, ny: ny, nt: nt, nc: nc, nm: nm, ns: ns}
 
-	need := nt * nc * (nx + ny)
+	need := ns * nc * (nx + ny)
 	if cap(scr.buf) < need {
+		// size the tables for the largest scan the grid allows at once,
+		// so a wider scan never regrows them through the arena
+		size := maxTerms * nc * (g.W + g.H)
 		if a := e.arena; a != nil {
 			a.putF32(scr.buf)
-			scr.buf = a.getF32(need)
+			scr.buf = a.getF32(size)
 		} else {
-			scr.buf = make([]float32, need)
+			scr.buf = make([]float32, size)
 		}
 	}
-	if cap(scr.row) < g.W {
-		scr.row = make([]float64, g.W)
+	if cap(scr.row) < 2*g.W {
+		scr.row = make([]float64, 2*g.W)
 	}
 	buf := scr.buf[:need]
-	for t, term := range terms {
+	for t, term := range slots[:nt+nm-1] {
 		r := term.r
-		sameX := t == 1 && r.X0 == terms[0].r.X0 && r.X1 == terms[0].r.X1
-		sameY := t == 1 && r.Y0 == terms[0].r.Y0 && r.Y1 == terms[0].r.Y1
+		shares := t == 1 || t == 2 && nm == 2
+		sameX := shares && r.X0 == terms[0].r.X0 && r.X1 == terms[0].r.X1
+		sameY := shares && r.Y0 == terms[0].r.Y0 && r.Y1 == terms[0].r.Y1
 		for c := 0; c < nc; c++ {
 			if sameX {
 				s.ex[t][c] = s.ex[0][c]
@@ -1104,23 +1166,63 @@ func (e *Eval) fill(s *strips, terms []doseTerm, scr *scratch) {
 	}
 }
 
-// rowWeights sets w[t][c] to term t's component-c factor for window row
+// window returns the inclusive pixel window of a scan of terms (empty
+// when wi1 < wi0 or wj1 < wj0): the terms' union support box, narrowed
+// for a two-term move to the strips around the edges that differ.
+func (e *Eval) window(terms []doseTerm) (wi0, wj0, wi1, wj1 int) {
+	g := e.P.Grid
+	sup := e.P.Model.Support()
+	ubox := terms[0].r
+	for _, t := range terms[1:] {
+		ubox = ubox.Union(t.r)
+	}
+	ubox = ubox.Inset(-sup)
+	wi0, wj0 = g.PixelOf(geom.Pt(ubox.X0, ubox.Y0))
+	wi1, wj1 = g.PixelOf(geom.Pt(ubox.X1, ubox.Y1))
+	wi0, wj0 = g.ClampX(wi0), g.ClampY(wj0)
+	wi1, wj1 = g.ClampX(wi1), g.ClampY(wj1)
+	if len(terms) != 2 || terms[0].sign != -terms[1].sign {
+		return wi0, wj0, wi1, wj1
+	}
+	a, b := terms[0].r, terms[1].r
+	xLo, xHi, xChanged := changedInterval(b.X0, b.X1, a.X0, a.X1, sup)
+	yLo, yHi, yChanged := changedInterval(b.Y0, b.Y1, a.Y0, a.Y1, sup)
+	switch {
+	case xChanged && yChanged:
+		// general move: the whole union support box
+	case xChanged:
+		// vertical strip only
+		i0, _ := g.PixelOf(geom.Pt(xLo, 0))
+		i1, _ := g.PixelOf(geom.Pt(xHi, 0))
+		wi0, wi1 = max(g.ClampX(i0), wi0), min(g.ClampX(i1), wi1)
+	case yChanged:
+		// horizontal strip only
+		_, j0 := g.PixelOf(geom.Pt(0, yLo))
+		_, j1 := g.PixelOf(geom.Pt(0, yHi))
+		wj0, wj1 = max(g.ClampY(j0), wj0), min(g.ClampY(j1), wj1)
+	default:
+		wi1 = wi0 - 1 // identical rectangles: nothing changes
+	}
+	return wi0, wj0, wi1, wj1
+}
+
+// rowWeights sets w[t][c] to slot t's component-c factor for window row
 // jo: its sign times the component weight times its y table entry.
 func (s *strips) rowWeights(jo int, w *[maxTerms][2]float64) {
-	for t := 0; t < max(s.nt, 2); t++ {
+	for t := 0; t < s.ns; t++ {
 		for c := 0; c < s.nc; c++ {
 			w[t][c] = s.sw[t][c] * float64(s.ey[t][c][jo])
 		}
 	}
 }
 
-// denseRow writes the summed dose change of every pixel of a window row
-// into row: one tight pass per component and extra term, the sums in
-// the order fill's doc comment gives.
-func (s *strips) denseRow(row []float64, w *[maxTerms][2]float64) {
+// denseRow writes move m's summed dose change of every pixel of a
+// window row into row: one tight pass per component and extra term,
+// the sums in the order fill's doc comment gives.
+func (s *strips) denseRow(m int, row []float64, w *[maxTerms][2]float64) {
 	for c := 0; c < s.nc; c++ {
-		a, b := s.ex[0][c][:len(row)], s.ex[1][c][:len(row)]
-		wa, wb := w[0][c], w[1][c]
+		a, b := s.ex[2*m][c][:len(row)], s.ex[1][c][:len(row)]
+		wa, wb := w[2*m][c], w[1][c]
 		if c == 0 {
 			for io := range row {
 				row[io] = float64(a[io])*wa + float64(b[io])*wb
@@ -1141,37 +1243,58 @@ func (s *strips) denseRow(row []float64, w *[maxTerms][2]float64) {
 	}
 }
 
-// pixelDI returns the dose change of window column io: denseRow's
-// products and sums for one pixel, in the same order.
-func (s *strips) pixelDI(io int, w *[maxTerms][2]float64) float64 {
-	dI := float64(s.ex[0][0][io])*w[0][0] + float64(s.ex[1][0][io])*w[1][0]
-	for c := 1; c < s.nc; c++ {
-		dI += float64(s.ex[0][c][io])*w[0][c] + float64(s.ex[1][c][io])*w[1][c]
+// pixelDIRest adds the second component and the further terms to the
+// first-component sums of score's live-bit walk, d0 and d1, for window
+// column io. (A model has one or two components.)
+func (s *strips) pixelDIRest(io int, w *[maxTerms][2]float64, d0, d1 float64) (float64, float64) {
+	if s.nc == 2 {
+		b := float64(s.ex[1][1][io]) * w[1][1]
+		d0 += float64(s.ex[0][1][io])*w[0][1] + b
+		if s.nm == 2 {
+			d1 += float64(s.ex[2][1][io])*w[2][1] + b
+		}
 	}
 	for t := 2; t < s.nt; t++ {
 		for c := 0; c < s.nc; c++ {
-			dI += float64(s.ex[t][c][io]) * w[t][c]
+			d0 += float64(s.ex[t][c][io]) * w[t][c]
 		}
 	}
-	return dI
+	return d0, d1
 }
 
-// rowBound holds the x-table maxima a row's bound on |dI| is built
-// from, each taken once over the window: per component max|a−b| and
-// max|b| of the first two terms' tables a and b, and max|x| of every
-// further term's table x.
+// rowBound holds the x-table maxima a row's bound on each move's |dI|
+// is built from, each taken once over the window: per component
+// max|a−b| of each move's first-term table a against the shared table
+// b, max|b|, and max|x| of every further term's table x.
 type rowBound struct {
-	ab, b [2]float64
-	x     [maxTerms][2]float64
+	ab [2][2]float64 // [move][component]
+	b  [2]float64
+	x  [maxTerms][2]float64
 }
 
-// bound returns the window's rowBound.
+// bound returns the window's rowBound. A maximum that of would only
+// multiply by an exact zero is left at zero: max|a−b| when a is b's
+// shared table, and max|b| when every move's first term shares the y
+// table of b with the opposite sign, so that wa+wb cancels on every
+// row.
 func (s *strips) bound() (rb rowBound) {
 	for c := 0; c < s.nc; c++ {
-		a, b := s.ex[0][c], s.ex[1][c][:len(s.ex[0][c])]
-		for io := range a {
-			rb.ab[c] = max(rb.ab[c], math.Abs(float64(a[io])-float64(b[io])))
-			rb.b[c] = max(rb.b[c], math.Abs(float64(b[io])))
+		b := s.ex[1][c]
+		cancels := true
+		for m := 0; m < s.nm; m++ {
+			a := s.ex[2*m][c][:len(b)]
+			cancels = cancels && sameTable(s.ey[2*m][c], s.ey[1][c]) && s.sw[2*m][c] == -s.sw[1][c]
+			if sameTable(a, b) {
+				continue
+			}
+			for io := range a {
+				rb.ab[m][c] = max(rb.ab[m][c], math.Abs(float64(a[io])-float64(b[io])))
+			}
+		}
+		if !cancels {
+			for _, v := range b {
+				rb.b[c] = max(rb.b[c], math.Abs(float64(v)))
+			}
 		}
 		for t := 2; t < s.nt; t++ {
 			for _, x := range s.ex[t][c] {
@@ -1182,15 +1305,21 @@ func (s *strips) bound() (rb rowBound) {
 	return rb
 }
 
-// of returns the bound on |dI| over a row with weights w. Per component
-// a·wa + b·wb = (a−b)·wa + b·(wa+wb), so the first two terms contribute
-// at most max|a−b|·|wa| + max|b|·|wa+wb|, and each further term at most
-// max|x|·|w|. A move's unchanged axis makes one of the two parts
-// vanish: a−b on a horizontal strip, wa+wb on a vertical one.
-func (rb *rowBound) of(s *strips, w *[maxTerms][2]float64) float64 {
+// sameTable reports whether two edge tables are one shared table.
+func sameTable(a, b []float32) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
+// of returns the bound on move m's |dI| over a row with weights w. Per
+// component a·wa + b·wb = (a−b)·wa + b·(wa+wb), so the first two terms
+// contribute at most max|a−b|·|wa| + max|b|·|wa+wb|, and each further
+// term at most max|x|·|w|. A move's unchanged axis makes one of the
+// two parts vanish: a−b on a horizontal strip, wa+wb on a vertical one.
+func (rb *rowBound) of(s *strips, m int, w *[maxTerms][2]float64) float64 {
 	u := 0.0
 	for c := 0; c < s.nc; c++ {
-		u += rb.ab[c]*math.Abs(w[0][c]) + rb.b[c]*math.Abs(w[0][c]+w[1][c])
+		wa := w[2*m][c]
+		u += rb.ab[m][c]*math.Abs(wa) + rb.b[c]*math.Abs(wa+w[1][c])
 		for t := 2; t < s.nt; t++ {
 			u += rb.x[t][c] * math.Abs(w[t][c])
 		}
@@ -1198,28 +1327,90 @@ func (rb *rowBound) of(s *strips, w *[maxTerms][2]float64) float64 {
 	return u
 }
 
-// score returns the Eq. 5 cost change of the scan's dose change and the
-// number of pixels whose cost term it evaluated, using row as the dense
-// rows' scratch. With sparse set, a row whose bound is below the live
-// margin walks only its live bits (see fill); every other row is scored
-// densely, skipping the band.
-func (e *Eval) score(s *strips, sparse bool, row []float64) (delta float64, px int64) {
+// window returns a bound on move m's |dI| over every row of the
+// window: of's sum with each weight factor replaced by its maximum
+// over the rows, taken from the y tables. Products and sums of
+// non-negative terms round monotonically, so it is at least of's value
+// on every row; when it is below the live margin, every row is sparse.
+func (rb *rowBound) window(s *strips, m int) float64 {
+	a := 2 * m
+	u := 0.0
+	for c := 0; c < s.nc; c++ {
+		wa, wab := 0.0, 0.0
+		ya := s.ey[a][c]
+		switch {
+		case rb.b[c] != 0:
+			yb := s.ey[1][c][:len(ya)]
+			for jo := range ya {
+				x := s.sw[a][c] * float64(ya[jo])
+				wa = max(wa, math.Abs(x))
+				wab = max(wab, math.Abs(x+s.sw[1][c]*float64(yb[jo])))
+			}
+		case rb.ab[m][c] != 0:
+			wa = math.Abs(s.sw[a][c]) * maxAbs(ya)
+		}
+		u += rb.ab[m][c]*wa + rb.b[c]*wab
+		for t := 2; t < s.nt; t++ {
+			u += rb.x[t][c] * (math.Abs(s.sw[t][c]) * maxAbs(s.ey[t][c]))
+		}
+	}
+	return u
+}
+
+// maxAbs returns the largest magnitude in an edge table; |w·y| is
+// |w|·|y| exactly, so |w|·maxAbs(t) is the largest |w·y| over t. The
+// bits of non-negative floats order as their values do.
+func maxAbs(t []float32) float64 {
+	var m uint32
+	for _, y := range t {
+		m = max(m, math.Float32bits(y)&^(1<<31))
+	}
+	return float64(math.Float32frombits(m))
+}
+
+// score returns the Eq. 5 cost change of each of the scan's moves and
+// the number of pixel terms it evaluated, one per pixel per move, using
+// rows as the dense rows' scratch, one row per move. With sparse set,
+// a row whose bound is below the live margin for every move walks only
+// its live bits (see fill); every other row is scored densely,
+// skipping the band. When the window's bound (rowBound.window) is
+// below the margin for every move, every row is sparse without a row
+// bound, and a row takes its weights only once it finds a live bit.
+func (e *Eval) score(s *strips, sparse bool, rows []float64) (delta [2]float64, px int64) {
+	var d0, d1 float64
 	p := e.P
 	g := p.Grid
 	rho := p.Params.Rho
+	reach := p.liveMargin - skipSlack
+	nm := s.nm
 	var rb rowBound
+	allSparse := false
 	if sparse {
 		rb = s.bound()
+		allSparse = true
+		for m := 0; m < nm && allSparse; m++ {
+			allSparse = rb.window(s, m) < reach
+		}
 	}
-	reach := p.liveMargin - skipSlack
-	row = row[:s.nx]
+	// a live pixel's dose change per move sums denseRow's products in
+	// its order: the first component here, each component's shared
+	// slot-1 product taken once for both moves, the rest in pixelDIRest
+	a0, b0, a1 := s.ex[0][0], s.ex[1][0], s.ex[2*nm-2][0]
+	rest := s.nc == 2 || s.nt > 2
 	var w [maxTerms][2]float64
 	for jo := 0; jo < s.ny; jo++ {
-		s.rowWeights(jo, &w)
 		base := (s.wj0+jo)*g.W + s.wi0
 		class := p.Class[base : base+s.nx]
 		dose := e.Dose.V[base : base+s.nx]
-		if sparse && rb.of(s, &w) < reach {
+		weighed, live := !allSparse, allSparse
+		if weighed {
+			s.rowWeights(jo, &w)
+			live = sparse
+			for m := 0; m < nm && live; m++ {
+				live = rb.of(s, m, &w) < reach
+			}
+		}
+		if live {
 			end := base + s.nx
 			for wd := base >> 6; wd<<6 < end; wd++ {
 				word := e.live[wd]
@@ -1230,34 +1421,69 @@ func (e *Eval) score(s *strips, sparse bool, row []float64) (delta float64, px i
 					word &= ^uint64(0) >> (64 - end&63)
 				}
 				for word != 0 {
+					if !weighed {
+						s.rowWeights(jo, &w)
+						weighed = true
+					}
 					io := wd<<6 + bits.TrailingZeros64(word) - base
 					word &= word - 1
-					px++
-					if dI := s.pixelDI(io, &w); dI != 0 {
-						cls, v := class[io], dose[io]
-						delta += classCost(cls, v+dI, rho) - classCost(cls, v, rho)
+					px += int64(nm)
+					ob := float64(b0[io]) * w[1][0]
+					dI0, dI1 := float64(a0[io])*w[0][0]+ob, 0.0
+					if nm == 2 {
+						dI1 = float64(a1[io])*w[2][0] + ob
+					}
+					if rest {
+						dI0, dI1 = s.pixelDIRest(io, &w, dI0, dI1)
+					}
+					if dI0 != 0 || dI1 != 0 {
+						d0, d1 = pixelDelta(class[io], dose[io], rho, dI0, dI1, d0, d1)
 					}
 				}
 			}
 			continue
 		}
-		s.denseRow(row, &w)
-		px += int64(s.nx)
-		for io, dI := range row {
-			cls := class[io]
-			if dI == 0 || cls == Band {
-				continue
+		if !weighed {
+			s.rowWeights(jo, &w)
+		}
+		row0, row1 := rows[:s.nx], rows[s.nx:2*s.nx]
+		s.denseRow(0, row0, &w)
+		if nm == 2 {
+			s.denseRow(1, row1, &w)
+		} else {
+			clear(row1)
+		}
+		px += int64(nm * s.nx)
+		for io, cls := range class {
+			if dI0, dI1 := row0[io], row1[io]; cls != Band && (dI0 != 0 || dI1 != 0) {
+				d0, d1 = pixelDelta(cls, dose[io], rho, dI0, dI1, d0, d1)
 			}
-			v := dose[io]
-			delta += classCost(cls, v+dI, rho) - classCost(cls, v, rho)
 		}
 	}
-	return delta, px
+	return [2]float64{d0, d1}, px
+}
+
+// pixelDelta adds to d0 and d1 the Eq. 5 change of a pixel of class cls
+// at dose v under each move's nonzero dose change; a zero change adds
+// nothing, so d1 stays as it is in a one-move scan. The old term is
+// taken once.
+func pixelDelta(cls Class, v, rho, dI0, dI1, d0, d1 float64) (float64, float64) {
+	old := classCost(cls, v, rho)
+	if dI0 != 0 {
+		d0 += classCost(cls, v+dI0, rho) - old
+	}
+	if dI1 != 0 {
+		d1 += classCost(cls, v+dI1, rho) - old
+	}
+	return d0, d1
 }
 
 // commit writes the scan's dose change into the dose field and, per
 // constrained pixel, retires the old cost term and fail bit and
 // restores them against the new dose, then sets the live bit from it.
+// A pixel that is live neither before nor after the change fails
+// neither time (a failing pixel is live), so it keeps its bits and
+// adds no cost term, and only its dose is written.
 func (e *Eval) commit(s *strips) {
 	p := e.P
 	g := p.Grid
@@ -1266,7 +1492,7 @@ func (e *Eval) commit(s *strips) {
 	var w [maxTerms][2]float64
 	for jo := 0; jo < s.ny; jo++ {
 		s.rowWeights(jo, &w)
-		s.denseRow(row, &w)
+		s.denseRow(0, row, &w)
 		base := (s.wj0+jo)*g.W + s.wi0
 		class := p.Class[base : base+s.nx]
 		dose := e.Dose.V[base : base+s.nx]
@@ -1278,6 +1504,9 @@ func (e *Eval) commit(s *strips) {
 			v := dose[io]
 			nv := v + dI
 			dose[io] = nv
+			if e.live[k>>6]&(1<<(k&63)) == 0 && !isLive(class[io], nv, rho, margin) {
+				continue
+			}
 			switch class[io] {
 			case On:
 				if e.failOn.Bits[k] {

@@ -143,9 +143,10 @@ func TestDeltaCostSparseMatchesDense(t *testing.T) {
 			compare := func(e *Eval, terms []doseTerm, what string) (float64, bool) {
 				t.Helper()
 				var s strips
-				e.fill(&s, terms, &e.own.scr)
-				sparse, pxSparse := e.score(&s, true, e.own.scr.row)
-				dense, pxDense := e.score(&s, false, e.own.scr.row)
+				e.fill(&s, terms, geom.Rect{}, &e.own.scr)
+				sparse2, pxSparse := e.score(&s, true, e.own.scr.row)
+				dense2, pxDense := e.score(&s, false, e.own.scr.row)
+				sparse, dense := sparse2[0], dense2[0]
 				if math.Float64bits(sparse) != math.Float64bits(dense) {
 					t.Fatalf("%s: sparse score %v (%#x) != dense %v (%#x)",
 						what, sparse, math.Float64bits(sparse), dense, math.Float64bits(dense))
@@ -283,6 +284,209 @@ func TestScorersConcurrent(t *testing.T) {
 					if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
 						t.Fatalf("seq %d move %d (shot %d, partner %d): scorer %v != DeltaCost %v",
 							seq, k, m.i, e.Partner(m.i), got[k], want[k])
+					}
+				}
+				if e.Evals-evals1 != evals1-evals0 || e.PixelsScored-px1 != px1-px0 {
+					t.Fatalf("seq %d: scorers folded %d evals and %d pixels, sequential run %d and %d",
+						seq, e.Evals-evals1, e.PixelsScored-px1, evals1-evals0, px1-px0)
+				}
+				e.Close()
+			}
+		})
+	}
+}
+
+// edgeConfig builds a random configuration for the ±d edge scoring
+// tests: randShots random shots, a shot exactly Lmin wide and one
+// exactly Lmin tall (so shrinking them is illegal and only one
+// direction of such an edge scores), and an L-shot pair whose arms
+// stay L-shaped under most moves of up to three pitches.
+func edgeConfig(rng *rand.Rand, p *Problem, side float64, randShots int) *Eval {
+	lmin, pitch := p.Params.Lmin, p.Params.Pitch
+	var shots []geom.Rect
+	for range randShots {
+		shots = append(shots, randShot(rng, p, side))
+	}
+	x, y := rng.Float64()*side/2, rng.Float64()*side/2
+	shots = append(shots,
+		geom.Rect{X0: x, Y0: y, X1: x + lmin, Y1: y + lmin + rng.Float64()*side/2},
+		geom.Rect{X0: y, Y0: x, X1: y + lmin + rng.Float64()*side/2, Y1: x + lmin})
+	// the L: a horizontal arm and a vertical arm sharing the corner
+	// square at (x, y), each arm thicker than Lmin by more than 3 pitches
+	x, y = -5+rng.Float64()*side/2, -5+rng.Float64()*side/2
+	th := lmin + 4*pitch + rng.Float64()*4
+	w, h := th+4*pitch+rng.Float64()*side/2, th+4*pitch+rng.Float64()*side/2
+	shots = append(shots, geom.Rect{X0: x, Y0: y, X1: x + w, Y1: y + th}, geom.Rect{X0: x, Y0: y, X1: x + th, Y1: y + h})
+	e := NewEval(p, shots)
+	e.Pair(len(shots)-2, len(shots)-1)
+	return e
+}
+
+// TestEdgeDeltasMatchDeltaCost checks the two-move score: on random
+// configurations with an L-shot pair and shots at Lmin, under both
+// proximity models, for every shot, every side and d of 1–3 pitches,
+// EdgeDeltas must report each move's LegalMove result and return the
+// float64 bits of a DeltaCost call per legal move, counting one Eval
+// per legal move. Each unpaired shot's two-move scan must score the
+// same bits sparsely as densely; paired arms and edges with one legal
+// direction take the one-move path. Scored moves are committed now and
+// then, so the live bitmap is the commit pass's.
+func TestEdgeDeltasMatchDeltaCost(t *testing.T) {
+	const side = 60.0
+	for name, params := range propParams() {
+		t.Run(name, func(t *testing.T) {
+			p, err := NewProblem(square(side), params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pitch := p.Params.Pitch
+			var twoMove, oneLegal, paired, fellBack int
+			for seq := 0; seq < 8; seq++ {
+				rng := rand.New(rand.NewSource(int64(9500 + seq)))
+				e := edgeConfig(rng, p, side, 4)
+				e.SetCrossCheck(false)
+				for i := range e.Shots {
+					for _, s := range geom.Sides {
+						for steps := 1; steps <= 3; steps++ {
+							d := float64(steps) * pitch
+							what := fmt.Sprintf("seq %d shot %d side %v d %g", seq, i, s, d)
+							r := e.Shots[i]
+							moves := [2]geom.Rect{r.MoveEdge(s, d), r.MoveEdge(s, -d)}
+							evals := e.Evals
+							delta, legal := e.EdgeDeltas(i, s, d)
+							nLegal := 0
+							for k, nr := range moves {
+								if want := e.LegalMove(i, nr); legal[k] != want {
+									t.Fatalf("%s: move %d legal %v, LegalMove says %v", what, k, legal[k], want)
+								}
+								want := 0.0
+								if legal[k] {
+									nLegal++
+									want = e.DeltaCost(i, nr)
+								}
+								if math.Float64bits(delta[k]) != math.Float64bits(want) {
+									t.Fatalf("%s: move %d: EdgeDeltas %v (%#x) != DeltaCost %v (%#x)",
+										what, k, delta[k], math.Float64bits(delta[k]), want, math.Float64bits(want))
+								}
+							}
+							if got := e.Evals - evals - nLegal; got != nLegal {
+								t.Fatalf("%s: EdgeDeltas counted %d evals for %d legal moves", what, got, nLegal)
+							}
+							switch {
+							case e.Partner(i) >= 0:
+								if nLegal > 0 {
+									paired++
+								}
+								continue
+							case nLegal == 1:
+								oneLegal++
+								continue
+							case nLegal == 0:
+								continue
+							}
+							twoMove++
+							var sc strips
+							e.fill(&sc, []doseTerm{{moves[0], 1}, {r, -1}}, moves[1], &e.own.scr)
+							sparse, pxSparse := e.score(&sc, true, e.own.scr.row)
+							dense, _ := e.score(&sc, false, e.own.scr.row)
+							var live int64
+							for jo := 0; jo < sc.ny; jo++ {
+								for io := 0; io < sc.nx; io++ {
+									k := (sc.wj0+jo)*p.Grid.W + sc.wi0 + io
+									live += int64(e.live[k>>6] >> (k & 63) & 1)
+								}
+							}
+							if pxSparse > 2*live {
+								if steps == 1 {
+									t.Fatalf("%s: a one-pitch two-move scan scored a row densely", what)
+								}
+								fellBack++
+							}
+							for k := range moves {
+								if math.Float64bits(sparse[k]) != math.Float64bits(dense[k]) ||
+									math.Float64bits(sparse[k]) != math.Float64bits(delta[k]) {
+									t.Fatalf("%s: move %d: two-move scan sparse %v, dense %v, EdgeDeltas %v",
+										what, k, sparse[k], dense[k], delta[k])
+								}
+							}
+							if k := rng.Intn(2); rng.Intn(6) == 0 {
+								e.ApplyDelta(i, moves[k], delta[k])
+							}
+						}
+					}
+				}
+				checkBitmaps(t, e, name)
+				e.Close()
+			}
+			if twoMove == 0 || oneLegal == 0 || paired == 0 || fellBack == 0 {
+				t.Fatalf("two-move scans %d (with a dense row %d), one-legal edges %d, paired arms %d: want all > 0",
+					twoMove, fellBack, oneLegal, paired)
+			}
+			t.Logf("%d two-move scans (%d with a dense row), %d edges with one legal move, %d paired-arm edges",
+				twoMove, fellBack, oneLegal, paired)
+		})
+	}
+}
+
+// TestScorersConcurrentEdgeDeltas scores random ±d edge pairs of paired
+// and unpaired shots from several goroutines at once, each through its
+// own Scorer against one Eval, and checks every pair's bits and legal
+// flags equal Eval.EdgeDeltas and the folded Evals and PixelsScored
+// equal the sequential run's.
+func TestScorersConcurrentEdgeDeltas(t *testing.T) {
+	const side, goroutines = 60.0, 4
+	for name, params := range propParams() {
+		t.Run(name, func(t *testing.T) {
+			p, err := NewProblem(square(side), params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pitch := p.Params.Pitch
+			for seq := 0; seq < 4; seq++ {
+				rng := rand.New(rand.NewSource(int64(7300 + seq)))
+				e := edgeConfig(rng, p, side, 4)
+				type unit struct {
+					i int
+					s geom.Side
+					d float64
+				}
+				var units []unit
+				for range 120 {
+					units = append(units, unit{rng.Intn(len(e.Shots)), geom.Sides[rng.Intn(4)], float64(1+rng.Intn(3)) * pitch})
+				}
+				type pair struct {
+					delta [2]float64
+					legal [2]bool
+				}
+				want := make([]pair, len(units))
+				evals0, px0 := e.Evals, e.PixelsScored
+				for k, u := range units {
+					want[k].delta, want[k].legal = e.EdgeDeltas(u.i, u.s, u.d)
+				}
+				evals1, px1 := e.Evals, e.PixelsScored
+
+				got := make([]pair, len(units))
+				scorers := e.Scorers(goroutines)
+				var wg sync.WaitGroup
+				for g, sc := range scorers {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						for k := g; k < len(units); k += goroutines {
+							got[k].delta, got[k].legal = sc.EdgeDeltas(units[k].i, units[k].s, units[k].d)
+						}
+					}()
+				}
+				wg.Wait()
+				for _, sc := range scorers {
+					sc.Fold()
+				}
+				for k, u := range units {
+					w, g := want[k], got[k]
+					if g.legal != w.legal || math.Float64bits(g.delta[0]) != math.Float64bits(w.delta[0]) ||
+						math.Float64bits(g.delta[1]) != math.Float64bits(w.delta[1]) {
+						t.Fatalf("seq %d unit %d (shot %d, partner %d, side %v, d %g): scorer %+v != EdgeDeltas %+v",
+							seq, k, u.i, e.Partner(u.i), u.s, u.d, g, w)
 					}
 				}
 				if e.Evals-evals1 != evals1-evals0 || e.PixelsScored-px1 != px1-px0 {

@@ -304,26 +304,45 @@ func (c *component) applyProfile32(dst []float32, t0, pitch float64, i0 int, e f
 	hi := min(max(mHi-i0+1, lo), n)
 
 	lut := c.lut32
-	// constant prefix/suffix plus the few clamp-boundary samples
-	for i := 0; i < lo; i++ {
-		applySample32(dst, lut, i, t0, pitch, i0, e, s3, step, sign)
+	// Every rounding step of u is monotone, so u is non-decreasing in
+	// the sample index and the clamped samples form a run below the
+	// ramp (u ≤ 0, profile 0) and a run above it (u ≥ lutCells,
+	// profile 1). Only the few samples between a run and the ramp take
+	// the full formula; the runs are constant fills.
+	z := lo
+	for z > 0 && sampleU(t0, pitch, i0, z-1, e, s3, step) > 0 {
+		z--
+		applySample32(dst, lut, z, t0, pitch, i0, e, s3, step, sign)
 	}
-	for i := hi; i < n; i++ {
-		applySample32(dst, lut, i, t0, pitch, i0, e, s3, step, sign)
+	o := hi
+	for o < n && sampleU(t0, pitch, i0, o, e, s3, step) < lutCells {
+		applySample32(dst, lut, o, t0, pitch, i0, e, s3, step, sign)
+		o++
+	}
+	if sign > 0 {
+		clear(dst[:z])
+		for i := o; i < n; i++ {
+			dst[i] = 1
+		}
+	} else {
+		// subtracting 0 below the ramp leaves those samples as they are
+		for i := o; i < n; i++ {
+			dst[i] -= 1
+		}
 	}
 	// the ramp: branch-free interpolation, k ∈ [0, lutCells−1] by the
 	// margin above so only the slice bounds checks remain
 	ramp := dst[lo:hi]
 	if sign > 0 {
 		for i := range ramp {
-			u := (t0 + (float64(i0+lo+i)+0.5)*pitch - e + s3) / step
+			u := sampleU(t0, pitch, i0, lo+i, e, s3, step)
 			k := int(u)
 			f := float32(u - float64(k))
 			ramp[i] = lut[k] + f*(lut[k+1]-lut[k])
 		}
 	} else {
 		for i := range ramp {
-			u := (t0 + (float64(i0+lo+i)+0.5)*pitch - e + s3) / step
+			u := sampleU(t0, pitch, i0, lo+i, e, s3, step)
 			k := int(u)
 			f := float32(u - float64(k))
 			ramp[i] -= lut[k] + f*(lut[k+1]-lut[k])
@@ -331,12 +350,19 @@ func (c *component) applyProfile32(dst []float32, t0, pitch float64, i0 int, e f
 	}
 }
 
-// applySample32 handles one clamp-region sample of applyProfile32 with
-// the full branchy profile evaluation; it computes the identical
-// formula as the ramp loop when u happens to land in range, so segment
-// boundaries never change a sample's value.
+// sampleU returns the LUT coordinate of strip sample i: the one
+// expression behind every sample of applyProfile32.
+func sampleU(t0, pitch float64, i0, i int, e, s3, step float64) float64 {
+	return (t0 + (float64(i0+i)+0.5)*pitch - e + s3) / step
+}
+
+// applySample32 evaluates one sample of applyProfile32 with the full
+// branchy profile formula, clamps included; it computes the identical
+// formula as the ramp loop when u lands in range, and the constant
+// runs' values when it does not, so segment boundaries never change a
+// sample's value.
 func applySample32(dst []float32, lut []float32, i int, t0, pitch float64, i0 int, e, s3, step float64, sign int) {
-	u := (t0 + (float64(i0+i)+0.5)*pitch - e + s3) / step
+	u := sampleU(t0, pitch, i0, i, e, s3, step)
 	var v float32
 	switch {
 	case u <= 0:

@@ -94,3 +94,91 @@ func TestSetProfileCheck(t *testing.T) {
 		t.Fatal("SetProfileCheck(false) did not stick")
 	}
 }
+
+// TestEdgeProfiles32MatchesPerSampleFormula pins the kernel's segment
+// split bit for bit: every sample of EdgeProfiles32 must equal the full
+// per-sample formula (applySample32 on both edges), whether it falls in
+// a constant run, between a run and the ramp, or in the ramp. Besides
+// random strips of both models it places strips wholly before and
+// wholly after both edges, edges on a sample centre, edges that put a
+// sample exactly on a clamp boundary (u = 0 or u = lutCells) or just
+// inside one (0 < u < 1 or lutCells−1 < u < lutCells), and windows
+// whose ramp runs off either end, so lo and hi hit 0 and n.
+func TestEdgeProfiles32MatchesPerSampleFormula(t *testing.T) {
+	models := map[string]*Model{
+		"single": NewModel(6.25),
+		"double": NewDoubleGaussian(10, 120, 0.5),
+	}
+	for name, m := range models {
+		t.Run(name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(20))
+			var inRun, nearRun, onClamp int
+			for seq := 0; seq < 3000; seq++ {
+				c := rng.Intn(m.Components())
+				comp := &m.comps[c]
+				s3, step := 3*comp.sigma, comp.step
+				t0 := (rng.Float64() - 0.5) * 200
+				pitch := []float64{1, 0.5, 2, 0.25 + rng.Float64()*2*comp.sigma}[rng.Intn(4)]
+				i0 := rng.Intn(64) - 32
+				n := 1 + rng.Intn(300)
+				center := func(i int) float64 { return t0 + (float64(i0+i)+0.5)*pitch }
+				// an edge placed relative to sample k (which may lie
+				// outside the strip): random, on its centre, with u = 0
+				// or u = lutCells there, or within one LUT cell of either
+				edge := func() float64 {
+					k := rng.Intn(n+40) - 20
+					switch rng.Intn(7) {
+					case 0:
+						return center(k)
+					case 1:
+						return center(k) + s3
+					case 2:
+						return center(k) - s3
+					case 3:
+						return center(k) + s3 - rng.Float64()*step
+					case 4:
+						return center(k) - s3 + rng.Float64()*step
+					case 5: // wholly beyond the strip on one side
+						return center([]int{-1, n}[rng.Intn(2)]) + float64(1-2*rng.Intn(2))*(s3+rng.Float64()*50)
+					}
+					return t0 + (rng.Float64()*float64(n+20)-10)*pitch
+				}
+				a, b := edge(), edge()
+				if a > b {
+					a, b = b, a
+				}
+				got := make([]float32, n)
+				want := make([]float32, n)
+				m.EdgeProfiles32(got, c, t0, pitch, i0, a, b)
+				for i := range want {
+					applySample32(want, comp.lut32, i, t0, pitch, i0, a, s3, step, +1)
+					applySample32(want, comp.lut32, i, t0, pitch, i0, b, s3, step, -1)
+					for _, e := range [2]float64{a, b} {
+						switch u := sampleU(t0, pitch, i0, i, e, s3, step); {
+						case u == 0 || u == lutCells:
+							onClamp++
+						case u < 0 || u > lutCells:
+							inRun++
+						case u < 1 || u > lutCells-1:
+							nearRun++
+						}
+					}
+				}
+				for i := range want {
+					if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+						t.Fatalf("seq %d: component %d (σ=%g) strip t0=%g pitch=%g i0=%d n=%d edges (%g,%g): "+
+							"pixel %d: kernel %v (%#x), per-sample formula %v (%#x)",
+							seq, c, comp.sigma, t0, pitch, i0, n, a, b,
+							i0+i, got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+					}
+				}
+			}
+			if inRun == 0 || nearRun == 0 || onClamp == 0 {
+				t.Fatalf("samples in a constant run %d, within a LUT cell of one %d, on a clamp boundary %d: want all > 0",
+					inRun, nearRun, onClamp)
+			}
+			t.Logf("%d samples in a constant run, %d within a LUT cell of one, %d on a clamp boundary",
+				inRun, nearRun, onClamp)
+		})
+	}
+}

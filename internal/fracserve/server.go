@@ -95,15 +95,19 @@ func (c Config) withDefaults() Config {
 }
 
 // job is one solve waiting for a worker: a /fracture shape or a /solve
-// instance. solve fills item under the request's ctx.
+// instance. solve fills item under the request's ctx, inside a span
+// named span when that is set (else under the request's own span).
+// panicked reports that the solve panicked; read it after wg.
 type job struct {
 	ctx      context.Context
 	reqID    string
 	method   maskfrac.Method
 	item     *ItemResult
+	span     string
 	solve    func(ctx context.Context, item *ItemResult)
 	wg       *sync.WaitGroup
 	enqueued time.Time
+	panicked bool
 }
 
 // Server is the fracturing daemon: an HTTP handler backed by a bounded
@@ -483,8 +487,9 @@ func (s *Server) run(j *job) {
 	}
 }
 
-// solve runs j's solve func. A panic in it fails only this job: the
-// item reports it, the stack goes to the error log and
+// solve runs j's solve func in j's span. A panic in it fails only this
+// job: the item reports it, the span ends with the error, the panic
+// value and the stack, the stack also goes to the error log, and
 // fracd_panics_total counts it. engine.Pool.Fan re-raises a helper's
 // panic on its caller, so this covers region and intra-solve helpers.
 func (s *Server) solve(j *job) {
@@ -496,15 +501,25 @@ func (s *Server) solve(j *job) {
 	if s.pool.TryAcquire() {
 		defer s.pool.Release()
 	}
+	ctx, span := j.ctx, telemetry.ActiveSpan(j.ctx)
+	if j.span != "" {
+		ctx, span = telemetry.StartSpan(ctx, j.span)
+		defer span.End()
+	}
 	defer func() {
 		if r := recover(); r != nil {
+			stack := string(debug.Stack())
 			j.item.Error = fmt.Sprintf("solver panic: %v", r)
+			j.panicked = true
+			span.Set("err", j.item.Error)
+			span.Set("panic", fmt.Sprint(r))
+			span.Set("stack", stack)
 			s.panics.Inc()
 			s.log.Error("solver panic", "id", j.reqID, "index", j.item.Index,
-				"method", string(j.method), "panic", fmt.Sprint(r), "stack", string(debug.Stack()))
+				"method", string(j.method), "panic", fmt.Sprint(r), "stack", stack)
 		}
 	}()
-	j.solve(j.ctx, j.item)
+	j.solve(ctx, j.item)
 }
 
 // fill records a solve's outcome in item; omit drops the shot list.
@@ -603,10 +618,10 @@ func (s *Server) handleFracture(w http.ResponseWriter, r *http.Request) {
 		}
 		// one span per shape so the solver's phase spans (via StartSpan
 		// in the engine and mbf packages) nest under the request's trace
-		jobs = append(jobs, &job{method: method, item: &results[i], solve: func(ctx context.Context, item *ItemResult) {
-			sctx, shapeSpan := telemetry.StartSpan(ctx, "fracd.shape")
+		jobs = append(jobs, &job{method: method, item: &results[i], span: "fracd.shape", solve: func(ctx context.Context, item *ItemResult) {
+			shapeSpan := telemetry.ActiveSpan(ctx)
 			shapeSpan.Set("index", i)
-			res, hit, err := maskfrac.FractureCached(sctx, target, params, method, opt, s.cache)
+			res, hit, err := maskfrac.FractureCached(ctx, target, params, method, opt, s.cache)
 			item.fill(res, err, req.OmitShots)
 			item.CacheHit = hit
 			shapeSpan.Set("method", string(method))
@@ -615,11 +630,18 @@ func (s *Server) handleFracture(w http.ResponseWriter, r *http.Request) {
 			if item.Error != "" {
 				shapeSpan.Set("err", item.Error)
 			}
-			shapeSpan.End()
 		}})
 	}
 	if !s.submit(tctx, w, req.TimeoutMS, s.pool, jobs, fail) {
 		return
+	}
+	// a solver panic keeps the request's trace as an error trace
+	traceErr := ""
+	for _, j := range jobs {
+		if j.panicked {
+			traceErr = j.item.Error
+			break
+		}
 	}
 
 	resp := Response{Results: results}
@@ -643,7 +665,7 @@ func (s *Server) handleFracture(w http.ResponseWriter, r *http.Request) {
 		resp.Summary.Flashes = resp.Summary.Shots - pairs
 	}
 	resp.TraceID = root.TraceID()
-	wire := s.finishTrace(root, remote, reqID, "")
+	wire := s.finishTrace(root, remote, reqID, traceErr)
 	if req.ReturnTrace || remote {
 		resp.Trace = wire
 	}

@@ -323,11 +323,16 @@ func init() {
 // requests that asked for it: on /fracture the leader's item reports
 // the panic and a concurrent request for the same shape gets an error
 // instead of waiting out its deadline, /solve answers 422, the server
-// keeps serving, and fracd_panics_total counts each panic once.
+// keeps serving, and fracd_panics_total counts each panic once. Both
+// endpoints keep the panicking request's trace as an error trace in
+// /debug/traces, and the span the solve ran in (the shape's on
+// /fracture, the request's on /solve) ends inside the request with the
+// error, the panic value and the stack.
 func TestE2ESolverPanic(t *testing.T) {
 	s, c := newTestServer(t, Config{Workers: 2, QueueDepth: 8})
 	ctx := context.Background()
 	items := make([]ItemResult, 2)
+	traceIDs := make([]string, 2)
 	var wg sync.WaitGroup
 	for i := range items {
 		wg.Add(1)
@@ -338,15 +343,17 @@ func TestE2ESolverPanic(t *testing.T) {
 				t.Errorf("request %d: %v", i, err)
 				return
 			}
-			items[i] = resp.Results[0]
+			items[i], traceIDs[i] = resp.Results[0], resp.TraceID
 		}()
 	}
 	wg.Wait()
 	leaders := 0
+	var panicTraces []string
 	for i, it := range items {
 		switch {
 		case it.Error == "solver panic: zz boom":
 			leaders++
+			panicTraces = append(panicTraces, traceIDs[i])
 		case !strings.Contains(it.Error, "zz boom"):
 			t.Errorf("request %d: item error %q, want the panic", i, it.Error)
 		}
@@ -359,6 +366,59 @@ func TestE2ESolverPanic(t *testing.T) {
 	var se *StatusError
 	if !errors.As(err, &se) || se.Code != http.StatusUnprocessableEntity || se.Msg != "solver panic: zz boom" {
 		t.Errorf("/solve: err = %v, want 422 solver panic: zz boom", err)
+	}
+
+	getJSON := func(path string, out any) {
+		t.Helper()
+		resp, err := c.http().Get(c.BaseURL + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: HTTP %d", path, resp.StatusCode)
+		}
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+			t.Fatalf("GET %s: decode: %v", path, err)
+		}
+	}
+	var list TraceListReply
+	getJSON("/debug/traces", &list)
+	for _, sum := range list.Traces {
+		if sum.Name == "fracd.solve" && sum.Err == "solver panic: zz boom" {
+			panicTraces = append(panicTraces, sum.TraceID)
+		}
+	}
+	if len(panicTraces) != leaders+1 {
+		t.Fatalf("%d panic traces (%v), want %d /fracture leaders and one /solve", len(panicTraces), panicTraces, leaders)
+	}
+	for _, id := range panicTraces {
+		for _, sum := range list.Traces {
+			if sum.TraceID == id && (sum.Kept != "error" || sum.Err != "solver panic: zz boom") {
+				t.Errorf("trace %s (%s): kept %q with err %q, want an error trace", id, sum.Name, sum.Kept, sum.Err)
+			}
+		}
+		var one TraceReply
+		getJSON("/debug/traces/"+id, &one)
+		root := one.Trace.Root
+		span := root.Find("fracd.shape")
+		if root.Name == "fracd.solve" {
+			span = root
+		}
+		if span == nil {
+			t.Fatalf("trace %s (%s) has no fracd.shape span", id, root.Name)
+		}
+		if end, rootEnd := span.StartNS+span.DurNS, root.StartNS+root.DurNS; end > rootEnd {
+			t.Errorf("trace %s: %s span ends %d ns after its request", id, span.Name, end-rootEnd)
+		}
+		attrs := map[string]string{}
+		for _, a := range span.Attrs {
+			attrs[a.K] = a.V
+		}
+		if attrs["err"] != "solver panic: zz boom" || attrs["panic"] != "zz boom" ||
+			!strings.Contains(attrs["stack"], "server_test.go") {
+			t.Errorf("trace %s: %s span attrs %v, want the error, the panic value and the stack", id, span.Name, attrs)
+		}
 	}
 	if err := c.Healthz(ctx); err != nil {
 		t.Fatalf("healthz after the panics: %v", err)

@@ -92,8 +92,14 @@ func (p *Pool) Fan(extra int, work func(slot int)) int {
 		panicked bool
 		pval     any
 	)
+	// take the tokens before starting any helper: a helper that
+	// finishes early releases its token, and taking it again would
+	// start more helpers than there were free tokens
 	n := 1
-	for ; n <= extra && p.TryAcquire(); n++ {
+	for n <= extra && p.TryAcquire() {
+		n++
+	}
+	for slot := 1; slot < n; slot++ {
 		wg.Add(1)
 		go func(slot int) {
 			defer wg.Done()
@@ -108,7 +114,7 @@ func (p *Pool) Fan(extra int, work func(slot int)) int {
 				}
 			}()
 			work(slot)
-		}(n)
+		}(slot)
 	}
 	func() {
 		// join the helpers even when the caller's own share panics

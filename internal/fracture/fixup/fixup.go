@@ -153,12 +153,13 @@ func EdgeAdjustCtx(ctx context.Context, p *cover.Problem, e *cover.Eval, sweeps 
 }
 
 // EdgeAdjust runs a bounded greedy edge-adjustment loop: each sweep
-// tries moving every edge of every shot by ±Δp and applies the best
-// cost-reducing move per shot. Moves are judged by Eval.LegalMove, so
-// L-shot pairs stay L-shaped. Used by baselines and by MBF's polish and
-// cleanup to repair dose violations (typically boundary overdose)
-// without the full refinement machinery of the paper's method. Returns
-// the best configuration seen, pairs included.
+// scores moving every edge of every shot by ±Δp (one Eval.EdgeDeltas
+// call per edge) and applies the best cost-reducing move per shot.
+// Moves are judged by Eval.LegalMove, so L-shot pairs stay L-shaped.
+// Used by baselines and by MBF's polish and cleanup to repair dose
+// violations (typically boundary overdose) without the full refinement
+// machinery of the paper's method. Returns the best configuration
+// seen, pairs included.
 func EdgeAdjust(p *cover.Problem, e *cover.Eval, sweeps int) {
 	best := e.SnapshotShots()
 	bestFail := e.Stats().Fail()
@@ -169,13 +170,10 @@ func EdgeAdjust(p *cover.Problem, e *cover.Eval, sweeps int) {
 			r := e.Shots[i]
 			bestDelta, bestRect := -1e-12, geom.Rect{}
 			for _, s := range geom.Sides {
-				for _, d := range []float64{pitch, -pitch} {
-					nr := r.MoveEdge(s, d)
-					if !e.LegalMove(i, nr) {
-						continue
-					}
-					if delta := e.DeltaCost(i, nr); delta < bestDelta {
-						bestDelta, bestRect = delta, nr
+				delta, legal := e.EdgeDeltas(i, s, pitch)
+				for k, d := range [2]float64{pitch, -pitch} {
+					if legal[k] && delta[k] < bestDelta {
+						bestDelta, bestRect = delta[k], r.MoveEdge(s, d)
 					}
 				}
 			}

@@ -249,8 +249,9 @@ func stalled(history []float64, nh int) bool {
 // score moving every shot edge by ±Δp, sort by cost reduction, and
 // accept reducing moves greedily while blocking any further edge within
 // 2σ of an accepted one (to avoid canceling move cycles). Reports
-// whether any edge moved. Paired L-shot arms participate like any
-// other shot — DeltaCost and ApplyDelta carry the shared-dose overlap
+// whether any edge moved. Each edge's ±Δp pair is scored by one
+// Scorer.EdgeDeltas call. Paired L-shot arms participate like any
+// other shot — the scores and ApplyDelta carry the shared-dose overlap
 // term — but only moves that Eval.LegalMove accepts are considered.
 func greedyEdgeAdjust(e *cover.Eval, opt Options, pool *engine.Pool) bool {
 	p := e.P
@@ -280,15 +281,11 @@ func greedyEdgeAdjust(e *cover.Eval, opt Options, pool *engine.Pool) bool {
 				return
 			}
 			i, s := u/len(geom.Sides), geom.Sides[u%len(geom.Sides)]
-			r := e.Shots[i]
 			best := cand{delta: math.Inf(1)}
-			for _, d := range [2]float64{pitch, -pitch} {
-				nr := r.MoveEdge(s, d)
-				if !e.LegalMove(i, nr) {
-					continue
-				}
-				if delta := sc.DeltaCost(i, nr); delta < best.delta {
-					best = cand{shot: i, s: s, d: d, delta: delta}
+			delta, legal := sc.EdgeDeltas(i, s, pitch)
+			for k, d := range [2]float64{pitch, -pitch} {
+				if legal[k] && delta[k] < best.delta {
+					best = cand{shot: i, s: s, d: d, delta: delta[k]}
 				}
 			}
 			units[u] = best

@@ -103,14 +103,15 @@ go test -count=1 -run 'TestEngineParallelSpeedup' .
 echo "== go test -race L-shot gate (flashes <= rectangle shots) =="
 go test -race -count=1 -run 'TestLShotSuiteGate|TestLShotEngineDeterminism' .
 
-# the fan-outs inside one solve: goroutines scoring through their own
-# cover.Scorers against one evaluator (bit-identical to DeltaCost,
+# the fan-outs inside one solve: goroutines scoring single moves and
+# ±d edge pairs (the two-move scan) through their own cover.Scorers
+# against one evaluator (bit-identical to DeltaCost and EdgeDeltas,
 # counters folded exactly) and the engine.Pool fan-out helper (inline
 # on a zero-token pool, tokens returned, helper panics re-raised),
 # repeated under the race detector; then MBF on ILT-1 and ILT-3 at 1, 2
 # and 8 workers must return identical shot lists
 echo "== go test -race fan-outs inside one solve =="
-go test -race -count=10 -run 'TestScorersConcurrent' ./internal/cover
+go test -race -count=10 -run '^TestScorersConcurrent(EdgeDeltas)?$' ./internal/cover
 go test -race -count=10 -run 'TestPoolFan' ./internal/fracture/engine
 go test -race -count=3 -run 'TestSingleRegionDeterminism/^ILT-[13]$' .
 
@@ -118,7 +119,8 @@ go test -race -count=3 -run 'TestSingleRegionDeterminism/^ILT-[13]$' .
 # strip scanner (Add, Remove, SetShot/ApplyDelta, Pair, Unpair, resets)
 # is asserted against a scan of its own dose field (fail and live
 # bitmaps) and a from-scratch dose accumulation, every sparse score
-# against the dense one bit for bit, and every float32 strip fill
+# against the dense one bit for bit (and each move of a two-move edge
+# scan against its own one-move scan), and every float32 strip fill
 # against the float64 reference — first over the randomized property
 # sequences, then on real mbf-l solves, whose repair loops drive paired
 # moves, pair splits and snapshot restores, and last on the golden MBF
