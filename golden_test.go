@@ -27,7 +27,8 @@ type goldenCase struct {
 // goldenInstances lists the recorded instances: MBF on the Table 2
 // clips the benchmark solves (ILT-1/2/3/6/7), MBF-L on the L-shape
 // suite and one SRAF group, MP and PROTO-EDA on all ten Table 2 clips,
-// and GSC on ILT-6.
+// GSC on ILT-6, and last the multi-region instances: four SRAF groups
+// under MBF and MBF-L, and three Ls under MBF-L.
 func goldenInstances() []struct {
 	name    string
 	method  Method
@@ -53,6 +54,11 @@ func goldenInstances() []struct {
 		}
 	}
 	out = append(out, inst{ilt[5].Name, MethodGSC, []Polygon{ilt[5].Target}})
+	out = append(out,
+		inst{"4 SRAF groups", MethodMBF, fourSRAFClusters()},
+		inst{"4 SRAF groups", MethodMBFL, fourSRAFClusters()},
+		inst{"3 Ls", MethodMBFL, threeLs()},
+	)
 	return out
 }
 
@@ -88,7 +94,7 @@ func renderGolden(t *testing.T) []byte {
 // every shot coordinate.
 func TestGoldenShotLists(t *testing.T) {
 	if testing.Short() {
-		t.Skip("solves 32 instances; skipped under -short")
+		t.Skip("solves 35 instances; skipped under -short")
 	}
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("golden recorded on amd64; on %s the compiler fuses x*y+z into FMA, which changes rounding", runtime.GOARCH)

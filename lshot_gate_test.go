@@ -146,19 +146,23 @@ func BenchmarkLShapeSuite(b *testing.B) {
 	}
 }
 
-// TestLShotEngineDeterminism pins the stitch contract for paired
-// solutions: a multi-region mbf-l run returns identical shots AND
-// identical pair index lists regardless of the Workers setting.
-func TestLShotEngineDeterminism(t *testing.T) {
-	// three far-apart copies of an L: well beyond the interaction
-	// radius, so the engine plans three independent regions
+// threeLs returns three far-apart copies of an L: well beyond the
+// interaction radius, so the engine plans three independent regions.
+func threeLs() []Polygon {
 	mkL := func(dx, dy float64) Polygon {
 		return Polygon{
 			{X: dx, Y: dy}, {X: dx + 50, Y: dy}, {X: dx + 50, Y: dy + 16},
 			{X: dx + 16, Y: dy + 16}, {X: dx + 16, Y: dy + 50}, {X: dx, Y: dy + 50},
 		}
 	}
-	prob, err := NewMultiProblem([]Polygon{mkL(0, 0), mkL(200, 0), mkL(0, 200)}, DefaultParams())
+	return []Polygon{mkL(0, 0), mkL(200, 0), mkL(0, 200)}
+}
+
+// TestLShotEngineDeterminism pins the stitch contract for paired
+// solutions: a multi-region mbf-l run returns identical shots AND
+// identical pair index lists regardless of the Workers setting.
+func TestLShotEngineDeterminism(t *testing.T) {
+	prob, err := NewMultiProblem(threeLs(), DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}

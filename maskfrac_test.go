@@ -265,12 +265,10 @@ func TestBackscatterFacade(t *testing.T) {
 	}
 }
 
-// TestFractureMultiRegionDeterminism is the facade-level determinism
-// guard: a four-cluster instance solved with 1 and 4 workers produces
-// byte-identical shot lists and identical evaluation results, because
-// the engine stitches per-region solutions in region index order
-// regardless of goroutine completion order.
-func TestFractureMultiRegionDeterminism(t *testing.T) {
+// fourSRAFClusters returns four SRAF groups 600 nm apart, one region
+// each. Their bounds are not integers, so each group's own grid sits
+// off the union grid's lattice.
+func fourSRAFClusters() []Polygon {
 	var targets []Polygon
 	offsets := []Point{{X: 0, Y: 0}, {X: 600, Y: 0}, {X: 0, Y: 600}, {X: 600, Y: 600}}
 	for i, off := range offsets {
@@ -278,7 +276,16 @@ func TestFractureMultiRegionDeterminism(t *testing.T) {
 			targets = append(targets, p.Translate(off))
 		}
 	}
-	prob, err := NewMultiProblem(targets, DefaultParams())
+	return targets
+}
+
+// TestFractureMultiRegionDeterminism is the facade-level determinism
+// guard: a four-cluster instance solved with 1 and 4 workers produces
+// byte-identical shot lists and identical evaluation results, because
+// the engine stitches per-region solutions in region index order
+// regardless of goroutine completion order.
+func TestFractureMultiRegionDeterminism(t *testing.T) {
+	prob, err := NewMultiProblem(fourSRAFClusters(), DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
