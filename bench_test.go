@@ -360,7 +360,7 @@ func BenchmarkMetricsEPE(b *testing.B) {
 	b.ResetTimer()
 	var st metrics.EPEStats
 	for i := 0; i < b.N; i++ {
-		st = metrics.EPE(p, res.Shots, 2)
+		st = metrics.EPE(p.Model, p.Params.Rho, p.Targets, res.Shots, 2)
 	}
 	b.ReportMetric(st.RMS, "epe-rms-nm")
 	b.ReportMetric(st.Max, "epe-max-nm")

@@ -76,7 +76,7 @@ func main() {
 	fmt.Printf("slivers <10nm:  %d of %d (min dimension %.1f nm, mean aspect %.1f)\n",
 		sliv.Slivers, sliv.Shots, sliv.MinDim, sliv.MeanAspect)
 
-	epe := metrics.EPE(p, shotList, 2)
+	epe := metrics.EPE(p.Model, p.Params.Rho, p.Targets, shotList, 2)
 	fmt.Printf("EPE:            mean %+.2f nm, RMS %.2f nm, p95 %.2f nm, max %.2f nm (%d samples)\n",
 		epe.Mean, epe.RMS, epe.P95, epe.Max, epe.Samples)
 

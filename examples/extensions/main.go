@@ -26,7 +26,7 @@ func main() {
 	fixed := mbf.Fracture(p, mbf.Options{})
 	fmt.Printf("fixed-dose (paper's method): %d shots, %d failing pixels\n",
 		len(fixed.Shots), fixed.Stats.Fail())
-	epe := metrics.EPE(p, fixed.Shots, 2)
+	epe := metrics.EPE(p.Model, p.Params.Rho, p.Targets, fixed.Shots, 2)
 	slope, minSlope := metrics.DoseSlope(p, fixed.Shots, 4)
 	sliv := metrics.Slivers(fixed.Shots, 10)
 	fmt.Printf("  EPE: mean %+.2f nm, RMS %.2f nm, p95 %.2f nm, max %.2f nm\n",

@@ -40,15 +40,7 @@ func upperBound(p *cover.Problem) int {
 	coarse := raster.GridCovering(p.TargetBounds(), 4, 4)
 	bm := raster.NewBitmap(coarse)
 	for _, t := range p.Targets {
-		one, err := raster.Rasterize(t, coarse)
-		if err != nil {
-			return 0
-		}
-		for k, v := range one.Bits {
-			if v {
-				bm.Bits[k] = true
-			}
-		}
+		raster.RasterizeInto(bm.Bits, coarse, coarse.Whole(), t)
 	}
 	total := 0
 	for _, pg := range raster.Contours(bm) {

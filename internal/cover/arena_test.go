@@ -74,17 +74,15 @@ func TestProblemRecycle(t *testing.T) {
 }
 
 // TestSubproblemSharesModel checks that region subproblems reuse the
-// parent's read-only proximity model instead of rebuilding the LUTs.
+// instance's read-only proximity model instead of rebuilding the LUTs.
 func TestSubproblemSharesModel(t *testing.T) {
 	shapes := []geom.Polygon{square(30), squareAt(100, 0, 20)}
-	p, err := NewMultiProblem(shapes, DefaultParams())
+	in, err := NewInstance(shapes, DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub, err := p.Subproblem([]int{1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	p, sub := in.Whole(), in.Sample([]int{1})
+	p.Arena()
 	if sub.Model != p.Model {
 		t.Error("subproblem rebuilt the proximity model")
 	}

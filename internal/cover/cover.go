@@ -145,61 +145,14 @@ func NewProblem(target geom.Polygon, params Params) (*Problem, error) {
 // pixel of any shape must reach ρ and every exterior pixel must stay
 // below it, so assist features and their main feature are fractured
 // together (as on a real mask, where SRAF satellites sit within the
-// proximity range of the feature they assist).
+// proximity range of the feature they assist). It is the Whole problem
+// of the targets' Instance.
 func NewMultiProblem(targets []geom.Polygon, params Params) (*Problem, error) {
-	return buildProblem(targets, params, nil)
-}
-
-// buildProblem is the shared constructor; model, when non-nil, is an
-// already-built proximity model for the same params (Subproblem passes
-// the parent's so region instances share the read-only LUT tables
-// instead of rebuilding them per region).
-func buildProblem(targets []geom.Polygon, params Params, model *ebeam.Model) (*Problem, error) {
-	if err := params.Validate(); err != nil {
+	in, err := NewInstance(targets, params)
+	if err != nil {
 		return nil, err
 	}
-	if len(targets) == 0 {
-		return nil, fmt.Errorf("cover: no target shapes")
-	}
-	cloned := make([]geom.Polygon, len(targets))
-	box := geom.Rect{}
-	for i, t := range targets {
-		if err := t.Validate(); err != nil {
-			return nil, fmt.Errorf("cover: invalid target %d: %w", i, err)
-		}
-		cloned[i] = t.Clone()
-		box = box.Union(t.Bounds())
-	}
-	if model == nil {
-		model = params.model()
-	}
-	margin := model.Support() + params.Gamma + 2*params.Pitch
-	grid := raster.GridCovering(box, margin, params.Pitch)
-	inside := raster.NewBitmap(grid)
-	for _, t := range cloned {
-		bm, err := raster.Rasterize(t, grid)
-		if err != nil {
-			return nil, err
-		}
-		for k, v := range bm.Bits {
-			if v {
-				inside.Bits[k] = true
-			}
-		}
-	}
-	p := &Problem{
-		Target:  cloned[0],
-		Targets: cloned,
-		Params:  params,
-		Grid:    grid,
-		Model:   model,
-		Inside:  inside,
-		Class:   make([]Class, grid.Len()),
-
-		liveMargin: newLiveMargin(model, params.Pitch),
-	}
-	p.classify()
-	return p, nil
+	return in.Whole(), nil
 }
 
 // newLiveMargin derives the live margin from the proximity model: the
@@ -219,38 +172,6 @@ func newLiveMargin(m *ebeam.Model, pitch float64) float64 {
 	return step + step/16 + 2*ebeam.ProfileTol32
 }
 
-// InteractionRadius returns the one-sided independence margin of the
-// instance: the proximity kernel's truncation radius (3σ of the widest
-// component) plus the CD tolerance γ. Two targets whose bounding boxes,
-// each inflated by this radius, do not overlap are farther apart than
-// the interaction range 2·(3σ+γ) and cannot affect each other's
-// constrained pixels — the engine's region decomposition builds on
-// this.
-func (p *Problem) InteractionRadius() float64 {
-	return p.Model.Support() + p.Params.Gamma
-}
-
-// Subproblem builds the fracturing instance of a subset of the
-// problem's targets, exactly as NewMultiProblem would for those shapes
-// alone — same grid placement, same pixel classes. Region solves on a
-// subproblem therefore produce byte-identical shots to solving the
-// subset on its own.
-//
-// The subproblem shares the parent's read-only proximity model (the
-// LUT tables are immutable after construction) but nothing mutable:
-// each subproblem draws its own buffer arena, so concurrent region
-// solves never contend.
-func (p *Problem) Subproblem(targets []int) (*Problem, error) {
-	subset := make([]geom.Polygon, len(targets))
-	for i, t := range targets {
-		if t < 0 || t >= len(p.Targets) {
-			return nil, fmt.Errorf("cover: subproblem target %d out of range", t)
-		}
-		subset[i] = p.Targets[t]
-	}
-	return buildProblem(subset, p.Params, p.Model)
-}
-
 // ContainsPoint reports whether pt lies inside any target shape.
 func (p *Problem) ContainsPoint(pt geom.Point) bool {
 	for _, t := range p.Targets {
@@ -268,55 +189,6 @@ func (p *Problem) TargetBounds() geom.Rect {
 		box = box.Union(t.Bounds())
 	}
 	return box
-}
-
-// classify assigns Pon/Poff/Px classes: pixels within Gamma of the
-// target boundary form the don't-care band, the rest split by
-// inside/outside.
-func (p *Problem) classify() {
-	g := p.Grid
-	band := make([]bool, g.Len())
-	gamma := p.Params.Gamma
-	// mark pixels within gamma of any boundary edge (local boxes only)
-	for _, target := range p.Targets {
-		p.markBand(band, target, gamma)
-	}
-	for k := range p.Class {
-		switch {
-		case band[k]:
-			p.Class[k] = Band
-		case p.Inside.Bits[k]:
-			p.Class[k] = On
-			p.nOn++
-		default:
-			p.Class[k] = Off
-			p.nOff++
-		}
-	}
-}
-
-// markBand flags pixels within gamma of the polygon's boundary.
-func (p *Problem) markBand(band []bool, target geom.Polygon, gamma float64) {
-	g := p.Grid
-	for ei := range target {
-		a, b := target.Edge(ei)
-		box := geom.RectFromCorners(a, b).Inset(-(gamma + g.Pitch))
-		i0, j0 := g.PixelOf(geom.Pt(box.X0, box.Y0))
-		i1, j1 := g.PixelOf(geom.Pt(box.X1, box.Y1))
-		i0, j0 = g.ClampX(i0), g.ClampY(j0)
-		i1, j1 = g.ClampX(i1), g.ClampY(j1)
-		for j := j0; j <= j1; j++ {
-			for i := i0; i <= i1; i++ {
-				k := g.Index(i, j)
-				if band[k] {
-					continue
-				}
-				if geom.PointSegDist(g.Center(i, j), a, b) <= gamma {
-					band[k] = true
-				}
-			}
-		}
-	}
 }
 
 // OnCount returns |Pon|.

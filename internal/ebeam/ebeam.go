@@ -433,8 +433,18 @@ func (m *Model) AccumulateShot(f *raster.Field, s geom.Rect, sign float64) {
 // the field, so the float32 rounding lives only in the table values,
 // shared by every path that scores or commits the same shot.
 func (m *Model) AccumulateShotBuf(f *raster.Field, s geom.Rect, sign float64, scratch []float32) []float32 {
-	g := f.Grid
+	return m.AccumulateShotWindow(f.V, f.Grid, f.Grid.Whole(), s, sign, scratch)
+}
+
+// AccumulateShotWindow is AccumulateShotBuf over window w of grid g,
+// whose buffer is dst: it adds sign × Is to the pixels of the shot's
+// support box that lie in the window. The strip kernels sample by grid
+// index, so each of those pixels gains exactly what it gains on the
+// whole grid.
+func (m *Model) AccumulateShotWindow(dst []float64, g raster.Grid, w raster.Window, s geom.Rect, sign float64, scratch []float32) []float32 {
 	i0, j0, i1, j1 := m.SupportBox(g, s)
+	i0, j0 = max(i0, w.I0), max(j0, w.J0)
+	i1, j1 = min(i1, w.I0+w.W-1), min(j1, w.J0+w.H-1)
 	if i1 < i0 || j1 < j0 {
 		return scratch
 	}
@@ -448,13 +458,14 @@ func (m *Model) AccumulateShotBuf(f *raster.Field, s geom.Rect, sign float64, sc
 	for c := range m.comps {
 		m.EdgeProfiles32(ex, c, g.X0, g.Pitch, i0, s.X0, s.X1)
 		m.EdgeProfiles32(ey, c, g.Y0, g.Pitch, j0, s.Y0, s.Y1)
-		w := sign * m.comps[c].weight
+		wc := sign * m.comps[c].weight
 		for j := j0; j <= j1; j++ {
-			rowW := w * float64(ey[j-j0])
+			rowW := wc * float64(ey[j-j0])
 			if rowW == 0 {
 				continue
 			}
-			row := f.V[j*g.W+i0 : j*g.W+i1+1]
+			k := w.Index(i0, j)
+			row := dst[k : k+width]
 			exr := ex[:len(row)]
 			for i := range row {
 				row[i] += rowW * float64(exr[i])

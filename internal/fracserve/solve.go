@@ -11,9 +11,11 @@ import (
 )
 
 // handleSolve serves POST /solve: one multi-shape instance through the
-// decompose–solve–stitch engine. The instance is one job on the
-// /fracture queue, and its solve takes helpers from the server's pool,
-// at most Workers−1 of them.
+// decompose–solve–stitch engine. The handler validates the shapes; a
+// multi-region instance is not sampled there. The instance is one job
+// on the /fracture queue, which samples each region's grid as it
+// solves it, and its solve takes helpers from the server's pool, at
+// most Workers−1 of them.
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "POST only")

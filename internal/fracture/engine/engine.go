@@ -20,17 +20,19 @@ type Region struct {
 	Bounds  geom.Rect // union of the member targets' bounding boxes
 }
 
-// Plan clusters the problem's targets into provably independent regions
-// with a union-find over bounding boxes inflated by the interaction
-// radius 3σ+γ. The truncated Gaussian kernel delivers exactly zero dose
-// beyond 3σ of a shot edge and the solvers keep shots within the
-// γ-neighborhood of their targets, so two clusters whose inflated boxes
-// are disjoint — farther apart than 2·(3σ+γ) — cannot affect each
-// other's constrained pixels: splitting them is exact, with zero
-// quality loss. Regions are ordered by their smallest target index and
-// list their targets ascending, which fixes the stitch order.
-func Plan(p *cover.Problem) []Region {
-	n := len(p.Targets)
+// Plan clusters targets into provably independent regions with a
+// union-find over their bounding boxes inflated by radius, the
+// instance's interaction radius 3σ+γ (cover.Instance.InteractionRadius).
+// It reads the bounds alone, before any grid exists. The truncated
+// Gaussian kernel delivers exactly zero dose beyond 3σ of a shot edge
+// and the solvers keep shots within the γ-neighborhood of their
+// targets, so two clusters whose inflated boxes are disjoint — farther
+// apart than 2·(3σ+γ) — cannot affect each other's constrained pixels:
+// splitting them is exact, with zero quality loss. Regions are ordered
+// by their smallest target index and list their targets ascending,
+// which fixes the stitch order.
+func Plan(targets []geom.Polygon, radius float64) []Region {
+	n := len(targets)
 	parent := make([]int, n)
 	for i := range parent {
 		parent[i] = i
@@ -42,10 +44,9 @@ func Plan(p *cover.Problem) []Region {
 		}
 		return i
 	}
-	r := p.InteractionRadius()
 	boxes := make([]geom.Rect, n)
-	for i, t := range p.Targets {
-		boxes[i] = t.Bounds().Inset(-r)
+	for i, t := range targets {
+		boxes[i] = t.Bounds().Inset(-radius)
 	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
@@ -60,16 +61,20 @@ func Plan(p *cover.Problem) []Region {
 			}
 		}
 	}
-	byRoot := make(map[int]*Region, n)
+	// regionOf maps a root to its region's index. An index, not a
+	// pointer: appending a region may move the slice, and a pointer
+	// kept from before would send later members to a stale copy.
+	regionOf := make(map[int]int, n)
 	var regions []Region
-	for i, t := range p.Targets {
+	for i, t := range targets {
 		root := find(i)
-		reg, ok := byRoot[root]
+		ri, ok := regionOf[root]
 		if !ok {
+			ri = len(regions)
+			regionOf[root] = ri
 			regions = append(regions, Region{})
-			reg = &regions[len(regions)-1]
-			byRoot[root] = reg
 		}
+		reg := &regions[ri]
 		reg.Targets = append(reg.Targets, i)
 		if len(reg.Targets) == 1 {
 			reg.Bounds = t.Bounds()
@@ -124,17 +129,18 @@ type Result struct {
 }
 
 // Solve runs the decompose–solve–stitch pipeline: plan the independent
-// regions, solve each as its own subproblem — the caller plus bounded
-// pool-token helpers work-steal regions off a size-sorted queue,
-// largest first — and merge the shot lists in region order. A
-// single-region instance
-// (the common case: one shape, or a main feature whose SRAFs all sit
-// within interaction range) is solved directly on the original problem
-// with no subproblem construction. On both paths the solver's ctx
-// carries the run's Pool, from which a solver may take helpers for the
-// work inside one solve. When ctx carries a telemetry trace, the run
-// records "plan", per-region "region" and "stitch" spans.
-func Solve(ctx context.Context, p *cover.Problem, cfg Config) (*Result, error) {
+// regions from the targets' bounds, sample and solve each region as its
+// own problem — the caller plus bounded pool-token helpers work-steal
+// regions off a size-sorted queue, largest first — and merge the shot
+// lists in region order. No grid covering all the regions is ever
+// sampled. A single-region instance (the common case: one shape, or a
+// main feature whose SRAFs all sit within interaction range) is solved
+// on the instance's Whole problem, which is the region's own. On both
+// paths the solver's ctx carries the run's Pool, from which a solver
+// may take helpers for the work inside one solve. When ctx carries a
+// telemetry trace, the run records "plan", per-region "region" and
+// "stitch" spans.
+func Solve(ctx context.Context, in *cover.Instance, cfg Config) (*Result, error) {
 	fn, ok := Lookup(cfg.Method)
 	if !ok {
 		return nil, fmt.Errorf("engine: unknown method %q (registered: %s)",
@@ -154,14 +160,15 @@ func Solve(ctx context.Context, p *cover.Problem, cfg Config) (*Result, error) {
 		ctx = WithPool(ctx, pool)
 	}
 	_, planSpan := telemetry.StartSpan(ctx, "plan")
-	regions := Plan(p)
-	planSpan.Set("targets", len(p.Targets))
+	radius := in.InteractionRadius()
+	regions := Plan(in.Targets, radius)
+	planSpan.Set("targets", len(in.Targets))
 	planSpan.Set("regions", len(regions))
 	planSpan.End()
 
 	if len(regions) == 1 {
 		start := time.Now()
-		sol, err := fn(ctx, p, cfg.Options)
+		sol, err := fn(ctx, in.Whole(), cfg.Options)
 		if err != nil {
 			return nil, err
 		}
@@ -192,11 +199,7 @@ func Solve(ctx context.Context, p *cover.Problem, cfg Config) (*Result, error) {
 			return
 		}
 		start := time.Now()
-		sub, err := p.Subproblem(regions[i].Targets)
-		if err != nil {
-			errs[i] = fmt.Errorf("engine: region %d: %w", i, err)
-			return
-		}
+		sub := in.Sample(regions[i].Targets)
 		// return the subproblem's evaluator buffers to the process-wide
 		// arena pool once the region is solved
 		defer sub.Recycle()
@@ -222,7 +225,7 @@ func Solve(ctx context.Context, p *cover.Problem, cfg Config) (*Result, error) {
 	// steal the next one instead of being assigned a fixed share. With
 	// no token free the caller drains the whole queue inline — the
 	// engine always makes progress with zero extra concurrency.
-	queue := newRegionQueue(p, regions)
+	queue := newRegionQueue(regions, radius, in.Params.Pitch)
 	pool.Fan(len(regions)-1, func(slot int) {
 		for {
 			i, ok := queue.pop()

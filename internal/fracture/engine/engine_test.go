@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"sort"
 	"sync/atomic"
 	"testing"
 
@@ -24,18 +25,23 @@ func square(x, y, side float64) geom.Polygon {
 	}
 }
 
-func multiProblem(t *testing.T, targets ...geom.Polygon) *cover.Problem {
+func instance(t *testing.T, targets ...geom.Polygon) *cover.Instance {
 	t.Helper()
-	p, err := cover.NewMultiProblem(targets, cover.DefaultParams())
+	in, err := cover.NewInstance(targets, cover.DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return p
+	return in
+}
+
+// plan runs Plan on an instance's targets at its interaction radius.
+func plan(in *cover.Instance) []engine.Region {
+	return engine.Plan(in.Targets, in.InteractionRadius())
 }
 
 func TestPlanSingleTarget(t *testing.T) {
-	p := multiProblem(t, square(0, 0, 60))
-	regions := engine.Plan(p)
+	p := instance(t, square(0, 0, 60))
+	regions := plan(p)
 	if len(regions) != 1 {
 		t.Fatalf("regions = %d, want 1", len(regions))
 	}
@@ -48,21 +54,21 @@ func TestPlanSingleTarget(t *testing.T) {
 // within the interaction range 2·(3σ+γ) share a region, targets beyond
 // it split. Default params give 3σ+γ = 3·6.25+2 = 20.75 nm.
 func TestPlanInteractionRange(t *testing.T) {
-	p := multiProblem(t, square(0, 0, 60))
+	p := instance(t, square(0, 0, 60))
 	r := p.InteractionRadius()
 	if r != 3*6.25+2 {
 		t.Fatalf("InteractionRadius = %v, want %v", r, 3*6.25+2)
 	}
 
 	// 30 nm apart: inside the 41.5 nm interaction range — one region
-	near := multiProblem(t, square(0, 0, 60), square(90, 0, 60))
-	if regions := engine.Plan(near); len(regions) != 1 {
+	near := instance(t, square(0, 0, 60), square(90, 0, 60))
+	if regions := plan(near); len(regions) != 1 {
 		t.Errorf("near targets: %d regions, want 1", len(regions))
 	}
 
 	// 200 nm apart: far outside the range — two regions
-	far := multiProblem(t, square(0, 0, 60), square(260, 0, 60))
-	regions := engine.Plan(far)
+	far := instance(t, square(0, 0, 60), square(260, 0, 60))
+	regions := plan(far)
 	if len(regions) != 2 {
 		t.Fatalf("far targets: %d regions, want 2", len(regions))
 	}
@@ -71,14 +77,61 @@ func TestPlanInteractionRange(t *testing.T) {
 	}
 
 	// transitivity: A near B, B near C, A far from C — still one region
-	chain := multiProblem(t, square(0, 0, 60), square(90, 0, 60), square(180, 0, 60))
-	if regions := engine.Plan(chain); len(regions) != 1 {
+	chain := instance(t, square(0, 0, 60), square(90, 0, 60), square(180, 0, 60))
+	if regions := plan(chain); len(regions) != 1 {
 		t.Errorf("chained targets: %d regions, want 1", len(regions))
 	}
 }
 
+// TestPlanInterleavedTargets checks that Plan keeps every target when a
+// region's members are not consecutive in the target list: here the
+// last target joins the first region after later regions were opened.
+// It compares Plan with the connected components of the inflated-box
+// overlap graph, found by a search from each target in order.
+func TestPlanInterleavedTargets(t *testing.T) {
+	in := instance(t,
+		square(0, 0, 50), square(300, 0, 60), square(0, 300, 70),
+		square(300, 300, 55), square(90, 0, 60), square(600, 0, 20), square(375, 300, 30),
+	)
+	regions := plan(in)
+	r := in.InteractionRadius()
+	n := len(in.Targets)
+	seen := make([]bool, n)
+	var want [][]int
+	for i := range n {
+		if seen[i] {
+			continue
+		}
+		comp, stack := []int{}, []int{i}
+		seen[i] = true
+		for len(stack) > 0 {
+			a := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			comp = append(comp, a)
+			for b := range n {
+				if !seen[b] && in.Targets[a].Bounds().Inset(-r).Overlaps(in.Targets[b].Bounds().Inset(-r)) {
+					seen[b] = true
+					stack = append(stack, b)
+				}
+			}
+		}
+		sort.Ints(comp)
+		want = append(want, comp)
+	}
+	var got [][]int
+	for _, reg := range regions {
+		got = append(got, reg.Targets)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("regions %v, want %v", got, want)
+	}
+	if b := regions[0].Bounds; b != (geom.Rect{X0: 0, Y0: 0, X1: 150, Y1: 60}) {
+		t.Errorf("first region bounds %v, want both of its squares'", b)
+	}
+}
+
 func TestSolveUnknownMethod(t *testing.T) {
-	p := multiProblem(t, square(0, 0, 60))
+	p := instance(t, square(0, 0, 60))
 	if _, err := engine.Solve(context.Background(), p, engine.Config{Method: "bogus"}); err == nil {
 		t.Fatal("unknown method accepted")
 	}
@@ -91,7 +144,7 @@ func TestSolveUnknownMethod(t *testing.T) {
 func TestSolveUnionOfIndependentSolves(t *testing.T) {
 	a := square(0, 0, 60)
 	b := square(260, 280, 70)
-	joint := multiProblem(t, a, b)
+	joint := instance(t, a, b)
 	run, err := engine.Solve(context.Background(), joint, engine.Config{Method: "gsc", Workers: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -106,8 +159,8 @@ func TestSolveUnionOfIndependentSolves(t *testing.T) {
 	}
 	var want []geom.Rect
 	for _, target := range []geom.Polygon{a, b} {
-		solo := multiProblem(t, target)
-		sol, err := fn(context.Background(), solo, engine.Options{})
+		solo := instance(t, target)
+		sol, err := fn(context.Background(), solo.Whole(), engine.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,12 +172,12 @@ func TestSolveUnionOfIndependentSolves(t *testing.T) {
 
 	// the merged solution is as clean on the joint grid as the
 	// independent solves were on theirs
-	if st := joint.Evaluate(run.Shots); st.Fail() != 0 {
+	if st := joint.Whole().Evaluate(run.Shots); st.Fail() != 0 {
 		soloFail := 0
 		for _, target := range []geom.Polygon{a, b} {
-			solo := multiProblem(t, target)
-			sol, _ := fn(context.Background(), solo, engine.Options{})
-			soloFail += solo.Evaluate(sol.Shots).Fail()
+			solo := instance(t, target)
+			sol, _ := fn(context.Background(), solo.Whole(), engine.Options{})
+			soloFail += solo.Whole().Evaluate(sol.Shots).Fail()
 		}
 		if st.Fail() != soloFail {
 			t.Errorf("joint failing pixels = %d, independent sum = %d", st.Fail(), soloFail)
@@ -136,7 +189,7 @@ func TestSolveUnionOfIndependentSolves(t *testing.T) {
 // sequential runs of the same multi-region instance stitch
 // byte-identical shot lists.
 func TestSolveParallelDeterminism(t *testing.T) {
-	p := multiProblem(t,
+	p := instance(t,
 		square(0, 0, 50), square(300, 0, 60),
 		square(0, 300, 70), square(300, 300, 55),
 	)
@@ -154,7 +207,7 @@ func TestSolveParallelDeterminism(t *testing.T) {
 	if !reflect.DeepEqual(seq.Shots, par.Shots) {
 		t.Fatalf("parallel shots differ from sequential:\n seq %v\n par %v", seq.Shots, par.Shots)
 	}
-	st1, st4 := p.Evaluate(seq.Shots), p.Evaluate(par.Shots)
+	st1, st4 := p.Whole().Evaluate(seq.Shots), p.Whole().Evaluate(par.Shots)
 	if st1 != st4 {
 		t.Errorf("stats differ: %+v vs %+v", st1, st4)
 	}
@@ -163,9 +216,9 @@ func TestSolveParallelDeterminism(t *testing.T) {
 func TestSolveCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for name, p := range map[string]*cover.Problem{
-		"multi-region":  multiProblem(t, square(0, 0, 60), square(260, 0, 60)),
-		"single-region": multiProblem(t, square(0, 0, 60)),
+	for name, p := range map[string]*cover.Instance{
+		"multi-region":  instance(t, square(0, 0, 60), square(260, 0, 60)),
+		"single-region": instance(t, square(0, 0, 60)),
 	} {
 		res, err := engine.Solve(ctx, p, engine.Config{Method: "gsc"})
 		if !errors.Is(err, context.Canceled) {

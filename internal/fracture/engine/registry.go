@@ -1,9 +1,10 @@
 // Package engine runs the decompose–solve–stitch fracturing pipeline:
 // Plan clusters an instance's targets into provably independent regions
-// (the truncated proximity kernel makes the model strictly local),
-// Solve runs each region as its own cover.Problem through a registered
-// solver on a bounded worker pool, and the stitch step merges the
-// per-region shot lists in deterministic region order.
+// from their bounds (the truncated proximity kernel makes the model
+// strictly local), Solve samples each region as its own cover.Problem
+// and runs it through a registered solver on a bounded worker pool, and
+// the stitch step merges the per-region shot lists in deterministic
+// region order.
 //
 // The package also owns the solver registry: each fracturing heuristic
 // registers itself in its package init under the method name the public

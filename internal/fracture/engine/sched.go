@@ -3,8 +3,6 @@ package engine
 import (
 	"sort"
 	"sync/atomic"
-
-	"maskfrac/internal/cover"
 )
 
 // engineStealsTotal counts regions executed by pool-token helper
@@ -18,9 +16,9 @@ func StealCount() int64 { return engineStealsTotal.Load() }
 // regionCost estimates a region's solve cost as the pixel area of its
 // bounding box inflated by the interaction radius — the size of the
 // dose grid its subproblem scans, which dominates solve time.
-func regionCost(p *cover.Problem, r Region) float64 {
-	b := r.Bounds.Inset(-p.InteractionRadius())
-	return (b.W() / p.Params.Pitch) * (b.H() / p.Params.Pitch)
+func regionCost(r Region, radius, pitch float64) float64 {
+	b := r.Bounds.Inset(-radius)
+	return (b.W() / pitch) * (b.H() / pitch)
 }
 
 // regionQueue is the shared work queue of one engine run: region
@@ -38,10 +36,10 @@ type regionQueue struct {
 
 // newRegionQueue builds the size-sorted queue for the run. Ties break
 // on the smaller region index, keeping the schedule deterministic.
-func newRegionQueue(p *cover.Problem, regions []Region) *regionQueue {
+func newRegionQueue(regions []Region, radius, pitch float64) *regionQueue {
 	costs := make([]float64, len(regions))
 	for i, r := range regions {
-		costs[i] = regionCost(p, r)
+		costs[i] = regionCost(r, radius, pitch)
 	}
 	order := make([]int, len(regions))
 	for i := range order {

@@ -8,13 +8,13 @@ import (
 	"maskfrac/internal/geom"
 )
 
-func schedProblem(t *testing.T, targets ...geom.Polygon) *cover.Problem {
+func schedInstance(t *testing.T, targets ...geom.Polygon) *cover.Instance {
 	t.Helper()
-	p, err := cover.NewMultiProblem(targets, cover.DefaultParams())
+	in, err := cover.NewInstance(targets, cover.DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return p
+	return in
 }
 
 func sq(x, y, side float64) geom.Polygon {
@@ -28,18 +28,18 @@ func sq(x, y, side float64) geom.Polygon {
 // estimated cost first, breaking ties on the smaller region index.
 func TestRegionQueueLPTOrder(t *testing.T) {
 	// well-separated targets: region i == target i
-	p := schedProblem(t,
+	p := schedInstance(t,
 		sq(0, 0, 20),    // small
 		sq(500, 0, 80),  // largest
 		sq(1000, 0, 40), // middle
 		sq(1500, 0, 20), // small, ties with region 0
 		sq(2000, 0, 60), // second largest
 	)
-	regions := Plan(p)
+	regions := Plan(p.Targets, p.InteractionRadius())
 	if len(regions) != 5 {
 		t.Fatalf("expected 5 regions, got %d", len(regions))
 	}
-	q := newRegionQueue(p, regions)
+	q := newRegionQueue(regions, p.InteractionRadius(), p.Params.Pitch)
 	want := []int{1, 4, 2, 0, 3}
 	for n, w := range want {
 		i, ok := q.pop()
@@ -62,9 +62,9 @@ func TestRegionQueueConcurrentPop(t *testing.T) {
 	for i := range targets {
 		targets[i] = sq(float64(i)*400, 0, 20+float64(i%7)*10)
 	}
-	p := schedProblem(t, targets...)
-	regions := Plan(p)
-	q := newRegionQueue(p, regions)
+	p := schedInstance(t, targets...)
+	regions := Plan(p.Targets, p.InteractionRadius())
+	q := newRegionQueue(regions, p.InteractionRadius(), p.Params.Pitch)
 	var mu sync.Mutex
 	seen := make(map[int]int)
 	var wg sync.WaitGroup

@@ -18,6 +18,7 @@ import (
 	"sort"
 
 	"maskfrac/internal/cover"
+	"maskfrac/internal/ebeam"
 	"maskfrac/internal/geom"
 )
 
@@ -31,33 +32,32 @@ type EPEStats struct {
 	P95     float64 // 95th percentile of |EPE|
 }
 
-// EPE samples the target boundary every step nanometers and measures,
-// for each sample, how far along the outward normal the dose crosses ρ
-// (searched within ±window nm, resolution res nm).
-func EPE(p *cover.Problem, shots []geom.Rect, step float64) EPEStats {
+// EPE samples the targets' boundaries every step nanometers and
+// measures, for each sample, how far along the outward normal the dose
+// of model m crosses the threshold rho (searched within ±window nm,
+// resolution res nm). It reads the model at points, so it needs no
+// sampled grid.
+func EPE(m *ebeam.Model, rho float64, targets []geom.Polygon, shots []geom.Rect, step float64) EPEStats {
 	if step <= 0 {
 		step = 2
 	}
-	const window = 6.0
-	const res = 0.25
 	var epes []float64
 	doseAt := func(pt geom.Point) float64 {
 		total := 0.0
 		for _, s := range shots {
-			total += p.Model.ShotIntensity(s, pt)
+			total += m.ShotIntensity(s, pt)
 		}
 		return total
 	}
-	rho := p.Params.Rho
-	for _, t := range p.Targets {
+	for _, t := range targets {
 		target := t.EnsureCCW()
-		epes = append(epes, epeAlong(p, target, doseAt, rho, step)...)
+		epes = append(epes, epeAlong(target, doseAt, rho, step)...)
 	}
 	return summarizeEPE(epes)
 }
 
 // epeAlong samples one boundary and returns its raw EPE values.
-func epeAlong(p *cover.Problem, target geom.Polygon, doseAt func(geom.Point) float64, rho, step float64) []float64 {
+func epeAlong(target geom.Polygon, doseAt func(geom.Point) float64, rho, step float64) []float64 {
 	const window = 6.0
 	const res = 0.25
 	var epes []float64

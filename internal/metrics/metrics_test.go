@@ -22,7 +22,7 @@ func TestEPEExactShot(t *testing.T) {
 	// a shot exactly on the target prints edges exactly at the boundary
 	// away from corners: tiny mean EPE, max limited by corner rounding
 	p := squareProblem(t, 80)
-	st := EPE(p, []geom.Rect{{X0: 0, Y0: 0, X1: 80, Y1: 80}}, 2)
+	st := EPE(p.Model, p.Params.Rho, p.Targets, []geom.Rect{{X0: 0, Y0: 0, X1: 80, Y1: 80}}, 2)
 	if st.Samples == 0 {
 		t.Fatal("no samples")
 	}
@@ -37,11 +37,11 @@ func TestEPEExactShot(t *testing.T) {
 func TestEPEBiasedShot(t *testing.T) {
 	// a shot biased outward by 1.5 nm shifts the mean EPE positive
 	p := squareProblem(t, 80)
-	st := EPE(p, []geom.Rect{{X0: -1.5, Y0: -1.5, X1: 81.5, Y1: 81.5}}, 2)
+	st := EPE(p.Model, p.Params.Rho, p.Targets, []geom.Rect{{X0: -1.5, Y0: -1.5, X1: 81.5, Y1: 81.5}}, 2)
 	if st.Mean < 0.75 {
 		t.Errorf("mean EPE = %v, want about +1.5", st.Mean)
 	}
-	under := EPE(p, []geom.Rect{{X0: 1.5, Y0: 1.5, X1: 78.5, Y1: 78.5}}, 2)
+	under := EPE(p.Model, p.Params.Rho, p.Targets, []geom.Rect{{X0: 1.5, Y0: 1.5, X1: 78.5, Y1: 78.5}}, 2)
 	if under.Mean > -0.75 {
 		t.Errorf("undersized shot mean EPE = %v, want about -1.5", under.Mean)
 	}
@@ -49,7 +49,7 @@ func TestEPEBiasedShot(t *testing.T) {
 
 func TestEPENoShots(t *testing.T) {
 	p := squareProblem(t, 80)
-	st := EPE(p, nil, 2)
+	st := EPE(p.Model, p.Params.Rho, p.Targets, nil, 2)
 	// dose never crosses rho: every sample clamps to the inward window
 	if st.Mean > -5 {
 		t.Errorf("no-shot mean EPE = %v, want clamped negative", st.Mean)

@@ -1,6 +1,10 @@
 package raster
 
-import "maskfrac/internal/geom"
+import (
+	"fmt"
+
+	"maskfrac/internal/geom"
+)
 
 // corner identifies a pixel-corner lattice point (i, j) in pixel units.
 type corner struct{ i, j int }
@@ -145,15 +149,10 @@ func Rectilinearize(polys []geom.Polygon, pitch float64) ([]geom.Polygon, error)
 	g := GridCovering(box, pitch, pitch)
 	bm := NewBitmap(g)
 	for _, pg := range polys {
-		one, err := Rasterize(pg, g)
-		if err != nil {
-			return nil, err
+		if err := pg.Validate(); err != nil {
+			return nil, fmt.Errorf("raster: %w", err)
 		}
-		for k, v := range one.Bits {
-			if v {
-				bm.Bits[k] = true
-			}
-		}
+		RasterizeInto(bm.Bits, g, g.Whole(), pg)
 	}
 	var out []geom.Polygon
 	for _, pg := range Contours(bm) {

@@ -85,6 +85,52 @@ func (g Grid) Bounds() geom.Rect {
 	return geom.Rect{X0: g.X0, Y0: g.Y0, X1: g.X0 + float64(g.W)*g.Pitch, Y1: g.Y0 + float64(g.H)*g.Pitch}
 }
 
+// Window is a rectangle of a grid's pixels held in a row-major buffer
+// of its own: pixel (i, j) of the grid, for I0 ≤ i < I0+W and
+// J0 ≤ j < J0+H, is entry Index(i, j) of the buffer. A window keeps
+// the grid's origin and addresses its pixels by their grid indices, so
+// it samples every pixel at exactly the coordinate the whole grid
+// does.
+type Window struct {
+	I0, J0 int // grid indices of the window's first pixel
+	W, H   int // pixel counts
+}
+
+// WindowOf returns the window of the pixels from (i0, j0) to (i1, j1),
+// inclusive.
+func WindowOf(i0, j0, i1, j1 int) Window {
+	return Window{I0: i0, J0: j0, W: i1 - i0 + 1, H: j1 - j0 + 1}
+}
+
+// Whole returns the window of every pixel of g.
+func (g Grid) Whole() Window { return Window{W: g.W, H: g.H} }
+
+// Cover returns the window of the pixels from the one holding r's
+// lower-left corner to the one holding its upper-right corner, clamped
+// to the grid.
+func (g Grid) Cover(r geom.Rect) Window {
+	i0, j0 := g.PixelOf(geom.Pt(r.X0, r.Y0))
+	i1, j1 := g.PixelOf(geom.Pt(r.X1, r.Y1))
+	return WindowOf(g.ClampX(i0), g.ClampY(j0), g.ClampX(i1), g.ClampY(j1))
+}
+
+// Len returns the number of pixels in the window.
+func (w Window) Len() int { return w.W * w.H }
+
+// Index returns the buffer index of grid pixel (i, j).
+func (w Window) Index(i, j int) int { return (j-w.J0)*w.W + i - w.I0 }
+
+// Overlaps reports whether the windows share a pixel.
+func (w Window) Overlaps(o Window) bool {
+	return w.I0 < o.I0+o.W && o.I0 < w.I0+w.W && w.J0 < o.J0+o.H && o.J0 < w.J0+w.H
+}
+
+// Union returns the smallest window holding both.
+func (w Window) Union(o Window) Window {
+	return WindowOf(min(w.I0, o.I0), min(w.J0, o.J0),
+		max(w.I0+w.W, o.I0+o.W)-1, max(w.J0+w.H, o.J0+o.H)-1)
+}
+
 // Bitmap is a boolean image over a Grid.
 type Bitmap struct {
 	Grid Grid
@@ -174,16 +220,32 @@ func (f *Field) Clone() *Field {
 
 // Rasterize samples polygon pg onto grid g: a pixel is set when its
 // center lies inside the polygon (even-odd rule), matching the paper's
-// pixel sampling of the target shape. Scanline implementation: O(H·n)
-// plus fill.
+// pixel sampling of the target shape. It is RasterizeInto on a fresh
+// bitmap.
 func Rasterize(pg geom.Polygon, g Grid) (*Bitmap, error) {
 	if err := pg.Validate(); err != nil {
 		return nil, fmt.Errorf("raster: %w", err)
 	}
 	b := NewBitmap(g)
+	RasterizeInto(b.Bits, g, g.Whole(), pg)
+	return b, nil
+}
+
+// RasterizeInto sets the pixels of window w of grid g whose center lies
+// inside the valid polygon pg (even-odd rule); bits is the window's
+// buffer. Pixels already set stay set, so several targets rasterize
+// into one bitmap. Scanline implementation over the rows pg spans:
+// O(rows·n) plus fill.
+func RasterizeInto(bits []bool, g Grid, w Window, pg geom.Polygon) {
 	n := len(pg)
+	box := pg.Bounds()
+	// no row outside the box crosses pg; one spare row on each side
+	// absorbs the rounding of this bound, and the crossing test below
+	// decides every row exactly
+	jLo := max(int(math.Floor((box.Y0-g.Y0)/g.Pitch-0.5))-1, w.J0)
+	jHi := min(int(math.Ceil((box.Y1-g.Y0)/g.Pitch-0.5))+1, w.J0+w.H-1)
 	xs := make([]float64, 0, 16)
-	for j := 0; j < g.H; j++ {
+	for j := jLo; j <= jHi; j++ {
 		y := g.Y0 + (float64(j)+0.5)*g.Pitch
 		xs = xs[:0]
 		for i := 0; i < n; i++ {
@@ -197,6 +259,7 @@ func Rasterize(pg geom.Polygon, g Grid) (*Bitmap, error) {
 			continue
 		}
 		sortFloats(xs)
+		row := (j - w.J0) * w.W
 		for k := 0; k+1 < len(xs); k += 2 {
 			// Half-open span [lo, hi): a pixel center exactly at lo is
 			// inside, exactly at hi is outside. This matches the
@@ -204,12 +267,11 @@ func Rasterize(pg geom.Polygon, g Grid) (*Bitmap, error) {
 			lo, hi := xs[k], xs[k+1]
 			i0 := int(math.Ceil((lo-g.X0)/g.Pitch - 0.5))
 			i1 := int(math.Ceil((hi-g.X0)/g.Pitch-0.5)) - 1
-			for i := max(i0, 0); i <= i1 && i < g.W; i++ {
-				b.Bits[g.Index(i, j)] = true
+			for i := max(i0, w.I0); i <= i1 && i < w.I0+w.W; i++ {
+				bits[row+i-w.I0] = true
 			}
 		}
 	}
-	return b, nil
 }
 
 // sortFloats sorts a small float slice in place (insertion sort; the

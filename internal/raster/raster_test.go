@@ -169,6 +169,51 @@ func TestRasterizeMatchesContains(t *testing.T) {
 	}
 }
 
+// TestRasterizeIntoWindow checks that rasterizing into a window of a
+// grid sets exactly the window's share of the whole-grid bitmap, on a
+// grid whose origin is not a whole number of pixels.
+func TestRasterizeIntoWindow(t *testing.T) {
+	pgs := []geom.Polygon{
+		poly(0.1, 0.1, 8.1, 0.1, 8.1, 8.1, 4.1, 4.1, 0.1, 8.1),
+		poly(10.6, 2.6, 14.6, 2.6, 14.6, 9.6, 10.6, 9.6),
+	}
+	g := Grid{X0: -1.0 / 3, Y0: -0.9, Pitch: 1, W: 17, H: 12}
+	whole := NewBitmap(g)
+	for _, pg := range pgs {
+		RasterizeInto(whole.Bits, g, g.Whole(), pg)
+	}
+	for _, w := range []Window{WindowOf(3, 2, 12, 9), WindowOf(0, 0, 16, 11), WindowOf(9, 5, 9, 5)} {
+		bits := make([]bool, w.Len())
+		for _, pg := range pgs {
+			RasterizeInto(bits, g, w, pg)
+		}
+		for j := w.J0; j < w.J0+w.H; j++ {
+			for i := w.I0; i < w.I0+w.W; i++ {
+				if bits[w.Index(i, j)] != whole.Get(i, j) {
+					t.Fatalf("window %+v pixel (%d,%d): %v, whole grid %v", w, i, j, bits[w.Index(i, j)], whole.Get(i, j))
+				}
+			}
+		}
+	}
+}
+
+func TestWindowOverlapsUnion(t *testing.T) {
+	a, b, c := WindowOf(0, 0, 4, 4), WindowOf(4, 4, 6, 9), WindowOf(5, 0, 6, 3)
+	if !a.Overlaps(b) || !b.Overlaps(a) {
+		t.Error("windows sharing pixel (4,4) do not overlap")
+	}
+	if a.Overlaps(c) || c.Overlaps(a) {
+		t.Error("side-by-side windows overlap")
+	}
+	if u := a.Union(c); u != WindowOf(0, 0, 6, 4) {
+		t.Errorf("union = %+v", u)
+	}
+	g := Grid{X0: 0.5, Y0: 0.5, Pitch: 1, W: 10, H: 10}
+	if w := g.Cover(geom.Rect{X0: -5, Y0: 2.2, X1: 3.4, Y1: 40}); w != WindowOf(0, 1, 2, 9) {
+		t.Errorf("cover = %+v, want clamped (0,1)-(2,9)", w)
+	}
+}
+
 func TestDistanceTransformSingleSeed(t *testing.T) {
 	g := Grid{Pitch: 1, W: 9, H: 9}
 	b := NewBitmap(g)

@@ -141,31 +141,35 @@ func (o *Options) coloringOrder() (graphx.Order, error) {
 	return graphx.Sequential, fmt.Errorf("maskfrac: unknown coloring order %q", o.ColoringOrder)
 }
 
-// Problem is a prepared fracturing instance: the target shape sampled
+// Problem is a prepared fracturing instance: the target shapes sampled
 // at the pixel pitch with every pixel classified as interior (Pon),
-// exterior (Poff) or boundary band (don't-care).
+// exterior (Poff) or boundary band (don't-care). The grid covers the
+// targets' bounding box plus the proximity kernel support. When the
+// targets form more than one independent region, that union grid is
+// sampled only if Evaluate, PixelCounts or Bounds asks for it: a
+// fracturing run samples each region on its own grid and scores the
+// result on windows of the union grid.
 type Problem struct {
-	p *cover.Problem
+	in *cover.Instance
 }
 
 // NewProblem samples and classifies a target shape. The grid covers
 // the shape's bounding box plus the proximity kernel support.
 func NewProblem(target Polygon, params Params) (*Problem, error) {
-	p, err := cover.NewProblem(target, params)
-	if err != nil {
-		return nil, err
-	}
-	return &Problem{p: p}, nil
+	return NewMultiProblem([]Polygon{target}, params)
 }
 
 // Target returns the problem's target polygon.
-func (pr *Problem) Target() Polygon { return pr.p.Target }
+func (pr *Problem) Target() Polygon { return pr.in.Targets[0] }
 
 // Params returns the problem's parameters.
-func (pr *Problem) Params() Params { return pr.p.Params }
+func (pr *Problem) Params() Params { return pr.in.Params }
 
 // PixelCounts returns |Pon| and |Poff| of the sampled instance.
-func (pr *Problem) PixelCounts() (on, off int) { return pr.p.OnCount(), pr.p.OffCount() }
+func (pr *Problem) PixelCounts() (on, off int) {
+	p := pr.in.Whole()
+	return p.OnCount(), p.OffCount()
+}
 
 // Result is the outcome of a fracturing run.
 type Result struct {
@@ -239,7 +243,9 @@ func (pr *Problem) Fracture(m Method, opt *Options) (*Result, error) {
 // Multi-target instances run through the decompose–solve–stitch engine:
 // targets farther apart than the proximity interaction range are solved
 // as independent regions, concurrently up to Options.Workers, and the
-// merged result is byte-identical to the sequential run.
+// merged result is byte-identical to the sequential run. FailOn,
+// FailOff and Cost are those of the union grid, computed on windows of
+// it around the regions.
 func (pr *Problem) FractureCtx(ctx context.Context, m Method, opt *Options) (*Result, error) {
 	start := time.Now()
 	res := &Result{Method: m}
@@ -258,7 +264,7 @@ func (pr *Problem) FractureCtx(ctx context.Context, m Method, opt *Options) (*Re
 	}
 	solveCtx, solveSpan := telemetry.StartSpan(ctx, "solve")
 	solveSpan.Set("method", string(m))
-	run, err := engine.Solve(solveCtx, pr.p, cfg)
+	run, err := engine.Solve(solveCtx, pr.in, cfg)
 	if err != nil {
 		solveSpan.End()
 		return nil, fmt.Errorf("maskfrac: %w", err)
@@ -273,13 +279,19 @@ func (pr *Problem) FractureCtx(ctx context.Context, m Method, opt *Options) (*Re
 	solveSpan.End()
 	evalStart := time.Now()
 	_, evalSpan := telemetry.StartSpan(ctx, "evaluate")
-	st := pr.p.EvaluatePaired(res.Shots, res.LPairs)
+	parts := make([]cover.Part, len(run.Regions))
+	for i, reg := range run.Regions {
+		parts[i] = cover.Part{Targets: reg.Targets, Shots: reg.Shots}
+	}
+	st, cov := pr.in.EvaluateParts(res.Shots, res.LPairs, parts)
 	res.EvalTime = time.Since(evalStart)
 	res.FailOn = st.FailOn
 	res.FailOff = st.FailOff
 	res.Cost = st.Cost
 	evalSpan.Set("fail_on", st.FailOn)
 	evalSpan.Set("fail_off", st.FailOff)
+	evalSpan.Set("windows", cov.Windows)
+	evalSpan.Set("px", cov.Pixels)
 	evalSpan.End()
 	return res, nil
 }
@@ -316,7 +328,7 @@ func foldStages(run *engine.Result) *StageInfo {
 // Evaluate scores an arbitrary shot list against the problem's
 // constraints.
 func (pr *Problem) Evaluate(shots []Shot) (failOn, failOff int, cost float64) {
-	st := pr.p.Evaluate(shots)
+	st := pr.in.Whole().Evaluate(shots)
 	return st.FailOn, st.FailOff, st.Cost
 }
 
@@ -325,7 +337,7 @@ func (pr *Problem) Evaluate(shots []Shot) (failOn, failOff int, cost float64) {
 func (pr *Problem) DoseAt(shots []Shot, at Point) float64 {
 	total := 0.0
 	for _, s := range shots {
-		total += pr.p.Model.ShotIntensity(s, at)
+		total += pr.in.Model.ShotIntensity(s, at)
 	}
 	return total
 }
@@ -333,31 +345,38 @@ func (pr *Problem) DoseAt(shots []Shot, at Point) float64 {
 // Bounds returns heuristic lower/upper shot-count bounds for the
 // target (the Table 2 LB/UB substitution; see DESIGN.md).
 func (pr *Problem) Bounds() (lower, upper int) {
-	b := bounds.Compute(pr.p)
+	b := bounds.Compute(pr.in.Whole())
 	return b.Lower, b.Upper
 }
 
 // Lth returns the longest 45° segment writable by a single shot corner
 // under the problem's proximity model and CD tolerance (paper Fig 2).
 func (pr *Problem) Lth() float64 {
-	return pr.p.Model.Lth(pr.p.Params.Rho, pr.p.Params.Gamma)
+	return pr.in.Model.Lth(pr.in.Params.Rho, pr.in.Params.Gamma)
 }
 
-// NewMultiProblem samples a group of disjoint target shapes — typically
-// a main feature plus its sub-resolution assist features (SRAFs) — into
-// one fracturing instance. The shapes share the dose budget and are
-// fractured together, as on a real mask where assist features sit
-// within the proximity range of the feature they assist.
+// NewMultiProblem prepares a group of disjoint target shapes —
+// typically a main feature plus its sub-resolution assist features
+// (SRAFs) — as one fracturing instance. The shapes share the dose
+// budget and are fractured together, as on a real mask where assist
+// features sit within the proximity range of the feature they assist.
+// It validates and clones the shapes and, when they form one
+// independent region, samples them as NewProblem does. Shapes in more
+// than one region are not sampled here: each region is sampled when it
+// is solved.
 func NewMultiProblem(targets []Polygon, params Params) (*Problem, error) {
-	p, err := cover.NewMultiProblem(targets, params)
+	in, err := cover.NewInstance(targets, params)
 	if err != nil {
 		return nil, err
 	}
-	return &Problem{p: p}, nil
+	if len(engine.Plan(in.Targets, in.InteractionRadius())) == 1 {
+		in.Whole()
+	}
+	return &Problem{in: in}, nil
 }
 
 // Targets returns all target shapes of the instance.
-func (pr *Problem) Targets() []Polygon { return pr.p.Targets }
+func (pr *Problem) Targets() []Polygon { return pr.in.Targets }
 
 // SRAFCluster returns a generated benchmark instance of a main feature
 // plus n assist bars (main shape first).

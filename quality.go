@@ -16,14 +16,14 @@ type SliverStats = metrics.SliverStats
 // (step <= 0 selects 2 nm) and measures the edge placement error the
 // shot list produces at each sample.
 func (pr *Problem) EPE(shots []Shot, step float64) EPEStats {
-	return metrics.EPE(pr.p, shots, step)
+	return metrics.EPE(pr.in.Model, pr.in.Params.Rho, pr.in.Targets, shots, step)
 }
 
 // Slivers analyzes the shot dimensions against a sliver threshold in
 // nm; threshold <= 0 selects the problem's minimum shot size Lmin.
 func (pr *Problem) Slivers(shots []Shot, threshold float64) SliverStats {
 	if threshold <= 0 {
-		threshold = pr.p.Params.Lmin
+		threshold = pr.in.Params.Lmin
 	}
 	return metrics.Slivers(shots, threshold)
 }

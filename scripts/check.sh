@@ -91,9 +91,20 @@ go test -race -run '^$' -bench 'BenchmarkRefine' -benchtime 1x .
 echo "== go test -race -bench EngineRegions -cpu 1,4 (smoke) =="
 go test -race -run '^$' -bench 'BenchmarkEngineRegions' -benchtime 1x -cpu 1,4 .
 
+# one -v run is both the log and the gate: its output goes to a temp
+# file, the SKIP/PASS/FAIL/speedup lines are printed, and its exit
+# status decides (POSIX sh has no pipefail to keep it through a pipe)
 echo "== go test engine multicore speedup gate (>=0.8x min(4, CPUs) at 4 workers) =="
-go test -count=1 -run 'TestEngineParallelSpeedup' -v . | grep -E 'SKIP|PASS|FAIL|speedup' || true
-go test -count=1 -run 'TestEngineParallelSpeedup' .
+speedup_log="$(mktemp)"
+speedup_ok=1
+go test -count=1 -run 'TestEngineParallelSpeedup' -v . >"$speedup_log" 2>&1 || speedup_ok=0
+grep -E 'SKIP|PASS|FAIL|speedup' "$speedup_log" || true
+if [ "$speedup_ok" -ne 1 ]; then
+	cat "$speedup_log"
+	rm -f "$speedup_log"
+	exit 1
+fi
+rm -f "$speedup_log"
 
 # the L-shot gate fractures the EXPERIMENTS.md L-shape suite with both
 # mbf and mbf-l under the race detector and asserts the never-worse
