@@ -405,10 +405,8 @@ func (m *Model) checkStrip32(dst []float32, c int, t0, pitch float64, i0 int, a,
 // a shot s can influence: s expanded by the support radius, clamped to
 // the grid.
 func (m *Model) SupportBox(g raster.Grid, s geom.Rect) (i0, j0, i1, j1 int) {
-	r := s.Inset(-m.Support())
-	i0, j0 = g.PixelOf(geom.Pt(r.X0, r.Y0))
-	i1, j1 = g.PixelOf(geom.Pt(r.X1, r.Y1))
-	return g.ClampX(i0), g.ClampY(j0), g.ClampX(i1), g.ClampY(j1)
+	w := g.Cover(s.Inset(-m.Support()))
+	return w.I0, w.J0, w.I0 + w.W - 1, w.J0 + w.H - 1
 }
 
 // AccumulateShot adds sign × Is to the field f over the shot's support

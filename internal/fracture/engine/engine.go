@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"sort"
 	"strings"
 	"time"
 
@@ -21,16 +22,16 @@ type Region struct {
 }
 
 // Plan clusters targets into provably independent regions with a
-// union-find over their bounding boxes inflated by radius, the
-// instance's interaction radius 3σ+γ (cover.Instance.InteractionRadius).
-// It reads the bounds alone, before any grid exists. The truncated
-// Gaussian kernel delivers exactly zero dose beyond 3σ of a shot edge
-// and the solvers keep shots within the γ-neighborhood of their
-// targets, so two clusters whose inflated boxes are disjoint — farther
-// apart than 2·(3σ+γ) — cannot affect each other's constrained pixels:
-// splitting them is exact, with zero quality loss. Regions are ordered
-// by their smallest target index and list their targets ascending,
-// which fixes the stitch order.
+// sort-and-sweep union-find over their bounding boxes inflated by
+// radius, the instance's interaction radius 3σ+γ
+// (cover.Instance.InteractionRadius). It reads the bounds alone, before
+// any grid exists. The truncated Gaussian kernel delivers exactly zero
+// dose beyond 3σ of a shot edge and the solvers keep shots within the
+// γ-neighborhood of their targets, so two clusters whose inflated boxes
+// are disjoint — farther apart than 2·(3σ+γ) — cannot affect each
+// other's constrained pixels: splitting them is exact, with zero
+// quality loss. Regions are ordered by their smallest target index and
+// list their targets ascending, which fixes the stitch order.
 func Plan(targets []geom.Polygon, radius float64) []Region {
 	n := len(targets)
 	parent := make([]int, n)
@@ -48,8 +49,27 @@ func Plan(targets []geom.Polygon, radius float64) []Region {
 	for i, t := range targets {
 		boxes[i] = t.Bounds().Inset(-radius)
 	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
+	// Sort and sweep: visit the boxes by left edge, keeping those whose
+	// right edge lies beyond the current left edge. A box dropped from
+	// that set cannot overlap any later box, so every overlapping pair
+	// is still tested, at the cost of the overlaps in x rather than of
+	// all pairs. The union keeps the smaller root, so each component's
+	// root is its smallest target whatever the visiting order.
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool { return boxes[order[a]].X0 < boxes[order[b]].X0 })
+	var active []int
+	for _, i := range order {
+		kept := active[:0]
+		for _, j := range active {
+			if boxes[j].X1 > boxes[i].X0 {
+				kept = append(kept, j)
+			}
+		}
+		active = kept
+		for _, j := range active {
 			if boxes[i].Overlaps(boxes[j]) {
 				ri, rj := find(i), find(j)
 				if ri != rj {
@@ -60,6 +80,7 @@ func Plan(targets []geom.Polygon, radius float64) []Region {
 				}
 			}
 		}
+		active = append(active, i)
 	}
 	// regionOf maps a root to its region's index. An index, not a
 	// pointer: appending a region may move the slice, and a pointer

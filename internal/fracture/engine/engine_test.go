@@ -3,6 +3,8 @@ package engine_test
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math/rand"
 	"reflect"
 	"sort"
 	"sync/atomic"
@@ -94,8 +96,37 @@ func TestPlanInterleavedTargets(t *testing.T) {
 		square(300, 300, 55), square(90, 0, 60), square(600, 0, 20), square(375, 300, 30),
 	)
 	regions := plan(in)
-	r := in.InteractionRadius()
-	n := len(in.Targets)
+	checkPlan(t, in.Targets, in.InteractionRadius(), regions)
+	if b := regions[0].Bounds; b != (geom.Rect{X0: 0, Y0: 0, X1: 150, Y1: 60}) {
+		t.Errorf("first region bounds %v, want both of its squares'", b)
+	}
+}
+
+// TestPlanRandomLayouts checks Plan against the component search on
+// random squares, with left edges that tie and boxes that only touch.
+func TestPlanRandomLayouts(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := range 200 {
+		n := 1 + rng.Intn(40)
+		targets := make([]geom.Polygon, n)
+		for i := range targets {
+			// whole multiples of 10 make ties and touching boxes common
+			targets[i] = square(float64(10*rng.Intn(40)), float64(10*rng.Intn(40)), float64(10+10*rng.Intn(4)))
+		}
+		radius := float64(5 * rng.Intn(4))
+		if t.Failed() {
+			return
+		}
+		t.Run(fmt.Sprint(trial), func(t *testing.T) { checkPlan(t, targets, radius, engine.Plan(targets, radius)) })
+	}
+}
+
+// checkPlan compares regions with the connected components of the
+// inflated-box overlap graph, found by a search from each target in
+// index order, and checks each region's bounds.
+func checkPlan(t *testing.T, targets []geom.Polygon, r float64, regions []engine.Region) {
+	t.Helper()
+	n := len(targets)
 	seen := make([]bool, n)
 	var want [][]int
 	for i := range n {
@@ -109,7 +140,7 @@ func TestPlanInterleavedTargets(t *testing.T) {
 			stack = stack[:len(stack)-1]
 			comp = append(comp, a)
 			for b := range n {
-				if !seen[b] && in.Targets[a].Bounds().Inset(-r).Overlaps(in.Targets[b].Bounds().Inset(-r)) {
+				if !seen[b] && targets[a].Bounds().Inset(-r).Overlaps(targets[b].Bounds().Inset(-r)) {
 					seen[b] = true
 					stack = append(stack, b)
 				}
@@ -121,12 +152,16 @@ func TestPlanInterleavedTargets(t *testing.T) {
 	var got [][]int
 	for _, reg := range regions {
 		got = append(got, reg.Targets)
+		box := geom.Rect{}
+		for _, i := range reg.Targets {
+			box = box.Union(targets[i].Bounds())
+		}
+		if reg.Bounds != box {
+			t.Errorf("region %v bounds %v, want %v", reg.Targets, reg.Bounds, box)
+		}
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("regions %v, want %v", got, want)
-	}
-	if b := regions[0].Bounds; b != (geom.Rect{X0: 0, Y0: 0, X1: 150, Y1: 60}) {
-		t.Errorf("first region bounds %v, want both of its squares'", b)
 	}
 }
 
