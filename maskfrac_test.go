@@ -1,9 +1,12 @@
 package maskfrac
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
+
+	"maskfrac/internal/telemetry"
 )
 
 func square(side float64) Polygon {
@@ -310,5 +313,40 @@ func TestFractureMultiRegionDeterminism(t *testing.T) {
 	// the aggregated MBF stage info still reports the whole instance
 	if seq.Stage == nil || seq.Stage.InitialShots == 0 {
 		t.Errorf("stage info lost across regions: %+v", seq.Stage)
+	}
+}
+
+// TestEvaluateSpanWindows checks the evaluate span's coverage: a
+// three-region instance is scored on three windows of the union grid,
+// fewer pixels than that grid holds, and one shape on its whole grid.
+func TestEvaluateSpanWindows(t *testing.T) {
+	span := func(targets []Polygon) (windows, px int) {
+		t.Helper()
+		prob, err := NewMultiProblem(targets, DefaultParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, root := telemetry.WithTrace(context.Background(), "test")
+		if _, err := prob.FractureCtx(ctx, MethodMBF, nil); err != nil {
+			t.Fatal(err)
+		}
+		root.End()
+		for _, a := range root.Find("evaluate").Attrs() {
+			switch a.Key {
+			case "windows":
+				windows = a.Value.(int)
+			case "px":
+				px = a.Value.(int)
+			}
+		}
+		return windows, px
+	}
+	// the three Ls span 250×250 nm plus the margin; their windows cover
+	// a fraction of that
+	if w, px := span(threeLs()); w != 3 || px <= 0 || px >= 250*250 {
+		t.Errorf("three regions: %d windows of %d px, want 3 windows under 62500 px", w, px)
+	}
+	if w, px := span([]Polygon{square(60)}); w != 1 || px != 106*106 {
+		t.Errorf("one shape: %d windows of %d px, want its whole 106×106 grid", w, px)
 	}
 }
