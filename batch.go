@@ -22,23 +22,13 @@ type BatchItem struct {
 // shape is fractured independently (paper §2), so the mask data prep
 // flow is embarrassingly parallel; workers ≤ 0 selects GOMAXPROCS.
 // Results are returned in input order. Shapes that fail to sample or
-// fracture carry their error in the corresponding item.
-func FractureBatch(targets []Polygon, params Params, m Method, opt *Options, workers int) []BatchItem {
-	return FractureBatchCached(context.Background(), targets, params, m, opt, workers, nil)
-}
-
-// FractureBatchCtx is FractureBatch with cancellation: when ctx is
+// fracture carry their error in the corresponding item. When ctx is
 // cancelled, no further shapes are dispatched and every undone item
-// carries ctx.Err(). Shapes already being solved run to completion.
-func FractureBatchCtx(ctx context.Context, targets []Polygon, params Params, m Method, opt *Options, workers int) []BatchItem {
-	return FractureBatchCached(ctx, targets, params, m, opt, workers, nil)
-}
-
-// FractureBatchCached is FractureBatchCtx with an optional shape cache
-// in front of the solver: congruent repeated shapes run the solver once
-// per congruence class and items served from the cache set CacheHit.
-// A nil cache solves every shape.
-func FractureBatchCached(ctx context.Context, targets []Polygon, params Params, m Method, opt *Options, workers int, cache *ShapeCache) []BatchItem {
+// carries ctx.Err(); shapes already being solved run to completion.
+// A non-nil cache sits in front of the solver: congruent repeated
+// shapes run the solver once per congruence class and items served
+// from the cache set CacheHit. A nil cache solves every shape.
+func FractureBatch(ctx context.Context, targets []Polygon, params Params, m Method, opt *Options, workers int, cache *ShapeCache) []BatchItem {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}

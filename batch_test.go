@@ -13,7 +13,7 @@ func TestFractureBatch(t *testing.T) {
 		{{X: 0, Y: 0}, {X: 1, Y: 1}}, // invalid shape
 		square(60),
 	}
-	items := FractureBatch(targets, DefaultParams(), MethodProtoEDA, nil, 2)
+	items := FractureBatch(context.Background(), targets, DefaultParams(), MethodProtoEDA, nil, 2, nil)
 	if len(items) != 4 {
 		t.Fatalf("items = %d", len(items))
 	}
@@ -45,7 +45,7 @@ func TestFractureBatch(t *testing.T) {
 func TestFractureBatchMatchesSerial(t *testing.T) {
 	targets := []Polygon{square(70), square(90)}
 	params := DefaultParams()
-	items := FractureBatch(targets, params, MethodProtoEDA, nil, 0)
+	items := FractureBatch(context.Background(), targets, params, MethodProtoEDA, nil, 0, nil)
 	for i, target := range targets {
 		prob, err := NewProblem(target, params)
 		if err != nil {
@@ -62,7 +62,7 @@ func TestFractureBatchMatchesSerial(t *testing.T) {
 }
 
 func TestFractureBatchWorkersExceedShapes(t *testing.T) {
-	items := FractureBatch([]Polygon{square(60)}, DefaultParams(), MethodGSC, nil, 32)
+	items := FractureBatch(context.Background(), []Polygon{square(60)}, DefaultParams(), MethodGSC, nil, 32, nil)
 	if len(items) != 1 || items[0].Err != nil {
 		t.Fatalf("items = %+v", items)
 	}
@@ -72,7 +72,7 @@ func TestFractureBatchCtxCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // cancel before dispatch: every item must carry ctx.Err()
 	targets := []Polygon{square(60), square(70), square(80)}
-	items := FractureBatchCtx(ctx, targets, DefaultParams(), MethodProtoEDA, nil, 2)
+	items := FractureBatch(ctx, targets, DefaultParams(), MethodProtoEDA, nil, 2, nil)
 	if len(items) != 3 {
 		t.Fatalf("items = %d", len(items))
 	}
@@ -98,7 +98,7 @@ func TestFractureBatchCtxCancelMidway(t *testing.T) {
 	// most shapes undispatched
 	done := make(chan []BatchItem)
 	go func() {
-		done <- FractureBatchCached(ctx, targets, DefaultParams(), MethodProtoEDA, nil, 1, nil)
+		done <- FractureBatch(ctx, targets, DefaultParams(), MethodProtoEDA, nil, 1, nil)
 	}()
 	cancel()
 	items := <-done
@@ -126,7 +126,7 @@ func TestFractureBatchErrorPaths(t *testing.T) {
 		{{X: 0, Y: 0}, {X: 5, Y: 5}}, // degenerate: < 3 vertices
 		square(90),
 	}
-	items := FractureBatch(targets, DefaultParams(), MethodProtoEDA, nil, 3)
+	items := FractureBatch(context.Background(), targets, DefaultParams(), MethodProtoEDA, nil, 3, nil)
 	if items[1].Err == nil {
 		t.Error("degenerate polygon produced no error")
 	}
@@ -140,7 +140,7 @@ func TestFractureBatchErrorPaths(t *testing.T) {
 	}
 
 	// an unknown method errors on every item, in input order
-	items = FractureBatch([]Polygon{square(60), square(80)}, DefaultParams(), Method("bogus"), nil, 2)
+	items = FractureBatch(context.Background(), []Polygon{square(60), square(80)}, DefaultParams(), Method("bogus"), nil, 2, nil)
 	for i, it := range items {
 		if it.Err == nil {
 			t.Errorf("item %d: unknown method produced no error", i)

@@ -345,7 +345,7 @@ func BenchmarkBatch(b *testing.B) {
 	params := DefaultParams()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		items := FractureBatch(targets, params, MethodProtoEDA, nil, 0)
+		items := FractureBatch(context.Background(), targets, params, MethodProtoEDA, nil, 0, nil)
 		if s := Summarize(items); s.Errors > 0 {
 			b.Fatalf("batch errors: %d", s.Errors)
 		}
@@ -464,7 +464,7 @@ func BenchmarkBatchCache(b *testing.B) {
 				if tc.cached {
 					cache = NewShapeCache(64)
 				}
-				items := FractureBatchCached(ctx, targets, params, MethodProtoEDA, nil, 0, cache)
+				items := FractureBatch(ctx, targets, params, MethodProtoEDA, nil, 0, cache)
 				s := Summarize(items)
 				if s.Errors != 0 {
 					b.Fatalf("batch errors: %+v", s)

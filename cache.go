@@ -7,7 +7,6 @@ import (
 
 	"maskfrac/internal/maskio"
 	"maskfrac/internal/shapecache"
-	"maskfrac/internal/telemetry"
 )
 
 // ShapeCache is a content-addressed cache of fracturing solutions.
@@ -155,18 +154,12 @@ func FractureCached(ctx context.Context, target Polygon, params Params, m Method
 	return res, true, nil
 }
 
-// fractureDirect is the uncached sample-and-solve path.
+// fractureDirect is the uncached solve path.
 func fractureDirect(ctx context.Context, target Polygon, params Params, m Method, opt *Options) (*Result, error) {
-	_, span := telemetry.StartSpan(ctx, "sample")
 	prob, err := NewProblem(target, params)
 	if err != nil {
-		span.End()
 		return nil, err
 	}
-	on, off := prob.PixelCounts()
-	span.Set("pixels_on", on)
-	span.Set("pixels_off", off)
-	span.End()
 	return prob.FractureCtx(ctx, m, opt)
 }
 

@@ -131,8 +131,8 @@ func TestFractureCachedMatchesUncachedOnTranslations(t *testing.T) {
 		translated(base, 0.25, -3.75),
 	}
 	params := DefaultParams()
-	cached := FractureBatchCached(context.Background(), targets, params, MethodProtoEDA, nil, 2, NewShapeCache(16))
-	plain := FractureBatch(targets, params, MethodProtoEDA, nil, 2)
+	cached := FractureBatch(context.Background(), targets, params, MethodProtoEDA, nil, 2, NewShapeCache(16))
+	plain := FractureBatch(context.Background(), targets, params, MethodProtoEDA, nil, 2, nil)
 	for i := range targets {
 		c, p := cached[i], plain[i]
 		if c.Err != nil || p.Err != nil {

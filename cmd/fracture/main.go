@@ -210,7 +210,7 @@ func runBatch(path string, params maskfrac.Params, method maskfrac.Method, worke
 	if cacheEntries > 0 {
 		cache = maskfrac.NewShapeCache(cacheEntries)
 	}
-	items := maskfrac.FractureBatchCached(context.Background(), polys(shapes), params, method, nil, workers, cache)
+	items := maskfrac.FractureBatch(context.Background(), polys(shapes), params, method, nil, workers, cache)
 	for i, it := range items {
 		name := shapes[i].Name
 		if it.Err != nil {

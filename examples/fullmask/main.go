@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -61,13 +62,13 @@ func main() {
 		len(targets), runtime.GOMAXPROCS(0))
 
 	t0 := time.Now()
-	conv := maskfrac.FractureBatch(targets, params, maskfrac.MethodProtoEDA, nil, 0)
+	conv := maskfrac.FractureBatch(context.Background(), targets, params, maskfrac.MethodProtoEDA, nil, 0, nil)
 	convSummary := maskfrac.Summarize(conv)
 	fmt.Printf("conventional tool: %d shots, %d/%d clips clean (%.1fs)\n",
 		convSummary.Shots, convSummary.Feasible, convSummary.Shapes, time.Since(t0).Seconds())
 
 	t0 = time.Now()
-	ours := maskfrac.FractureBatch(targets, params, maskfrac.MethodMBF, nil, 0)
+	ours := maskfrac.FractureBatch(context.Background(), targets, params, maskfrac.MethodMBF, nil, 0, nil)
 	oursSummary := maskfrac.Summarize(ours)
 	fmt.Printf("model-based:       %d shots, %d/%d clips clean (%.1fs)\n\n",
 		oursSummary.Shots, oursSummary.Feasible, oursSummary.Shapes, time.Since(t0).Seconds())

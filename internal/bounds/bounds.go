@@ -27,8 +27,15 @@ type Bounds struct {
 }
 
 // Compute returns shot-count bounds for the problem's target shape.
+// Lower is clamped to Upper. Clustered convex corner points sit
+// outside the shape's corners, so a test shot between two of them can
+// fall below the 80% interior fraction and the compatibility graph
+// misses edges: on a square up to 40 nm it has none, and its
+// independent set counts all four corners although one shot covers
+// the square.
 func Compute(p *cover.Problem) Bounds {
-	return Bounds{Lower: lowerBound(p), Upper: upperBound(p)}
+	upper := upperBound(p)
+	return Bounds{Lower: min(lowerBound(p), upper), Upper: upper}
 }
 
 // upperBound counts the rectangles of a minimum rectilinear partition

@@ -1,6 +1,7 @@
 package bounds
 
 import (
+	"fmt"
 	"testing"
 
 	"maskfrac/internal/cover"
@@ -66,5 +67,24 @@ func TestUpperIsAchievable(t *testing.T) {
 	}
 	if b.Upper > 10*sh.Known {
 		t.Errorf("upper bound %d absurdly large for optimal %d", b.Upper, sh.Known)
+	}
+}
+
+// TestBoundsOrdered checks 1 <= Lower <= Upper on small squares, whose
+// corner graph has no edges, and on the generated Table 3 suite.
+func TestBoundsOrdered(t *testing.T) {
+	params := cover.DefaultParams()
+	shapes := map[string]geom.Polygon{}
+	for side := 8.0; side <= 40; side++ {
+		shapes[fmt.Sprintf("square-%g", side)] = geom.Polygon{
+			geom.Pt(0, 0), geom.Pt(side, 0), geom.Pt(side, side), geom.Pt(0, side)}
+	}
+	for _, sh := range append(shapegen.AGBSuite(params), shapegen.RGBSuite(params)...) {
+		shapes[sh.Name] = sh.Target
+	}
+	for name, pg := range shapes {
+		if b := Compute(problem(t, pg)); b.Lower < 1 || b.Lower > b.Upper {
+			t.Errorf("%s: lower %d, upper %d", name, b.Lower, b.Upper)
+		}
 	}
 }

@@ -1,10 +1,10 @@
-// Per-Eval buffer arenas: the dose grid, failing and live pixel
+// Per-instance buffer arenas: the dose grid, failing and live pixel
 // bitmaps, edge tables and accumulation scratch of an evaluator are
 // the dominant allocations of a cache-miss solve, and the refinement
 // loops of every heuristic construct evaluators repeatedly (polish
-// candidates, removal trials, merge passes). An Arena recycles those buffers
-// within a Problem, and a process-wide sync.Pool recycles whole arenas
-// across solves, so the steady state allocates nothing.
+// candidates, removal trials, merge passes). An Arena recycles those
+// buffers within one Instance, so a solve's steady state allocates
+// nothing, and they are freed with the instance.
 package cover
 
 import (
@@ -44,36 +44,19 @@ func ArenaCounters() ArenaStats {
 // churn of the refinement loops without hoarding.
 const arenaListCap = 8
 
-// An Arena recycles the large buffers behind cover evaluators. Buffers
-// flow out through the get methods (NewEval, Problem.Evaluate) and
-// back in through Eval.Close; the free lists are mutex-guarded so a
-// Problem's arena tolerates concurrent evaluators, though region
-// solves are expected to use one arena per subproblem (they share
-// nothing but the read-only model tables).
-//
-// The zero value is ready to use. Arenas themselves are pooled
-// process-wide: NewArena draws from a sync.Pool and Problem.Recycle
-// returns to it, which is what carries buffer reuse across cache-miss
-// solves.
+// An Arena recycles the large buffers behind cover evaluators. Each
+// Instance owns one: every problem sampled from it and every
+// EvaluateParts window draws from it. Buffers flow out through the get
+// methods (NewEval, Problem.Evaluate, EvaluateParts) and back in
+// through Eval.Close; the free lists are mutex-guarded because the
+// regions of one instance may be solved concurrently. The zero value
+// is ready to use.
 type Arena struct {
 	mu   sync.Mutex
 	f64  [][]float64
 	f32  [][]float32
 	bits [][]bool
 	u64  [][]uint64
-}
-
-var arenaPool = sync.Pool{New: func() any { return new(Arena) }}
-
-// NewArena returns an arena from the process-wide pool.
-func NewArena() *Arena {
-	return arenaPool.Get().(*Arena)
-}
-
-// recycle returns the arena (with whatever buffers it holds) to the
-// process-wide pool. The caller must not use it afterwards.
-func (a *Arena) recycle() {
-	arenaPool.Put(a)
 }
 
 // getF64 returns a zeroed []float64 of length n.

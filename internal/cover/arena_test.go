@@ -55,26 +55,9 @@ func TestEvalUseAfterClosePanics(t *testing.T) {
 	e.Add(geom.Rect{X0: 10, Y0: 10, X1: 30, Y1: 30})
 }
 
-// TestProblemRecycle checks that recycling detaches the arena (a later
-// evaluator draws a fresh one) and leaves the problem usable.
-func TestProblemRecycle(t *testing.T) {
-	p := mustProblem(t, square(40))
-	a1 := p.Arena()
-	p.Recycle()
-	if p.arena.Load() != nil {
-		t.Fatal("Recycle left the arena attached")
-	}
-	e := NewEval(p, []geom.Rect{{X0: 0, Y0: 0, X1: 40, Y1: 40}})
-	if got := e.Stats(); got.Fail() < 0 {
-		t.Fatal("unreachable")
-	}
-	e.Close()
-	_ = a1
-	p.Recycle()
-}
-
-// TestSubproblemSharesModel checks that region subproblems reuse the
-// instance's read-only proximity model instead of rebuilding the LUTs.
+// TestSubproblemSharesModel checks that the problems sampled from one
+// instance share its read-only proximity model and its arena, and that
+// scoring a solution after a solve reuses the solve's buffers.
 func TestSubproblemSharesModel(t *testing.T) {
 	shapes := []geom.Polygon{square(30), squareAt(100, 0, 20)}
 	in, err := NewInstance(shapes, DefaultParams())
@@ -82,12 +65,18 @@ func TestSubproblemSharesModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	p, sub := in.Whole(), in.Sample([]int{1})
-	p.Arena()
 	if sub.Model != p.Model {
 		t.Error("subproblem rebuilt the proximity model")
 	}
-	if p.arena.Load() != nil && sub.arena.Load() == p.arena.Load() {
-		t.Error("subproblem shares the parent's arena")
+	if p.arena != &in.arena || sub.arena != &in.arena {
+		t.Error("problems sampled from one instance do not share its arena")
+	}
+	shots := []geom.Rect{{X0: 0, Y0: 0, X1: 30, Y1: 30}, {X0: 100, Y0: 0, X1: 120, Y1: 20}}
+	NewEval(p, shots).Close()
+	before := ArenaCounters()
+	in.EvaluateParts(shots, nil, []Part{{Targets: []int{0, 1}, Shots: 2}})
+	if after := ArenaCounters(); after.Hits <= before.Hits {
+		t.Errorf("EvaluateParts after a solve added no arena hits: %d -> %d", before.Hits, after.Hits)
 	}
 }
 

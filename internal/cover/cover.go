@@ -102,35 +102,9 @@ type Problem struct {
 	// pixel counts as live for sparse scoring; see newLiveMargin.
 	liveMargin float64
 
-	// arena recycles evaluator buffers across the NewEval/Close churn
-	// of this problem's solve; acquired lazily, returned by Recycle.
-	arena atomic.Pointer[Arena]
-}
-
-// Arena returns the problem's buffer arena, drawing one from the
-// process-wide pool on first use (or after Recycle).
-func (p *Problem) Arena() *Arena {
-	if a := p.arena.Load(); a != nil {
-		return a
-	}
-	a := NewArena()
-	if !p.arena.CompareAndSwap(nil, a) {
-		a.recycle()
-		return p.arena.Load()
-	}
-	return a
-}
-
-// Recycle detaches the problem's arena and returns it (with its pooled
-// buffers) to the process-wide pool, so the next solve's evaluators
-// reuse the memory. Call it when no evaluator of this problem is live;
-// the engine recycles each region subproblem after its region solve.
-// The problem itself stays usable — a later NewEval simply draws a
-// fresh arena.
-func (p *Problem) Recycle() {
-	if a := p.arena.Swap(nil); a != nil {
-		a.recycle()
-	}
+	// arena is the instance's, shared by every problem sampled from it;
+	// it recycles evaluator buffers across the NewEval/Close churn.
+	arena *Arena
 }
 
 // NewProblem samples the target shape onto a grid with pitch
@@ -557,10 +531,10 @@ func (sc *Scorer) Fold() {
 // NewEval returns an evaluator seeded with the given shots. The shot
 // list is copied; building the initial dose field and violation state
 // costs O(grid + Σ shot support boxes). The evaluator's buffers come
-// from the problem's arena — call Close when done with the evaluator
+// from the instance's arena — call Close when done with the evaluator
 // to return them for reuse.
 func NewEval(p *Problem, shots []geom.Rect) *Eval {
-	a := p.Arena()
+	a := p.arena
 	n := p.Grid.Len()
 	e := &Eval{
 		P:       p,

@@ -22,6 +22,9 @@ type Instance struct {
 	Model   *ebeam.Model // shared read-only by every problem sampled from it
 
 	whole func() *Problem
+	// arena holds the evaluator buffers of every problem sampled from
+	// the instance and of EvaluateParts, and is freed with it.
+	arena Arena
 }
 
 // NewInstance validates the parameters and the targets and clones the
@@ -54,9 +57,8 @@ func (in *Instance) Whole() *Problem { return in.whole() }
 // Targets) alone, exactly as NewMultiProblem builds it for those
 // shapes: same grid placement, same pixel classes. Solving it therefore
 // gives byte-identical shots to solving the subset on its own. The
-// problem shares the instance's read-only proximity model but nothing
-// mutable: it draws its own buffer arena, so concurrent region solves
-// never contend.
+// problem shares the instance's read-only proximity model and its
+// mutex-guarded buffer arena.
 func (in *Instance) Sample(targets []int) *Problem {
 	subset := make([]geom.Polygon, len(targets))
 	for i, t := range targets {
@@ -106,6 +108,7 @@ func (in *Instance) sample(targets []geom.Polygon) *Problem {
 		Class:   make([]Class, grid.Len()),
 
 		liveMargin: newLiveMargin(in.Model, in.Params.Pitch),
+		arena:      &in.arena,
 	}
 	p.nOn, p.nOff = classify(targets, in.Params.Gamma, grid, grid.Whole(), p.Inside.Bits, p.Class)
 	return p
@@ -182,9 +185,8 @@ type failTerm struct {
 // EvaluateParts returns Whole().EvaluatePaired(shots, pairs), bit for
 // bit, for a stitched solution: parts[0]'s shots come first in shots,
 // then parts[1]'s, and so on, and each pair joins two shots of one
-// part. The parts must hold every target exactly once. A one-part
-// solution is scored on Whole itself. Otherwise the union grid is never
-// sampled:
+// part. The parts must hold every target exactly once. The union grid
+// is never sampled:
 //
 //   - each part is scored on a window of the union grid: the pixels of
 //     its targets' bounding box inflated by the sampling margin and of
@@ -201,13 +203,11 @@ type failTerm struct {
 //
 // A part's own grid would not do: it sits on its own bounding box, off
 // the union lattice wherever the bounds are not whole pixels, and
-// counts different pixels. Under MASKFRAC_EVAL_CHECK every windowed
-// result is checked against a freshly sampled union grid.
+// counts different pixels. One part is one window, which covers the
+// whole union grid. The window buffers come from the instance's arena.
+// Under MASKFRAC_EVAL_CHECK every result is checked against a freshly
+// sampled union grid.
 func (in *Instance) EvaluateParts(shots []geom.Rect, pairs [][2]int, parts []Part) (Stats, Coverage) {
-	if len(parts) == 1 {
-		p := in.Whole()
-		return p.EvaluatePaired(shots, pairs), Coverage{Windows: 1, Pixels: p.Grid.Len()}
-	}
 	in.checkParts(parts, len(shots))
 	g := in.gridOf(in.Targets)
 	m := in.Model
@@ -266,14 +266,13 @@ func (in *Instance) EvaluateParts(shots []geom.Rect, pairs [][2]int, parts []Par
 		win.pairs = append(win.pairs, pr)
 	}
 
+	a := &in.arena
 	var (
 		st      Stats
 		cov     = Coverage{Windows: len(wins)}
 		terms   []failTerm
-		inside  []bool
 		class   []Class
-		dose    []float64
-		scratch []float32
+		scratch = a.getF32(0)
 		targets []geom.Polygon
 	)
 	rho := in.Params.Rho
@@ -281,9 +280,8 @@ func (in *Instance) EvaluateParts(shots []geom.Rect, pairs [][2]int, parts []Par
 		w := win.w
 		n := w.Len()
 		cov.Pixels += n
-		inside = resize(inside, n)
+		inside, dose := a.getBits(n), a.getF64(n)
 		class = resize(class, n)
-		dose = resize(dose, n)
 		targets = targets[:0]
 		for _, pi := range win.parts {
 			for _, t := range parts[pi].Targets {
@@ -315,7 +313,10 @@ func (in *Instance) EvaluateParts(shots []geom.Rect, pairs [][2]int, parts []Par
 				}
 			}
 		}
+		a.putBits(inside)
+		a.putF64(dose)
 	}
+	a.putF32(scratch)
 	slices.SortFunc(terms, func(a, b failTerm) int { return cmp.Compare(a.k, b.k) })
 	for _, t := range terms {
 		st.Cost += t.v

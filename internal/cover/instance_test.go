@@ -148,7 +148,7 @@ func TestEvaluatePartsExact(t *testing.T) {
 }
 
 // TestEvaluatePartsSinglePart checks that a one-part solution is scored
-// on the whole problem.
+// as one window over the whole union grid, as Whole scores it.
 func TestEvaluatePartsSinglePart(t *testing.T) {
 	in, err := NewInstance([]geom.Polygon{square(40)}, DefaultParams())
 	if err != nil {

@@ -234,20 +234,20 @@ func (e *Eval) resetPartners(n int) {
 
 // EvaluatePaired computes the violation statistics of a shot set with
 // L-shot pairs from scratch. The dose field and accumulation scratch
-// come from the problem's arena, so repeated from-scratch evaluations
+// come from the instance's arena, so repeated from-scratch evaluations
 // (quality reports, cross-checks) allocate nothing at steady state.
 func (p *Problem) EvaluatePaired(shots []geom.Rect, pairs [][2]int) Stats {
 	dose := p.pairedDose(shots, pairs)
 	st := p.classifyDose(dose, nil, nil, nil)
-	p.Arena().putF64(dose)
+	p.arena.putF64(dose)
 	return st
 }
 
 // pairedDose returns the from-scratch dose field of a shot set with
-// L-shot pairs in a buffer from the problem's arena; the caller returns
+// L-shot pairs in a buffer from the instance's arena; the caller returns
 // it with putF64.
 func (p *Problem) pairedDose(shots []geom.Rect, pairs [][2]int) []float64 {
-	a := p.Arena()
+	a := p.arena
 	dose := raster.Field{Grid: p.Grid, V: a.getF64(p.Grid.Len())}
 	a.putF32(p.accumulatePaired(&dose, shots, pairs, a.getF32(0)))
 	return dose.V

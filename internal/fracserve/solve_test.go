@@ -303,7 +303,9 @@ func TestE2ESolveDeadlineWhileSolving(t *testing.T) {
 
 // TestE2ESolveQueueFull429 checks that /solve shares /fracture's
 // admission: with the one worker stalled and the depth-1 queue full, a
-// /solve request is rejected with 429 and a Retry-After hint.
+// /solve request is rejected with 429 and a Retry-After hint. The
+// request is a 2000 nm square, whose grid of 4.2 M pixels would take
+// several MB: the handler must not sample it before it queues.
 func TestE2ESolveQueueFull429(t *testing.T) {
 	s := New(Config{Workers: 1, QueueDepth: 1})
 	s.workDelay = 300 * time.Millisecond
@@ -326,9 +328,15 @@ func TestE2ESolveQueueFull429(t *testing.T) {
 	for len(s.jobs) == 0 {
 		time.Sleep(time.Millisecond)
 	}
-	_, err := c.SolveShapes(ctx, []geom.Polygon{testShape(64)}, "proto-eda")
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := c.SolveShapes(ctx, []geom.Polygon{testShape(2000)}, "proto-eda")
+	runtime.ReadMemStats(&after)
 	if !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("/solve to a full queue: err = %v, want ErrQueueFull", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Errorf("rejected /solve allocated %d KB, want under 1 MB", alloc>>10)
 	}
 	if after, ok := RetryAfter(err); !ok || after <= 0 {
 		t.Errorf("RetryAfter(%v) = %v, %v; want a positive hint", err, after, ok)

@@ -153,14 +153,13 @@ type Result struct {
 // regions from the targets' bounds, sample and solve each region as its
 // own problem — the caller plus bounded pool-token helpers work-steal
 // regions off a size-sorted queue, largest first — and merge the shot
-// lists in region order. No grid covering all the regions is ever
-// sampled. A single-region instance (the common case: one shape, or a
-// main feature whose SRAFs all sit within interaction range) is solved
-// on the instance's Whole problem, which is the region's own. On both
-// paths the solver's ctx carries the run's Pool, from which a solver
-// may take helpers for the work inside one solve. When ctx carries a
-// telemetry trace, the run records "plan", per-region "region" and
-// "stitch" spans.
+// lists in region order. A one-region instance (one shape, or a main
+// feature whose SRAFs all sit within interaction range) takes the same
+// path, and no grid covering several regions is ever sampled. The
+// solver's ctx carries the run's Pool, from which a solver may take
+// helpers for the work inside one solve. When ctx carries a telemetry
+// trace, the run records "plan", per-region "region" spans, each with
+// a "sample" child, and a "stitch" span.
 func Solve(ctx context.Context, in *cover.Instance, cfg Config) (*Result, error) {
 	fn, ok := Lookup(cfg.Method)
 	if !ok {
@@ -187,25 +186,6 @@ func Solve(ctx context.Context, in *cover.Instance, cfg Config) (*Result, error)
 	planSpan.Set("regions", len(regions))
 	planSpan.End()
 
-	if len(regions) == 1 {
-		start := time.Now()
-		sol, err := fn(ctx, in.Whole(), cfg.Options)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{
-			Shots: sol.Shots,
-			Pairs: sol.Pairs,
-			Regions: []RegionResult{{
-				Targets: regions[0].Targets,
-				Bounds:  regions[0].Bounds,
-				Shots:   len(sol.Shots),
-				Runtime: time.Since(start),
-				Stage:   sol.Stage,
-			}},
-		}, nil
-	}
-
 	results := make([]RegionResult, len(regions))
 	shots := make([][]geom.Rect, len(regions))
 	pairs := make([][][2]int, len(regions))
@@ -220,10 +200,11 @@ func Solve(ctx context.Context, in *cover.Instance, cfg Config) (*Result, error)
 			return
 		}
 		start := time.Now()
+		_, sampleSpan := telemetry.StartSpan(rctx, "sample")
 		sub := in.Sample(regions[i].Targets)
-		// return the subproblem's evaluator buffers to the process-wide
-		// arena pool once the region is solved
-		defer sub.Recycle()
+		sampleSpan.Set("pixels_on", sub.OnCount())
+		sampleSpan.Set("pixels_off", sub.OffCount())
+		sampleSpan.End()
 		sol, err := fn(rctx, sub, cfg.Options)
 		if err != nil {
 			errs[i] = fmt.Errorf("engine: region %d: %w", i, err)

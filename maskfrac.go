@@ -141,20 +141,19 @@ func (o *Options) coloringOrder() (graphx.Order, error) {
 	return graphx.Sequential, fmt.Errorf("maskfrac: unknown coloring order %q", o.ColoringOrder)
 }
 
-// Problem is a prepared fracturing instance: the target shapes sampled
-// at the pixel pitch with every pixel classified as interior (Pon),
-// exterior (Poff) or boundary band (don't-care). The grid covers the
-// targets' bounding box plus the proximity kernel support. When the
-// targets form more than one independent region, that union grid is
-// sampled only if Evaluate, PixelCounts or Bounds asks for it: a
-// fracturing run samples each region on its own grid and scores the
-// result on windows of the union grid.
+// Problem is a prepared fracturing instance: the validated target
+// shapes, to be sampled at the pixel pitch with every pixel classified
+// as interior (Pon), exterior (Poff) or boundary band (don't-care). The
+// union grid covers the targets' bounding box plus the proximity kernel
+// support; it is sampled only if Evaluate, PixelCounts or Bounds asks
+// for it. A fracturing run samples each independent region on its own
+// grid and scores the result on windows of the union grid.
 type Problem struct {
 	in *cover.Instance
 }
 
-// NewProblem samples and classifies a target shape. The grid covers
-// the shape's bounding box plus the proximity kernel support.
+// NewProblem validates a target shape and prepares it for fracturing.
+// It samples nothing.
 func NewProblem(target Polygon, params Params) (*Problem, error) {
 	return NewMultiProblem([]Polygon{target}, params)
 }
@@ -236,11 +235,11 @@ func (pr *Problem) Fracture(m Method, opt *Options) (*Result, error) {
 // FractureCtx is Fracture with telemetry plumbed through the context:
 // when ctx carries a trace (telemetry.WithTrace), the solver and
 // scoring pass record spans — the engine records its plan, per-region
-// and stitch phases, and MethodMBF additionally records its
-// corner-extraction, coloring and per-refinement-iteration phases.
-// Without a trace the instrumentation costs one context lookup.
+// sample and solve, and stitch phases, and MethodMBF additionally
+// records its corner-extraction, coloring and per-refinement-iteration
+// phases. Without a trace the instrumentation costs one context lookup.
 //
-// Multi-target instances run through the decompose–solve–stitch engine:
+// Every instance runs through the decompose–solve–stitch engine:
 // targets farther apart than the proximity interaction range are solved
 // as independent regions, concurrently up to Options.Workers, and the
 // merged result is byte-identical to the sequential run. FailOn,
@@ -360,17 +359,12 @@ func (pr *Problem) Lth() float64 {
 // (SRAFs) — as one fracturing instance. The shapes share the dose
 // budget and are fractured together, as on a real mask where assist
 // features sit within the proximity range of the feature they assist.
-// It validates and clones the shapes and, when they form one
-// independent region, samples them as NewProblem does. Shapes in more
-// than one region are not sampled here: each region is sampled when it
-// is solved.
+// It validates and clones the shapes and samples nothing: each region
+// is sampled when it is solved.
 func NewMultiProblem(targets []Polygon, params Params) (*Problem, error) {
 	in, err := cover.NewInstance(targets, params)
 	if err != nil {
 		return nil, err
-	}
-	if len(engine.Plan(in.Targets, in.InteractionRadius())) == 1 {
-		in.Whole()
 	}
 	return &Problem{in: in}, nil
 }

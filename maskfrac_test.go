@@ -3,6 +3,7 @@ package maskfrac
 import (
 	"context"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -283,6 +284,58 @@ func fourSRAFClusters() []Polygon {
 }
 
 // TestFractureMultiRegionDeterminism is the facade-level determinism
+// TestNewProblemSamplesNothing checks that preparing a problem samples
+// no grid: a 2000 nm square's union grid holds 4.2 M pixels, several
+// MB of bitmap and classes.
+func TestNewProblemSamplesNothing(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := NewProblem(square(2000), DefaultParams())
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Errorf("NewProblem allocated %d KB, want under 1 MB", alloc>>10)
+	}
+}
+
+// TestOneShapeRegionSpan checks that one shape is solved as the one
+// region of its instance: the trace holds one region span, whose sample
+// child counts the pixels PixelCounts reports.
+func TestOneShapeRegionSpan(t *testing.T) {
+	prob, err := NewProblem(square(60), DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, root := telemetry.WithTrace(context.Background(), "test")
+	if _, err := prob.FractureCtx(ctx, MethodProtoEDA, nil); err != nil {
+		t.Fatal(err)
+	}
+	root.End()
+	var regions []*telemetry.Span
+	for _, c := range root.Find("solve").Children() {
+		if c.Name == "region" {
+			regions = append(regions, c)
+		}
+	}
+	if len(regions) != 1 {
+		t.Fatalf("%d region spans, want 1", len(regions))
+	}
+	sample := regions[0].Find("sample")
+	if sample == nil {
+		t.Fatal("region span has no sample child")
+	}
+	got := map[string]any{}
+	for _, a := range sample.Attrs() {
+		got[a.Key] = a.Value
+	}
+	on, off := prob.PixelCounts()
+	if got["pixels_on"] != on || got["pixels_off"] != off {
+		t.Errorf("sample span pixels on/off %v/%v, PixelCounts %d/%d", got["pixels_on"], got["pixels_off"], on, off)
+	}
+}
+
 // guard: a four-cluster instance solved with 1 and 4 workers produces
 // byte-identical shot lists and identical evaluation results, because
 // the engine stitches per-region solutions in region index order

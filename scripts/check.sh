@@ -119,11 +119,14 @@ go test -race -count=1 -run 'TestLShotSuiteGate|TestLShotEngineDeterminism' .
 # against one evaluator (bit-identical to DeltaCost and EdgeDeltas,
 # counters folded exactly) and the engine.Pool fan-out helper (inline
 # on a zero-token pool, tokens returned, helper panics re-raised),
-# repeated under the race detector; then MBF on ILT-1 and ILT-3 at 1, 2
-# and 8 workers must return identical shot lists
+# repeated under the race detector; the regions of one instance solved
+# concurrently, drawing from the instance's one mutex-guarded arena;
+# then MBF on ILT-1 and ILT-3 at 1, 2 and 8 workers must return
+# identical shot lists
 echo "== go test -race fan-outs inside one solve =="
 go test -race -count=10 -run '^TestScorersConcurrent(EdgeDeltas)?$' ./internal/cover
 go test -race -count=10 -run 'TestPoolFan' ./internal/fracture/engine
+go test -race -count=10 -run 'TestSolveParallelDeterminism' ./internal/fracture/engine
 go test -race -count=3 -run 'TestSingleRegionDeterminism/^ILT-[13]$' .
 
 # the evaluator cross-check mode: every commit path of cover.Eval's one
