@@ -214,6 +214,45 @@ func TestE2EPprofGated(t *testing.T) {
 	}
 }
 
+// TestE2ECacheHitIsNotSolveTime sends one shape twice: the first
+// request runs the solver, the second is a cache hit, which adds
+// nothing to the solve-duration histogram or to /stats total_solve_ms.
+func TestE2ECacheHitIsNotSolveTime(t *testing.T) {
+	s := New(Config{Workers: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	c := NewClient(ts.URL)
+	ctx := context.Background()
+	solveMS := func() float64 {
+		t.Helper()
+		st, err := c.Stats(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Methods["proto-eda"].TotalSolveMS
+	}
+
+	for i, wantHit := range []bool{false, true} {
+		before := solveMS()
+		item, err := c.Fracture(ctx, testL(), "proto-eda")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if item.CacheHit != wantHit {
+			t.Fatalf("request %d: cache_hit = %v, want %v", i, item.CacheHit, wantHit)
+		}
+		if after := solveMS(); wantHit && after != before {
+			t.Errorf("the hit moved total_solve_ms from %v to %v", before, after)
+		} else if !wantHit && after <= before {
+			t.Errorf("the solve left total_solve_ms at %v", after)
+		}
+	}
+	if got := metricValue(t, scrape(t, ts.URL+"/metrics"),
+		`fracd_solve_duration_seconds_count{method="proto-eda"}`); got != "1" {
+		t.Errorf("fracd_solve_duration_seconds_count = %s after one solve and one hit, want 1", got)
+	}
+}
+
 // TestE2EStatsCoalescedField checks the additive cache stats field and
 // that /stats values agree with the registry-backed instruments.
 func TestE2EStatsCoalescedField(t *testing.T) {

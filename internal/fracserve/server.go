@@ -247,7 +247,7 @@ func (s *Server) registerMetrics() {
 	s.mShots = r.CounterVec("fracd_shots_total",
 		"shots produced by method", "method")
 	s.solveDur = r.HistogramVec("fracd_solve_duration_seconds",
-		"solver wall time of successful shapes by method",
+		"solver wall time of successful shapes by method, cache hits excluded",
 		telemetry.SolveDurationBuckets, "method")
 	buildVersion, buildGo := buildInfo()
 	r.GaugeVec("fracd_build_info",
@@ -555,12 +555,14 @@ func (s *Server) record(m maskfrac.Method, item *ItemResult) {
 		s.mErrors.With(name).Inc()
 		return
 	}
-	if item.CacheHit {
-		s.mHits.With(name).Inc()
-	}
 	s.mShots.With(name).Add(float64(item.ShotCount))
 	s.shotsHist.Observe(float64(item.ShotCount))
-	s.solveDur.With(name).Observe(item.SolveMS / 1000)
+	// a hit's SolveMS is the cached run's runtime: no solver ran here
+	if item.CacheHit {
+		s.mHits.With(name).Inc()
+	} else {
+		s.solveDur.With(name).Observe(item.SolveMS / 1000)
+	}
 }
 
 // handleFracture serves POST /fracture.

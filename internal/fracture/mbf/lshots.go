@@ -88,10 +88,18 @@ func lshotPass(ctx context.Context, p *cover.Problem, shots []geom.Rect, opt Opt
 	// Eval.LegalMove L-preservation filter — re-balances the dose budget.
 	// When greedy stalls at a flush seam, loosenPairs advances the
 	// dose-neutral inner edges to unlock the partner edge and greedy
-	// retries.
+	// retries. The span's stop says how the loop ended: the count held,
+	// the iteration cap, or stuck with no move left; "fallback" replaces
+	// it when even splitting pairs cannot hold the count.
 	loosened := false
-	for iter := 0; iter < lRepairIters; iter++ {
+	stop := "stuck"
+	for iter := 0; ; iter++ {
 		if e.Stats().Fail() <= baseFail {
+			stop = "held"
+			break
+		}
+		if iter == lRepairIters {
+			stop = "cap"
 			break
 		}
 		if greedyEdgeAdjust(e, opt, pool) {
@@ -115,6 +123,7 @@ func lshotPass(ctx context.Context, p *cover.Problem, shots []geom.Rect, opt Opt
 	// split the pairs that still hurt, most-harmful first: unpairing
 	// restores the overlap dose, so the pair whose split reduces cost
 	// the most is the one whose shared dose starves its neighborhood
+	split := 0
 	for e.Stats().Fail() > baseFail {
 		bestI, bestDelta := -1, math.Inf(1)
 		for _, pr := range e.Pairs() {
@@ -126,17 +135,20 @@ func lshotPass(ctx context.Context, p *cover.Problem, shots []geom.Rect, opt Opt
 			break
 		}
 		e.Unpair(bestI)
+		split++
 		for iter := 0; iter < 4 && e.Stats().Fail() > baseFail; iter++ {
 			if !greedyEdgeAdjust(e, opt, pool) {
 				break
 			}
 		}
 	}
+	span.Set("split", split)
 	if e.Stats().Fail() > baseFail {
 		// never-worse guard: equal CD violations is the comparison rule
-		span.Set("fallback", true)
+		span.Set("stop", "fallback")
 		return shots, nil, ls
 	}
+	span.Set("stop", stop)
 	ls.pairs = e.PairCount()
 	span.Set("pairs", ls.pairs)
 	return e.SnapshotShots(), e.Pairs(), ls

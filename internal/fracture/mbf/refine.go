@@ -159,9 +159,24 @@ func postCleanup(ctx context.Context, p *cover.Problem, shots []geom.Rect, opt O
 			candidate.Close()
 		}
 	}
-	out, speculative := removeAndRepair(ctx, p, e.SnapshotShots(), baseFail)
-	span.Set("speculative_trials", speculative)
+	out, st := removeAndRepair(ctx, p, e.SnapshotShots(), baseFail)
+	span.Set("rounds", st.rounds)
+	span.Set("stop", st.stop)
+	span.Set("speculative_trials", st.speculative)
 	return out
+}
+
+// cleanupMaxShots is the most shots removeAndRepair's quadratic pass
+// takes on; counts this high never win anyway.
+const cleanupMaxShots = 48
+
+// cleanupStats reports a removeAndRepair pass: the rounds it ran, the
+// trials that ran past a round's first success and were discarded, and
+// why it stopped — "skipped" above cleanupMaxShots shots, "no_removal"
+// once a round removes nothing.
+type cleanupStats struct {
+	rounds, speculative int
+	stop                string
 }
 
 // removeAndRepair tries to delete each shot and let a bounded
@@ -178,15 +193,15 @@ func postCleanup(ctx context.Context, p *cover.Problem, shots []geom.Rect, opt O
 // as an ordered parallel search: they claim indices in ascending
 // order, stop claiming past the lowest success found so far, and the
 // round keeps the lowest-index success — the one the sequential scan
-// keeps. removeAndRepair also returns how many trials ran past a
-// round's first success and were discarded.
-func removeAndRepair(ctx context.Context, p *cover.Problem, shots []geom.Rect, baseFail int) ([]geom.Rect, int) {
-	if len(shots) > 48 {
-		return shots, 0 // quadratic pass too costly; counts this high never win anyway
+// keeps.
+func removeAndRepair(ctx context.Context, p *cover.Problem, shots []geom.Rect, baseFail int) ([]geom.Rect, cleanupStats) {
+	if len(shots) > cleanupMaxShots {
+		return shots, cleanupStats{stop: "skipped"}
 	}
 	pool := engine.PoolFrom(ctx)
-	cur, speculative := shots, 0
+	cur, st := shots, cleanupStats{stop: "no_removal"}
 	for {
+		st.rounds++
 		n := len(cur)
 		repaired := make([][]geom.Rect, n) // trial i's shots, nil unless it succeeded
 		var next, first, ran atomic.Int64
@@ -216,10 +231,10 @@ func removeAndRepair(ctx context.Context, p *cover.Problem, shots []geom.Rect, b
 		})
 		f := int(first.Load())
 		if f == n {
-			return cur, speculative
+			return cur, st
 		}
 		// every trial up to the first success ran; the rest were speculative
-		speculative += int(ran.Load()) - (f + 1)
+		st.speculative += int(ran.Load()) - (f + 1)
 		cur = repaired[f]
 	}
 }

@@ -17,23 +17,26 @@ import (
 // AppendPolygon appends a canonical binary encoding of pg to buf: a
 // little-endian uint32 vertex count followed by the IEEE-754 bits of
 // each vertex's X and Y. The encoding is byte-stable for identical
-// vertex slices, which is what content-addressed hashing needs.
+// vertex slices, which is what content-addressed hashing needs. It is
+// AppendPolygonHeader followed by AppendPoints, so a caller can also
+// produce it a run of vertices at a time.
 func AppendPolygon(buf []byte, pg geom.Polygon) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(pg)))
-	for _, p := range pg {
+	return AppendPoints(AppendPolygonHeader(buf, len(pg)), pg)
+}
+
+// AppendPolygonHeader appends the vertex count that starts the
+// AppendPolygon encoding of an n-vertex polygon.
+func AppendPolygonHeader(buf []byte, n int) []byte {
+	return binary.LittleEndian.AppendUint32(buf, uint32(n))
+}
+
+// AppendPoints appends the IEEE-754 bits of each point's X and Y: the
+// vertex part of the AppendPolygon encoding.
+func AppendPoints(buf []byte, pts []geom.Point) []byte {
+	for _, p := range pts {
 		buf = AppendFloat64(buf, p.X)
 		buf = AppendFloat64(buf, p.Y)
 	}
-	return buf
-}
-
-// AppendRect appends the canonical binary encoding of r to buf: the
-// IEEE-754 bits of X0, Y0, X1, Y1 in little-endian order.
-func AppendRect(buf []byte, r geom.Rect) []byte {
-	buf = AppendFloat64(buf, r.X0)
-	buf = AppendFloat64(buf, r.Y0)
-	buf = AppendFloat64(buf, r.X1)
-	buf = AppendFloat64(buf, r.Y1)
 	return buf
 }
 

@@ -24,13 +24,6 @@ func TestAppendPolygonStable(t *testing.T) {
 	}
 }
 
-func TestAppendRect(t *testing.T) {
-	r := geom.Rect{X0: 1, Y0: 2, X1: 3, Y1: 4}
-	if got := len(AppendRect(nil, r)); got != 32 {
-		t.Errorf("rect encoding length = %d", got)
-	}
-}
-
 func TestPolygonWireRoundTrip(t *testing.T) {
 	pg := geom.Polygon{{X: 0, Y: 0}, {X: 100, Y: 0}, {X: 100, Y: 60}, {X: 0, Y: 60}}
 	back, err := PolygonFromWire(PolygonWire(pg))

@@ -95,26 +95,97 @@ type Canonical struct {
 // list rotation, orientation, translation and any D4 symmetry — map to
 // the same canonical polygon, so its bytes can serve as a cache key.
 //
+// The search builds no candidate polygon: it writes each transform's
+// image into one scratch buffer, finds that image's least rotation and
+// compares it with the best so far by index, rereading the best's
+// vertices from pg. The first transform wins ties, and only the winning
+// polygon is built.
+//
 // Float caveat: translation subtracts the bounding-box minimum, so two
 // translated copies of a shape canonicalize identically only when the
 // subtraction is exact (always true for integer-nanometer and other
 // dyadic coordinates, the common case for mask data). Inexact cases
 // fall back to a harmless cache miss, never a wrong hit.
 func Canonicalize(pg geom.Polygon) Canonical {
-	ccw := pg.EnsureCCW()
-	var best Canonical
+	reversed := !pg.IsCCW()
+	bounds := pg.Bounds()
+	scratch := make(geom.Polygon, len(pg))
+	var best image
+	bestStart := 0
 	for t := Identity; t < numTransforms; t++ {
-		cand := transformPoly(ccw, t)
-		off := bboxMin(cand)
-		for i := range cand {
-			cand[i] = normZero(cand[i].Sub(off))
-		}
-		rotateToLeast(cand)
-		if best.Poly == nil || lessPoly(cand, best.Poly) {
-			best = Canonical{Poly: cand, T: t, Off: off}
+		im := newImage(pg, reversed, bounds, t)
+		im.fill(scratch, 0)
+		start := leastRotation(scratch)
+		if t == Identity || lessThanImage(scratch, start, &best, bestStart) {
+			best, bestStart = im, start
 		}
 	}
-	return best
+	out := make(geom.Polygon, len(pg))
+	best.fill(out, bestStart)
+	return Canonical{Poly: out, T: best.t, Off: best.off}
+}
+
+// image reads the vertex sequence of one D4 image of a polygon, in the
+// frame where its bounding-box minimum is the origin, without building
+// it: vertex j is T applied to a source vertex, minus the offset, with
+// negative zeros collapsed. The image runs counterclockwise, so it
+// reads the source backwards when exactly one of the source's
+// clockwise orientation and T's mirroring reverses it.
+type image struct {
+	src      geom.Polygon
+	t        Transform
+	off      geom.Point
+	backward bool
+}
+
+// newImage returns the image of src under t. The offset is the minimum
+// corner of T applied to src's bounding box, which is exactly the
+// bounding-box minimum of the transformed vertices: D4 only swaps and
+// negates coordinates, and the least of the negated values is the
+// negated greatest, bit for bit, signed zeros included.
+func newImage(src geom.Polygon, reversed bool, bounds geom.Rect, t Transform) image {
+	r := t.ApplyRect(bounds)
+	return image{src: src, t: t, off: geom.Pt(r.X0, r.Y0), backward: reversed != t.Mirrors()}
+}
+
+// at returns vertex j of the image.
+func (im *image) at(j int) geom.Point {
+	var v [1]geom.Point
+	im.fill(v[:], j)
+	return v[0]
+}
+
+// fill writes the image's vertices into dst, from vertex start on.
+func (im *image) fill(dst geom.Polygon, start int) {
+	src, t, off, backward := im.src, im.t, im.off, im.backward
+	n := len(src)
+	for k := range dst {
+		j := wrap(start+k, n)
+		if backward {
+			j = n - 1 - j
+		}
+		dst[k] = normZero(t.Apply(src[j]).Sub(off))
+	}
+}
+
+// lessThanImage reports whether the rotation of cand starting at start
+// precedes the rotation of im starting at imStart, vertex by vertex.
+func lessThanImage(cand geom.Polygon, start int, im *image, imStart int) bool {
+	n := len(cand)
+	for k := 0; k < n; k++ {
+		if c := cmpPoint(cand[wrap(start+k, n)], im.at(wrap(imStart+k, n))); c != 0 {
+			return c < 0
+		}
+	}
+	return false
+}
+
+// wrap reduces an index in [0, 2n) to [0, n).
+func wrap(i, n int) int {
+	if i >= n {
+		i -= n
+	}
+	return i
 }
 
 // ToCanonical maps query-frame shots into the canonical frame.
@@ -144,37 +215,25 @@ type Key [sha256.Size]byte
 
 // KeyWith hashes the canonical polygon together with extra bytes
 // describing the solver configuration (parameters, method, options).
+// The polygon's maskio.AppendPolygon encoding is hashed in stack-sized
+// chunks of vertices, so keying allocates nothing.
 func (c Canonical) KeyWith(extra []byte) Key {
-	buf := maskio.AppendPolygon(nil, c.Poly)
+	var chunk [4 + keyChunkVertices*16]byte
 	h := sha256.New()
-	h.Write(buf)
-	h.Write(extra)
-	var k Key
-	h.Sum(k[:0])
-	return k
-}
-
-// transformPoly applies t to every vertex, reversing the result when t
-// mirrors so the output stays counterclockwise.
-func transformPoly(pg geom.Polygon, t Transform) geom.Polygon {
-	out := make(geom.Polygon, len(pg))
-	if t.Mirrors() {
-		for i, p := range pg {
-			out[len(pg)-1-i] = t.Apply(p)
-		}
-	} else {
-		for i, p := range pg {
-			out[i] = t.Apply(p)
-		}
+	h.Write(maskio.AppendPolygonHeader(chunk[:0], len(c.Poly)))
+	for pts := c.Poly; len(pts) > 0; {
+		k := min(len(pts), keyChunkVertices)
+		h.Write(maskio.AppendPoints(chunk[:0], pts[:k]))
+		pts = pts[k:]
 	}
-	return out
+	h.Write(extra)
+	var key Key
+	h.Sum(key[:0])
+	return key
 }
 
-// bboxMin returns the bounding-box minimum corner of pg.
-func bboxMin(pg geom.Polygon) geom.Point {
-	b := pg.Bounds()
-	return geom.Pt(b.X0, b.Y0)
-}
+// keyChunkVertices is how many vertices KeyWith encodes per hash write.
+const keyChunkVertices = 64
 
 // normZero collapses negative zeros so hashing and comparison see one
 // representation; transforms negate coordinates, which turns +0 into
@@ -189,17 +248,13 @@ func normZero(p geom.Point) geom.Point {
 	return p
 }
 
-// rotateToLeast rotates the vertex list in place so it starts at the
-// rotation yielding the lexicographically least sequence. Candidate
-// start points are the occurrences of the least vertex; ties between
-// equal vertices are broken by comparing the full sequences.
-func rotateToLeast(pg geom.Polygon) {
-	n := len(pg)
-	if n == 0 {
-		return
-	}
+// leastRotation returns the start of the rotation of pg yielding the
+// lexicographically least sequence. Candidate starts are the
+// occurrences of the least vertex; ties between equal vertices are
+// broken by comparing the full sequences, and the earliest start wins.
+func leastRotation(pg geom.Polygon) int {
 	start := 0
-	for i := 1; i < n; i++ {
+	for i := 1; i < len(pg); i++ {
 		switch cmpPoint(pg[i], pg[start]) {
 		case -1:
 			start = i
@@ -209,13 +264,7 @@ func rotateToLeast(pg geom.Polygon) {
 			}
 		}
 	}
-	if start == 0 {
-		return
-	}
-	rotated := make(geom.Polygon, n)
-	copy(rotated, pg[start:])
-	copy(rotated[n-start:], pg[:start])
-	copy(pg, rotated)
+	return start
 }
 
 // cmpPoint orders points by (X, Y).
@@ -242,20 +291,4 @@ func cmpRotations(pg geom.Polygon, i, j int) int {
 		}
 	}
 	return 0
-}
-
-// lessPoly reports whether a precedes b lexicographically (vertex by
-// vertex, shorter first on a shared prefix; canonical candidates always
-// share a length).
-func lessPoly(a, b geom.Polygon) bool {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if c := cmpPoint(a[i], b[i]); c != 0 {
-			return c < 0
-		}
-	}
-	return len(a) < len(b)
 }

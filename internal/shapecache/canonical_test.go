@@ -1,0 +1,237 @@
+package shapecache
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"math"
+	"testing"
+
+	"maskfrac/internal/cover"
+	"maskfrac/internal/geom"
+	"maskfrac/internal/maskio"
+	"maskfrac/internal/shapegen"
+)
+
+// oracleCanonicalize computes the canonical form from its definition:
+// each of the eight transforms of the counterclockwise polygon,
+// translated so its bounding-box minimum is the origin, negative zeros
+// collapsed, read from every start vertex. The least sequence wins; the
+// first transform keeps ties.
+func oracleCanonicalize(pg geom.Polygon) Canonical {
+	ccw := pg.EnsureCCW()
+	var best Canonical
+	var bestImg geom.Polygon
+	bestStart := 0
+	for t := Identity; t < numTransforms; t++ {
+		img := transformPoly(ccw, t)
+		b := img.Bounds()
+		off := geom.Pt(b.X0, b.Y0)
+		for i, p := range img {
+			// adding +0 turns -0 into +0 and leaves every other value
+			img[i] = geom.Pt(p.X-off.X+0, p.Y-off.Y+0)
+		}
+		for s := range img {
+			if bestImg == nil || lessRotation(img, s, bestImg, bestStart) {
+				best, bestImg, bestStart = Canonical{T: t, Off: off}, img, s
+			}
+		}
+	}
+	best.Poly = append(bestImg[bestStart:].Clone(), bestImg[:bestStart]...)
+	return best
+}
+
+// lessRotation reports whether a read from vertex i precedes the
+// equally long b read from vertex j.
+func lessRotation(a geom.Polygon, i int, b geom.Polygon, j int) bool {
+	for k := range a {
+		if c := cmpPoint(a[(i+k)%len(a)], b[(j+k)%len(b)]); c != 0 {
+			return c < 0
+		}
+	}
+	return false
+}
+
+// oracleKey hashes the whole AppendPolygon encoding of c.Poly in one
+// piece, followed by extra.
+func oracleKey(c Canonical, extra []byte) Key {
+	return sha256.Sum256(append(maskio.AppendPolygon(nil, c.Poly), extra...))
+}
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// checkOracle asserts that Canonicalize and KeyWith give the oracle's
+// Poly, T, Off and key bit for bit.
+func checkOracle(t *testing.T, pg geom.Polygon) {
+	t.Helper()
+	got, want := Canonicalize(pg), oracleCanonicalize(pg)
+	if got.T != want.T || !sameBits(got.Off.X, want.Off.X) || !sameBits(got.Off.Y, want.Off.Y) {
+		t.Fatalf("T, Off = %d, %v; oracle %d, %v", got.T, got.Off, want.T, want.Off)
+	}
+	if len(got.Poly) != len(want.Poly) {
+		t.Fatalf("%d vertices; oracle %d", len(got.Poly), len(want.Poly))
+	}
+	for i := range got.Poly {
+		if !sameBits(got.Poly[i].X, want.Poly[i].X) || !sameBits(got.Poly[i].Y, want.Poly[i].Y) {
+			t.Fatalf("vertex %d = %v; oracle %v", i, got.Poly[i], want.Poly[i])
+		}
+	}
+	extra := []byte("mbf")
+	if got.KeyWith(extra) != oracleKey(want, extra) {
+		t.Fatal("key differs from the hash of the whole encoding")
+	}
+}
+
+// dyadicShifts are translations that move dyadic coordinates exactly.
+var dyadicShifts = []geom.Point{{X: 1337, Y: -4096}, {X: -0.625, Y: 96.5}}
+
+// checkCongruent asserts that every D4 image of pg keys like pg, each
+// moved by one of the dyadic shifts when pg's coordinates are exact.
+func checkCongruent(t *testing.T, pg geom.Polygon, exact bool) {
+	t.Helper()
+	want := Canonicalize(pg).KeyWith(nil)
+	for tr := Identity; tr < numTransforms; tr++ {
+		var d geom.Point
+		if exact {
+			d = dyadicShifts[int(tr)%len(dyadicShifts)]
+		}
+		if Canonicalize(transformPoly(pg, tr).Translate(d)).KeyWith(nil) != want {
+			t.Fatalf("transform %d shift %v: key differs", tr, d)
+		}
+	}
+}
+
+// maxFuzzVertices bounds a decoded polygon: the fuzzer shrinks every
+// input it finds interesting by trying to delete each run of its
+// bytes, a number of calls quadratic in the input's length.
+const maxFuzzVertices = 64
+
+// decodePolygon reads a fuzz input as a polygon: a header byte whose
+// value mod 3 picks the coordinate kind, then four bytes per vertex, a
+// little-endian int16 for X and one for Y, up to maxFuzzVertices
+// vertices. Kind 0 takes the integers as they are, kind 1 divides them
+// by 8 (dyadic) and kind 2 by 3 (not dyadic); the int16 minimum stands
+// for -0. exact reports dyadic coordinates, which every dyadic shift
+// moves exactly.
+func decodePolygon(data []byte) (pg geom.Polygon, exact bool) {
+	if len(data) == 0 {
+		return nil, false
+	}
+	kind := data[0] % 3
+	data = data[1:]
+	pg = make(geom.Polygon, min(len(data)/4, maxFuzzVertices))
+	for i := range pg {
+		pg[i] = geom.Pt(decodeCoord(data[4*i:], kind), decodeCoord(data[4*i+2:], kind))
+	}
+	return pg, kind != 2
+}
+
+func decodeCoord(b []byte, kind byte) float64 {
+	v := int16(binary.LittleEndian.Uint16(b))
+	switch {
+	case v == math.MinInt16:
+		return math.Copysign(0, -1)
+	case kind == 1:
+		return float64(v) / 8
+	case kind == 2:
+		return float64(v) / 3
+	}
+	return float64(v)
+}
+
+// FuzzCanonicalize checks Canonicalize and KeyWith against the oracle
+// on every decoded polygon, degenerate ones included; on valid ones
+// the key's invariance under congruence; and on dyadic ones the exact
+// round trip of shots through the canonical frame. The seed corpus in
+// testdata/fuzz/FuzzCanonicalize holds the golden shapes, the ILT
+// clips, a symmetric square and a polygon whose least vertex repeats.
+func FuzzCanonicalize(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		pg, exact := decodePolygon(data)
+		if len(pg) == 0 {
+			return
+		}
+		checkOracle(t, pg)
+		// an inexact area near zero may take either sign, so a
+		// transformed copy could read the polygon the other way round
+		if pg.Validate() != nil || !exact && pg.Area() < 1 {
+			return
+		}
+		checkCongruent(t, pg, exact)
+		if !exact {
+			return
+		}
+		c := Canonicalize(pg)
+		shots := make([]geom.Rect, len(pg))
+		for i := range pg {
+			shots[i] = geom.RectFromCorners(pg[i], pg[(i+1)%len(pg)])
+		}
+		back := c.FromCanonical(c.ToCanonical(shots))
+		for i := range shots {
+			if back[i] != shots[i] {
+				t.Fatalf("shot %d: %v came back as %v", i, shots[i], back[i])
+			}
+		}
+	})
+}
+
+// TestCanonicalizeMatchesOracle checks the golden shapes, the Table 2
+// ILT clips and (outside -short) the Table 3 suite, each under all
+// eight transforms and the dyadic shifts, against the oracle.
+func TestCanonicalizeMatchesOracle(t *testing.T) {
+	var shapes []geom.Polygon
+	for _, pg := range goldenShapes() {
+		shapes = append(shapes, pg)
+	}
+	suite := shapegen.ILTSuite()
+	if !testing.Short() {
+		params := cover.DefaultParams()
+		suite = append(suite, shapegen.AGBSuite(params)...)
+		suite = append(suite, shapegen.RGBSuite(params)...)
+	}
+	for _, s := range suite {
+		shapes = append(shapes, s.Target)
+	}
+	for _, pg := range shapes {
+		for tr := Identity; tr < numTransforms; tr++ {
+			for _, d := range append([]geom.Point{{}}, dyadicShifts...) {
+				checkOracle(t, transformPoly(pg, tr).Translate(d))
+			}
+		}
+	}
+}
+
+var canonSink Canonical
+
+// TestCanonicalizeAllocs pins the cost of keying a placement on ILT-2:
+// Canonicalize allocates its scratch buffer and the returned polygon,
+// and KeyWith at most one buffer.
+func TestCanonicalizeAllocs(t *testing.T) {
+	pg := shapegen.ILTSuite()[1].Target
+	if n := testing.AllocsPerRun(100, func() { canonSink = Canonicalize(pg) }); n > 2 {
+		t.Errorf("Canonicalize: %v allocations per call, want at most 2", n)
+	}
+	c, extra := Canonicalize(pg), []byte("mbf")
+	if n := testing.AllocsPerRun(100, func() { c.KeyWith(extra) }); n > 1 {
+		t.Errorf("KeyWith: %v allocations per call, want at most 1", n)
+	}
+}
+
+var keySink Key
+
+func BenchmarkCanonicalize(b *testing.B) {
+	pg := shapegen.ILTSuite()[1].Target
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		canonSink = Canonicalize(pg)
+	}
+}
+
+func BenchmarkKeyWith(b *testing.B) {
+	c, extra := Canonicalize(shapegen.ILTSuite()[1].Target), []byte("mbf")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		keySink = c.KeyWith(extra)
+	}
+}

@@ -20,6 +20,22 @@ func lShape() geom.Polygon {
 	}
 }
 
+// transformPoly applies t to every vertex, reversing the result when t
+// mirrors so the output keeps pg's orientation.
+func transformPoly(pg geom.Polygon, t Transform) geom.Polygon {
+	out := make(geom.Polygon, len(pg))
+	if t.Mirrors() {
+		for i, p := range pg {
+			out[len(pg)-1-i] = t.Apply(p)
+		}
+	} else {
+		for i, p := range pg {
+			out[i] = t.Apply(p)
+		}
+	}
+	return out
+}
+
 func TestCanonicalizeInvariantUnderCongruence(t *testing.T) {
 	base := lShape()
 	want := Canonicalize(base)

@@ -70,6 +70,14 @@ go test -race -count=10 ./internal/flight
 go test -race -count=10 -run 'TestCacheDo' ./internal/shapecache
 go test -race -count=10 -run 'TestSingleflight|TestClusterSingleflight' ./internal/cluster
 
+# ten seconds of fuzzing the shape canonicalizer against its
+# brute-force oracle (all eight transforms times every rotation, first
+# transform wins ties), bit for bit, plus key invariance under
+# congruence and the exact shot round trip; the seed corpus in
+# internal/shapecache/testdata/fuzz also runs in every go test above
+echo "== go test -fuzz FuzzCanonicalize (10 s) =="
+go test -run '^$' -fuzz '^FuzzCanonicalize$' -fuzztime 10s ./internal/shapecache
+
 # -short skips the multi-minute fracturing integration suites, which are
 # too slow under the race detector; the concurrency-heavy tests
 # (shapecache, fracserve, batch, cache, telemetry) all still run.
