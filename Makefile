@@ -29,13 +29,13 @@ test:
 race:
 	$(GO) test -race -short ./...
 
-# bench runs the quick benchmarks of the root package and the shape
-# cache five times with -benchmem and prints the results; pass
-# BENCH='.' to widen it. A speed claim is backed by the repo benchmark
-# instead: python3 perfbench/run.py
-BENCH ?= BenchmarkShapeCache|BenchmarkBatchCache|BenchmarkEngineRegions|BenchmarkRefine|BenchmarkCanonicalize|BenchmarkKeyWith
+# bench runs the quick benchmarks of the root package, the shape cache
+# and the /fracture wire codec five times with -benchmem and prints the
+# results; pass BENCH='.' to widen it. A speed claim is backed by the
+# repo benchmark instead: python3 perfbench/run.py
+BENCH ?= BenchmarkShapeCache|BenchmarkBatchCache|BenchmarkEngineRegions|BenchmarkRefine|BenchmarkCanonicalize|BenchmarkKeyWith|BenchmarkRequestCodec|BenchmarkResponseCodec
 bench:
-	$(GO) test -run '^$$' -bench "$(BENCH)" -benchmem -count 5 . ./internal/shapecache
+	$(GO) test -run '^$$' -bench "$(BENCH)" -benchmem -count 5 . ./internal/shapecache ./internal/fracserve
 
 # soak holds an in-process cluster at a steady QPS and records the
 # rolling time series + SLO verdict to BENCH_<date>-soak.json

@@ -2,6 +2,7 @@ package maskfrac
 
 import (
 	"context"
+	"math"
 	"testing"
 )
 
@@ -218,5 +219,23 @@ func TestResultRuntimeSplitsSolverAndEval(t *testing.T) {
 	}
 	if res.EvalTime <= 0 {
 		t.Error("evaluation time not recorded")
+	}
+}
+
+// TestCacheRejectsNonFiniteTarget checks that a target with a NaN or
+// infinite coordinate gets neither a cache key nor a cached answer.
+func TestCacheRejectsNonFiniteTarget(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+		pg := Polygon{{X: 0, Y: 0}, {X: 70, Y: 0}, {X: 70, Y: bad}, {X: 0, Y: 70}}
+		if _, err := CacheKeyFor(pg, DefaultParams(), MethodProtoEDA, nil); err == nil {
+			t.Errorf("CacheKeyFor keyed a vertex (70, %v)", bad)
+		}
+		cache := NewShapeCache(4)
+		if _, _, err := FractureCached(context.Background(), pg, DefaultParams(), MethodProtoEDA, nil, cache); err == nil {
+			t.Errorf("FractureCached answered a vertex (70, %v)", bad)
+		}
+		if st := cache.Stats(); st.Entries != 0 {
+			t.Errorf("vertex (70, %v): %d cache entries, want none", bad, st.Entries)
+		}
 	}
 }

@@ -245,3 +245,15 @@ func TestMultiTargetInside(t *testing.T) {
 		t.Fatalf("pixel centres at y = %v, want whole nanometres plus 0.75", c.Y)
 	}
 }
+
+// TestNewInstanceRejectsNonFinite checks that a target with a NaN or
+// infinite coordinate is refused before anything is sampled.
+func TestNewInstanceRejectsNonFinite(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		pg := rectPoly(0, 0, 70, 70)
+		pg[2].Y = bad
+		if _, err := NewInstance([]geom.Polygon{rectPoly(200, 0, 240, 40), pg}, DefaultParams()); err == nil {
+			t.Errorf("NewInstance accepted a vertex (70, %v)", bad)
+		}
+	}
+}

@@ -122,11 +122,26 @@ func (c *Client) http() *http.Client {
 	return http.DefaultClient
 }
 
-// Do sends a raw fracture request.
+// Do sends a raw fracture request. It encodes the request and decodes
+// the reply with the /fracture wire codec, whose bytes and values are
+// encoding/json's.
 func (c *Client) Do(ctx context.Context, req *Request) (*Response, error) {
-	var out Response
-	if err := c.roundTrip(ctx, "/fracture", req, &out); err != nil {
+	body, err := encodeRequest(req)
+	if err != nil {
+		return nil, fmt.Errorf("fracserve: encode request: %w", err)
+	}
+	resp, err := c.send(ctx, "/fracture", body)
+	if err != nil {
 		return nil, err
+	}
+	defer drainClose(resp.Body)
+	b, err := readBody(resp.Body, resp.ContentLength)
+	var out Response
+	if err == nil {
+		err = decodeResponse(b, &out)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%w: decode response: %v", ErrProtocol, err)
 	}
 	return &out, nil
 }
@@ -234,37 +249,23 @@ func (c *Client) Healthz(ctx context.Context) error {
 	return c.roundTrip(ctx, "/healthz", nil, nil)
 }
 
-// roundTrip is every client call: it sends in to path and decodes a
-// 200 reply into out (nil discards the body). A non-nil in is sent as
-// a JSON POST carrying the context's traceparent and request ID; a nil
-// in sends a bare GET. A non-2xx reply becomes a typed status error
-// (statusError), and a 200 body that fails to decode wraps
-// ErrProtocol.
+// roundTrip is every client call but Do: it sends in to path as JSON
+// and decodes a 200 reply into out (nil discards the body); a nil in
+// sends a bare GET. A 200 body that fails to decode wraps ErrProtocol.
 func (c *Client) roundTrip(ctx context.Context, path string, in, out any) error {
-	method, body := http.MethodGet, io.Reader(nil)
+	var body []byte
 	if in != nil {
 		b, err := json.Marshal(in)
 		if err != nil {
 			return fmt.Errorf("fracserve: encode request: %w", err)
 		}
-		method, body = http.MethodPost, bytes.NewReader(b)
+		body = b
 	}
-	hr, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, body)
-	if err != nil {
-		return err
-	}
-	if in != nil {
-		hr.Header.Set("Content-Type", "application/json")
-		decorate(ctx, hr)
-	}
-	resp, err := c.http().Do(hr)
+	resp, err := c.send(ctx, path, body)
 	if err != nil {
 		return err
 	}
 	defer drainClose(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return statusError(resp)
-	}
 	if out == nil {
 		return nil
 	}
@@ -272,6 +273,34 @@ func (c *Client) roundTrip(ctx context.Context, path string, in, out any) error 
 		return fmt.Errorf("%w: decode response: %v", ErrProtocol, err)
 	}
 	return nil
+}
+
+// send issues one request to path: a JSON POST of body carrying the
+// context's traceparent and request ID, or a bare GET when body is nil.
+// It returns a 200 reply, whose body the caller closes with drainClose;
+// any other status becomes a typed status error (statusError).
+func (c *Client) send(ctx context.Context, path string, body []byte) (*http.Response, error) {
+	method, r := http.MethodGet, io.Reader(nil)
+	if body != nil {
+		method, r = http.MethodPost, bytes.NewReader(body)
+	}
+	hr, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, r)
+	if err != nil {
+		return nil, err
+	}
+	if body != nil {
+		hr.Header.Set("Content-Type", "application/json")
+		decorate(ctx, hr)
+	}
+	resp, err := c.http().Do(hr)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode != http.StatusOK {
+		defer drainClose(resp.Body)
+		return nil, statusError(resp)
+	}
+	return resp, nil
 }
 
 // statusError maps a non-2xx reply to a Go error, preserving the

@@ -580,7 +580,7 @@ func (s *Server) handleFracture(w http.ResponseWriter, r *http.Request) {
 	}
 
 	var req Request
-	if err := decodeBody(w, r, maxSolveBody, &req); err != nil {
+	if err := readRequest(w, r, &req); err != nil {
 		fail(http.StatusBadRequest, err.Error())
 		return
 	}
@@ -671,7 +671,7 @@ func (s *Server) handleFracture(w http.ResponseWriter, r *http.Request) {
 	if req.ReturnTrace || remote {
 		resp.Trace = wire
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeResponse(w, &resp)
 }
 
 // submit queues jobs for the workers under the request's time budget
@@ -813,6 +813,20 @@ func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) erro
 	return nil
 }
 
+// readRequest reads a /fracture body of at most maxSolveBody bytes and
+// decodes it with the wire codec. Its error is the 400 message, worded
+// as decodeBody words it.
+func readRequest(w http.ResponseWriter, r *http.Request, req *Request) error {
+	body, err := readBody(http.MaxBytesReader(w, r.Body, maxSolveBody), r.ContentLength)
+	if err == nil {
+		err = decodeRequest(body, req)
+	}
+	if err != nil {
+		return errors.New("bad request body: " + err.Error())
+	}
+	return nil
+}
+
 // resolve is the one mapping from a request's method, params and
 // options to solver inputs, shared by /fracture, /solve and
 // /stats/classes: the method defaults to MBF and must be known, wire
@@ -882,6 +896,16 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(v)
+}
+
+// writeResponse writes a /fracture reply with the wire codec: the
+// bytes writeJSON writes, an unencodable reply's body empty as there.
+func writeResponse(w http.ResponseWriter, resp *Response) {
+	b, _ := encodeResponse(resp)
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
+	w.WriteHeader(http.StatusOK)
+	w.Write(b)
 }
 
 func writeError(w http.ResponseWriter, code int, msg string) {

@@ -254,6 +254,14 @@ func TestPolygonValidate(t *testing.T) {
 	if err := (Polygon{{0, 0}, {1, 1}, {2, 2}}).Validate(); err == nil {
 		t.Error("zero-area polygon accepted")
 	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := (Polygon{{0, 0}, {70, 0}, {70, bad}, {0, 70}}).Validate(); err == nil {
+			t.Errorf("vertex (70, %v) accepted", bad)
+		}
+		if err := (Polygon{{0, 0}, {bad, 0}, {70, 70}}).Validate(); err == nil {
+			t.Errorf("vertex (%v, 0) accepted", bad)
+		}
+	}
 }
 
 func TestRemoveCollinear(t *testing.T) {

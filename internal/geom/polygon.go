@@ -110,12 +110,16 @@ func (pg Polygon) IsRectilinear() bool {
 }
 
 // Validate checks pg for basic structural soundness: at least three
-// vertices, no consecutive duplicate vertices and non-zero area.
+// vertices, all finite, no consecutive duplicate vertices and non-zero
+// area.
 func (pg Polygon) Validate() error {
 	if len(pg) < 3 {
 		return fmt.Errorf("geom: polygon has %d vertices, need at least 3", len(pg))
 	}
 	for i, p := range pg {
+		if math.IsNaN(p.X) || math.IsInf(p.X, 0) || math.IsNaN(p.Y) || math.IsInf(p.Y, 0) {
+			return fmt.Errorf("geom: vertex %d at (%g, %g) is not finite", i, p.X, p.Y)
+		}
 		q := pg[(i+1)%len(pg)]
 		if p == q {
 			return fmt.Errorf("geom: duplicate consecutive vertex %d at (%g, %g)", i, p.X, p.Y)

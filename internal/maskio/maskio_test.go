@@ -92,6 +92,8 @@ func TestReadShapesErrors(t *testing.T) {
 		"shape a\nv 0 0\nv 1 1\nend\n", // too few vertices
 		"shape a\nv 0 0\n",             // unterminated
 		"bogus directive\n",            // unknown directive
+		"shape a\nv 0 0\nv 70 0\nv 70 NaN\nv 0 70\nend\n",  // non-finite vertex
+		"shape a\nv 0 0\nv +Inf 0\nv 70 70\nv 0 70\nend\n", // non-finite vertex
 	}
 	for _, src := range cases {
 		if _, err := ReadShapes(strings.NewReader(src)); err == nil {

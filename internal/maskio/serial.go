@@ -60,9 +60,6 @@ func PolygonWire(pg geom.Polygon) [][2]float64 {
 func PolygonFromWire(w [][2]float64) (geom.Polygon, error) {
 	pg := make(geom.Polygon, len(w))
 	for i, v := range w {
-		if math.IsNaN(v[0]) || math.IsNaN(v[1]) || math.IsInf(v[0], 0) || math.IsInf(v[1], 0) {
-			return nil, fmt.Errorf("maskio: vertex %d is not finite", i)
-		}
 		pg[i] = geom.Pt(v[0], v[1])
 	}
 	if err := pg.Validate(); err != nil {

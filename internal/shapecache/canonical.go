@@ -127,10 +127,10 @@ func Canonicalize(pg geom.Polygon) Canonical {
 
 // image reads the vertex sequence of one D4 image of a polygon, in the
 // frame where its bounding-box minimum is the origin, without building
-// it: vertex j is T applied to a source vertex, minus the offset, with
-// negative zeros collapsed. The image runs counterclockwise, so it
-// reads the source backwards when exactly one of the source's
-// clockwise orientation and T's mirroring reverses it.
+// it: vertex j is T applied to a source vertex, minus the offset. The
+// image runs counterclockwise, so it reads the source backwards when
+// exactly one of the source's clockwise orientation and T's mirroring
+// reverses it.
 type image struct {
 	src      geom.Polygon
 	t        Transform
@@ -164,7 +164,8 @@ func (im *image) fill(dst geom.Polygon, start int) {
 		if backward {
 			j = n - 1 - j
 		}
-		dst[k] = normZero(t.Apply(src[j]).Sub(off))
+		// off is the exact minimum, -0 below +0, so no difference is -0
+		dst[k] = t.Apply(src[j]).Sub(off)
 	}
 }
 
@@ -234,19 +235,6 @@ func (c Canonical) KeyWith(extra []byte) Key {
 
 // keyChunkVertices is how many vertices KeyWith encodes per hash write.
 const keyChunkVertices = 64
-
-// normZero collapses negative zeros so hashing and comparison see one
-// representation; transforms negate coordinates, which turns +0 into
-// -0 even though the two compare equal.
-func normZero(p geom.Point) geom.Point {
-	if p.X == 0 {
-		p.X = 0
-	}
-	if p.Y == 0 {
-		p.Y = 0
-	}
-	return p
-}
 
 // leastRotation returns the start of the rotation of pg yielding the
 // lexicographically least sequence. Candidate starts are the

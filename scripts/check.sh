@@ -78,6 +78,15 @@ go test -race -count=10 -run 'TestSingleflight|TestClusterSingleflight' ./intern
 echo "== go test -fuzz FuzzCanonicalize (10 s) =="
 go test -run '^$' -fuzz '^FuzzCanonicalize$' -fuzztime 10s ./internal/shapecache
 
+# ten seconds each of fuzzing the /fracture wire codec against
+# encoding/json: for any body, the same decoded value and error text as
+# json.Decoder, and json.Marshal's (json.Encoder's for a reply) bytes
+# when the value is encoded again; the seed corpus in
+# internal/fracserve/testdata/fuzz also runs in every go test above
+echo "== go test -fuzz FuzzRequestCodec, FuzzResponseCodec (10 s each) =="
+go test -run '^$' -fuzz '^FuzzRequestCodec$' -fuzztime 10s ./internal/fracserve
+go test -run '^$' -fuzz '^FuzzResponseCodec$' -fuzztime 10s ./internal/fracserve
+
 # -short skips the multi-minute fracturing integration suites, which are
 # too slow under the race detector; the concurrency-heavy tests
 # (shapecache, fracserve, batch, cache, telemetry) all still run.
