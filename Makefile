@@ -29,11 +29,12 @@ test:
 race:
 	$(GO) test -race -short ./...
 
-# bench runs the quick benchmarks of the root package, the shape cache
-# and the /fracture wire codec five times with -benchmem and prints the
-# results; pass BENCH='.' to widen it. A speed claim is backed by the
-# repo benchmark instead: python3 perfbench/run.py
-BENCH ?= BenchmarkShapeCache|BenchmarkBatchCache|BenchmarkEngineRegions|BenchmarkRefine|BenchmarkCanonicalize|BenchmarkKeyWith|BenchmarkRequestCodec|BenchmarkResponseCodec
+# bench runs the quick benchmarks of the root package, the shape cache,
+# the /fracture wire codec and one cache-hit /fracture round trip five
+# times with -benchmem and prints the results; pass BENCH='.' to widen
+# it. A speed claim is backed by the repo benchmark instead:
+# python3 perfbench/run.py
+BENCH ?= BenchmarkShapeCache|BenchmarkBatchCache|BenchmarkEngineRegions|BenchmarkRefine|BenchmarkCanonicalize|BenchmarkKeyWith|BenchmarkRequestCodec|BenchmarkResponseCodec|BenchmarkFractureHit
 bench:
 	$(GO) test -run '^$$' -bench "$(BENCH)" -benchmem -count 5 . ./internal/shapecache ./internal/fracserve
 

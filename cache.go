@@ -136,6 +136,31 @@ func FractureCached(ctx context.Context, target Polygon, params Params, m Method
 		// this call ran the solver: return its result untouched
 		return computed, false, nil
 	}
+	return hitResult(canon, entry, m), true, nil
+}
+
+// Lookup answers target from the cache without solving: on a hit it
+// returns the result FractureCached would return, and counts the hit
+// and the class placement as FractureCached does. A miss, or an invalid
+// target, returns false and counts nothing, so a caller that goes on to
+// call FractureCached for the target has its lookup counted once, by
+// that call. A nil cache always misses.
+func (sc *ShapeCache) Lookup(target Polygon, params Params, m Method, opt *Options) (*Result, bool) {
+	if sc == nil || target.Validate() != nil {
+		return nil, false
+	}
+	canon := shapecache.Canonicalize(target)
+	entry, ok := sc.c.Get(canon.KeyWith(fractureKeyExtra(params, m, opt)))
+	if !ok {
+		return nil, false
+	}
+	return hitResult(canon, entry, m), true
+}
+
+// hitResult maps a cached entry into the query's frame: its shots
+// through canon, and the cached run's evaluation, timings and stage
+// statistics.
+func hitResult(canon shapecache.Canonical, entry *shapecache.Entry, m Method) *Result {
 	sol := entry.Meta.(*cachedSolution)
 	res := &Result{
 		Method:   m,
@@ -151,7 +176,7 @@ func FractureCached(ctx context.Context, target Polygon, params Params, m Method
 		st := *sol.Stage
 		res.Stage = &st
 	}
-	return res, true, nil
+	return res
 }
 
 // fractureDirect is the uncached solve path.

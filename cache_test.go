@@ -155,6 +155,53 @@ func TestFractureCachedMatchesUncachedOnTranslations(t *testing.T) {
 	}
 }
 
+// TestShapeCacheLookup checks that Lookup answers a hit with the
+// result FractureCached gives, counts it as FractureCached does, and
+// counts nothing on a miss, an invalid target or a nil cache.
+func TestShapeCacheLookup(t *testing.T) {
+	ctx := context.Background()
+	params := DefaultParams()
+	base, query := asymmetricL(), translated(mirrored(asymmetricL()), 7, -3)
+	var nilCache *ShapeCache
+	if _, ok := nilCache.Lookup(base, params, MethodProtoEDA, nil); ok {
+		t.Fatal("nil cache hit")
+	}
+	cache, ref := NewShapeCache(16), NewShapeCache(16)
+	if _, ok := cache.Lookup(base, params, MethodProtoEDA, nil); ok {
+		t.Fatal("empty cache hit")
+	}
+	if st := cache.Stats(); st != (CacheStats{MaxEntries: 16}) {
+		t.Fatalf("a miss was counted: %+v", st)
+	}
+	for _, c := range []*ShapeCache{cache, ref} {
+		if _, _, err := FractureCached(ctx, base, params, MethodProtoEDA, nil, c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, ok := cache.Lookup(query, params, MethodProtoEDA, nil)
+	if !ok {
+		t.Fatal("congruent query missed")
+	}
+	want, hit, err := FractureCached(ctx, query, params, MethodProtoEDA, nil, ref)
+	if err != nil || !hit {
+		t.Fatalf("reference: hit %v, err %v", hit, err)
+	}
+	if len(got.Shots) != len(want.Shots) || got.FailOn != want.FailOn || got.FailOff != want.FailOff || got.Cost != want.Cost {
+		t.Fatalf("Lookup = %+v, FractureCached = %+v", got, want)
+	}
+	for i := range got.Shots {
+		if got.Shots[i] != want.Shots[i] {
+			t.Errorf("shot %d = %v, want %v", i, got.Shots[i], want.Shots[i])
+		}
+	}
+	if _, ok := cache.Lookup(Polygon{{X: 0, Y: 0}, {X: 1, Y: 1}}, params, MethodProtoEDA, nil); ok {
+		t.Error("invalid target hit")
+	}
+	if st, rst := cache.Stats(), ref.Stats(); st.Hits != rst.Hits || st.Misses != rst.Misses {
+		t.Errorf("hits/misses = %d/%d, FractureCached's %d/%d", st.Hits, st.Misses, rst.Hits, rst.Misses)
+	}
+}
+
 func TestFractureCachedNilCache(t *testing.T) {
 	res, hit, err := FractureCached(context.Background(), square(70), DefaultParams(), MethodGSC, nil, nil)
 	if err != nil || hit {

@@ -94,16 +94,17 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// job is one solve waiting for a worker: a /fracture shape or a /solve
-// instance. solve fills item under the request's ctx, inside a span
-// named span when that is set (else under the request's own span).
-// panicked reports that the solve panicked; read it after wg.
+// job is one solve waiting for a worker: a /fracture shape the cache
+// could not answer, or a /solve instance. solve fills item under the
+// request's ctx, inside span when that is set (else under the request's
+// own span), and the worker ends span once solve returns. panicked
+// reports that the solve panicked; read it after wg.
 type job struct {
 	ctx      context.Context
 	reqID    string
 	method   maskfrac.Method
 	item     *ItemResult
-	span     string
+	span     *telemetry.Span
 	solve    func(ctx context.Context, item *ItemResult)
 	wg       *sync.WaitGroup
 	enqueued time.Time
@@ -235,7 +236,7 @@ func (s *Server) registerMetrics() {
 	s.reqDur = r.HistogramVec("fracd_request_duration_seconds",
 		"HTTP request latency by endpoint", nil, "path")
 	s.queueWait = r.Histogram("fracd_queue_wait_seconds",
-		"time jobs spend queued before a worker picks them up", nil)
+		"time queued jobs (shape-cache misses and /solve instances) wait for a worker; hits are answered on the request goroutine and never queue", nil)
 	s.shotsHist = r.Histogram("fracd_shots_per_shape",
 		"shot count distribution of successful solves", telemetry.ShotCountBuckets)
 	s.mShapes = r.CounterVec("fracd_shapes_total",
@@ -502,8 +503,8 @@ func (s *Server) solve(j *job) {
 		defer s.pool.Release()
 	}
 	ctx, span := j.ctx, telemetry.ActiveSpan(j.ctx)
-	if j.span != "" {
-		ctx, span = telemetry.StartSpan(ctx, j.span)
+	if j.span != nil {
+		ctx, span = telemetry.ContextWithSpan(ctx, j.span), j.span
 		defer span.End()
 	}
 	defer func() {
@@ -541,6 +542,16 @@ func (item *ItemResult) fill(res *maskfrac.Result, err error, omit bool) {
 	item.EvalMS = float64(res.EvalTime) / float64(time.Millisecond)
 	if !omit {
 		item.Shots = maskio.ShotsWire(res.Shots)
+	}
+}
+
+// noteShape records a finished /fracture shape on its span.
+func noteShape(span *telemetry.Span, m maskfrac.Method, item *ItemResult) {
+	span.Set("method", string(m))
+	span.Set("cache_hit", item.CacheHit)
+	span.Set("shots", item.ShotCount)
+	if item.Error != "" {
+		span.Set("err", item.Error)
 	}
 }
 
@@ -612,29 +623,36 @@ func (s *Server) handleFracture(w http.ResponseWriter, r *http.Request) {
 	results := make([]ItemResult, len(wires))
 	var jobs []*job
 	for i, wire := range wires {
-		results[i].Index = i
+		item := &results[i]
+		item.Index = i
 		target, err := maskio.PolygonFromWire(wire)
 		if err != nil {
-			results[i].Error = err.Error()
+			item.Error = err.Error()
 			continue
 		}
-		// one span per shape so the solver's phase spans (via StartSpan
-		// in the engine and mbf packages) nest under the request's trace
-		jobs = append(jobs, &job{method: method, item: &results[i], span: "fracd.shape", solve: func(ctx context.Context, item *ItemResult) {
-			shapeSpan := telemetry.ActiveSpan(ctx)
-			shapeSpan.Set("index", i)
+		// one span per shape, opened before the cache lookup: a hit is
+		// answered here, on the request goroutine, and a miss becomes a
+		// job whose solver phase spans (via StartSpan in the engine and
+		// mbf packages) nest under the same span
+		span := root.Child("fracd.shape")
+		span.Set("index", i)
+		if res, ok := s.cache.Lookup(target, params, method, opt); ok {
+			item.fill(res, nil, req.OmitShots)
+			item.CacheHit = true
+			noteShape(span, method, item)
+			span.End()
+			s.record(method, item)
+			continue
+		}
+		jobs = append(jobs, &job{method: method, item: item, span: span, solve: func(ctx context.Context, item *ItemResult) {
 			res, hit, err := maskfrac.FractureCached(ctx, target, params, method, opt, s.cache)
 			item.fill(res, err, req.OmitShots)
 			item.CacheHit = hit
-			shapeSpan.Set("method", string(method))
-			shapeSpan.Set("cache_hit", hit)
-			shapeSpan.Set("shots", item.ShotCount)
-			if item.Error != "" {
-				shapeSpan.Set("err", item.Error)
-			}
+			noteShape(span, method, item)
 		}})
 	}
-	if !s.submit(tctx, w, req.TimeoutMS, s.pool, jobs, fail) {
+	// an all-hit request queues nothing, so no 429, 503 or 504 reaches it
+	if len(jobs) > 0 && !s.submit(tctx, w, req.TimeoutMS, s.pool, jobs, fail) {
 		return
 	}
 	// a solver panic keeps the request's trace as an error trace

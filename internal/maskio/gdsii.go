@@ -8,6 +8,7 @@
 package maskio
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -41,6 +42,10 @@ const (
 	dtReal8  = 0x05
 	dtString = 0x06
 )
+
+// maxBoundaryVertices is the most vertices a boundary can have: one
+// record holds its XY payload, closing vertex included.
+const maxBoundaryVertices = (math.MaxUint16-4)/8 - 1
 
 // dbuPerNm is the database resolution: 1000 database units per
 // nanometer (1 dbu = 1 pm).
@@ -103,12 +108,11 @@ func strbytes(s string) []byte {
 	return b
 }
 
-// cstring strips the padding NUL.
+// cstring strips the padding NULs. A writer pads to an even length
+// with one, but a name read with more would come back from strbytes
+// with fewer.
 func cstring(b []byte) string {
-	if len(b) > 0 && b[len(b)-1] == 0 {
-		b = b[:len(b)-1]
-	}
-	return string(b)
+	return string(bytes.TrimRight(b, "\x00"))
 }
 
 // xybytes encodes a polygon as closed int32 dbu coordinate pairs.
@@ -146,6 +150,10 @@ func xyparse(data []byte) (geom.Polygon, error) {
 	// drop the repeated closing vertex
 	if pg[0] == pg[len(pg)-1] {
 		pg = pg[:len(pg)-1]
+	}
+	// xybytes writes the closing vertex back, which one record must hold
+	if len(pg) > maxBoundaryVertices {
+		return nil, fmt.Errorf("maskio: gds boundary of %d vertices, more than %d", len(pg), maxBoundaryVertices)
 	}
 	if err := pg.Validate(); err != nil {
 		return nil, fmt.Errorf("maskio: gds boundary: %w", err)

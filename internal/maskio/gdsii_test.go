@@ -3,6 +3,7 @@ package maskio
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -99,6 +100,42 @@ func TestGDSErrors(t *testing.T) {
 	// garbage header
 	if _, err := ReadGDSLib(bytes.NewReader([]byte{0, 1, 2})); err == nil {
 		t.Error("garbage accepted")
+	}
+}
+
+// TestGDSBoundaryRecordLimit checks that a boundary is read only when
+// it can be written back: closed, its XY record holds at most
+// maxBoundaryVertices vertices, and an unclosed record one vertex
+// longer is refused rather than read into a library WriteGDSLib cannot
+// write.
+func TestGDSBoundaryRecordLimit(t *testing.T) {
+	k := (maxBoundaryVertices - 2) / 2
+	stair := geom.Polygon{geom.Pt(0, 0), geom.Pt(float64(k), 0)}
+	for i := 1; i <= k; i++ {
+		stair = append(stair, geom.Pt(float64(k-i+1), float64(i)), geom.Pt(float64(k-i), float64(i)))
+	}
+	out, err := roundTrip("lib", []NamedShape{{Name: "s", Polygon: stair}})
+	if err != nil {
+		t.Fatalf("%d-vertex boundary: %v", len(stair), err)
+	}
+	if n := len(out.Cells[0].Boundaries[0]); n != maxBoundaryVertices {
+		t.Fatalf("read %d vertices, want %d", n, maxBoundaryVertices)
+	}
+
+	var buf bytes.Buffer
+	enc := gdsEncoder{w: &buf}
+	enc.record(recBgnStr, dtInt16, make([]byte, 24))
+	enc.record(recStrName, dtString, strbytes("s"))
+	enc.record(recBoundary, dtNone, nil)
+	enc.record(recXY, dtInt32, ptbytes(append(geom.Polygon{stair[0], geom.Pt(0.5, 0)}, stair[1:]...)))
+	enc.record(recEndEl, dtNone, nil)
+	enc.record(recEndStr, dtNone, nil)
+	enc.record(recEndLib, dtNone, nil)
+	if enc.err != nil {
+		t.Fatal(enc.err)
+	}
+	if _, err := ReadGDSLib(&buf); err == nil || !strings.Contains(err.Error(), "more than") {
+		t.Errorf("unclosed boundary of %d vertices: err %v", maxBoundaryVertices+1, err)
 	}
 }
 

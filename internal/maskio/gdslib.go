@@ -276,8 +276,12 @@ func (rs *refState) finish() (Ref, error) {
 	if len(rs.pts) != 3 {
 		return Ref{}, fmt.Errorf("maskio: gds AREF to %q: %d XY points", rs.cell, len(rs.pts))
 	}
-	out.Cols, out.Rows = rs.cols, rs.rows
 	out.Origin = rs.pts[0]
+	if rs.cols == 1 && rs.rows == 1 {
+		// one placement, an SREF: its step vectors place nothing
+		return out, nil
+	}
+	out.Cols, out.Rows = rs.cols, rs.rows
 	out.ColStep = rs.pts[1].Sub(out.Origin).Scale(1 / float64(rs.cols))
 	out.RowStep = rs.pts[2].Sub(out.Origin).Scale(1 / float64(rs.rows))
 	return out, nil

@@ -9,6 +9,8 @@ package shapecache
 
 import (
 	"crypto/sha256"
+	"math"
+	"slices"
 
 	"maskfrac/internal/geom"
 	"maskfrac/internal/maskio"
@@ -95,11 +97,17 @@ type Canonical struct {
 // list rotation, orientation, translation and any D4 symmetry — map to
 // the same canonical polygon, so its bytes can serve as a cache key.
 //
-// The search builds no candidate polygon: it writes each transform's
-// image into one scratch buffer, finds that image's least rotation and
-// compares it with the best so far by index, rereading the best's
-// vertices from pg. The first transform wins ties, and only the winning
-// polygon is built.
+// Every image's least vertex is (0, d) for some d, and a sequence
+// starting with a greater d loses at its first vertex, so only the
+// images with the least d can win. One pass over the vertices lying on
+// the bounding box's sides yields every image's d (leastVertices).
+// Only the images with the least d — one on most curved clips, several
+// on a shape with a symmetry or with vertices at bounding-box corners —
+// are filled and searched for their least rotation, in transform
+// order, and the first transform wins ties. A lone candidate is written
+// straight into the result; only a tie needs a second buffer. A
+// bounding box that is not finite (a NaN or infinite coordinate) leaves
+// no order to argue from, and all eight images are searched.
 //
 // Float caveat: translation subtracts the bounding-box minimum, so two
 // translated copies of a shape canonicalize identically only when the
@@ -109,21 +117,92 @@ type Canonical struct {
 func Canonicalize(pg geom.Polygon) Canonical {
 	reversed := !pg.IsCCW()
 	bounds := pg.Bounds()
-	scratch := make(geom.Polygon, len(pg))
-	var best image
-	bestStart := 0
+	var ims [numTransforms]image
+	cands := ims[:0]
+	least, ordered := leastVertices(pg, bounds)
+	dmin := math.Inf(1)
 	for t := Identity; t < numTransforms; t++ {
 		im := newImage(pg, reversed, bounds, t)
-		im.fill(scratch, 0)
-		start := leastRotation(scratch)
-		if t == Identity || lessThanImage(scratch, start, &best, bestStart) {
-			best, bestStart = im, start
+		if ordered {
+			// the image of least[t] is the image's least vertex (0, d)
+			d := t.Apply(least[t]).Y - im.off.Y
+			if d > dmin {
+				continue
+			}
+			if d < dmin {
+				cands, dmin = cands[:0], d
+			}
+		}
+		cands = append(cands, im)
+	}
+
+	out := make(geom.Polygon, len(pg))
+	best := cands[0]
+	best.fill(out, 0)
+	bestStart := leastRotation(out)
+	if len(cands) > 1 {
+		scratch := make(geom.Polygon, len(pg))
+		for _, im := range cands[1:] {
+			im.fill(scratch, 0)
+			start := leastRotation(scratch)
+			if cmpRotations(scratch, start, out, bestStart) < 0 {
+				best, bestStart = im, start
+				out, scratch = scratch, out
+			}
 		}
 	}
-	out := make(geom.Polygon, len(pg))
-	best.fill(out, bestStart)
+	if bestStart != 0 { // rotate the winner in place to start there
+		slices.Reverse(out[:bestStart])
+		slices.Reverse(out[bestStart:])
+		slices.Reverse(out)
+	}
 	return Canonical{Poly: out, T: best.t, Off: best.off}
 }
+
+// leastVertices returns, for each transform t, a vertex of pg that t
+// maps to its image's least vertex. The image's least X is 0, taken by
+// the vertices on the bounding-box side that t maps to the image's left
+// side, and among those its least Y is taken by the one with the least
+// or greatest coordinate along that side. One pass over pg finds the
+// extreme coordinates along each side; vertices off the sides are
+// never compared further. ordered is false when the bounding box is not
+// finite: an infinite coordinate makes some images' coordinates NaN
+// (∞ − ∞), which the (X, Y) order cannot rank.
+func leastVertices(pg geom.Polygon, b geom.Rect) (least [numTransforms]geom.Point, ordered bool) {
+	if !finite(b.X0) || !finite(b.Y0) || !finite(b.X1) || !finite(b.Y1) {
+		return least, false
+	}
+	inf := math.Inf(1)
+	// lo and hi coordinates along the left, right, bottom and top sides
+	left, right, bottom, top := [2]float64{inf, -inf}, [2]float64{inf, -inf}, [2]float64{inf, -inf}, [2]float64{inf, -inf}
+	for _, p := range pg {
+		if p.X == b.X0 {
+			left = [2]float64{min(left[0], p.Y), max(left[1], p.Y)}
+		}
+		if p.X == b.X1 {
+			right = [2]float64{min(right[0], p.Y), max(right[1], p.Y)}
+		}
+		if p.Y == b.Y0 {
+			bottom = [2]float64{min(bottom[0], p.X), max(bottom[1], p.X)}
+		}
+		if p.Y == b.Y1 {
+			top = [2]float64{min(top[0], p.X), max(top[1], p.X)}
+		}
+	}
+	return [numTransforms]geom.Point{
+		Identity:      {X: b.X0, Y: left[0]},
+		Rot90:         {X: top[0], Y: b.Y1},
+		Rot180:        {X: b.X1, Y: right[1]},
+		Rot270:        {X: bottom[1], Y: b.Y0},
+		MirrorX:       {X: b.X1, Y: right[0]},
+		MirrorY:       {X: b.X0, Y: left[1]},
+		Transpose:     {X: bottom[0], Y: b.Y0},
+		AntiTranspose: {X: top[1], Y: b.Y1},
+	}, true
+}
+
+// finite reports whether v is neither infinite nor NaN.
+func finite(v float64) bool { return v-v == 0 }
 
 // image reads the vertex sequence of one D4 image of a polygon, in the
 // frame where its bounding-box minimum is the origin, without building
@@ -148,13 +227,6 @@ func newImage(src geom.Polygon, reversed bool, bounds geom.Rect, t Transform) im
 	return image{src: src, t: t, off: geom.Pt(r.X0, r.Y0), backward: reversed != t.Mirrors()}
 }
 
-// at returns vertex j of the image.
-func (im *image) at(j int) geom.Point {
-	var v [1]geom.Point
-	im.fill(v[:], j)
-	return v[0]
-}
-
 // fill writes the image's vertices into dst, from vertex start on.
 func (im *image) fill(dst geom.Polygon, start int) {
 	src, t, off, backward := im.src, im.t, im.off, im.backward
@@ -167,18 +239,6 @@ func (im *image) fill(dst geom.Polygon, start int) {
 		// off is the exact minimum, -0 below +0, so no difference is -0
 		dst[k] = t.Apply(src[j]).Sub(off)
 	}
-}
-
-// lessThanImage reports whether the rotation of cand starting at start
-// precedes the rotation of im starting at imStart, vertex by vertex.
-func lessThanImage(cand geom.Polygon, start int, im *image, imStart int) bool {
-	n := len(cand)
-	for k := 0; k < n; k++ {
-		if c := cmpPoint(cand[wrap(start+k, n)], im.at(wrap(imStart+k, n))); c != 0 {
-			return c < 0
-		}
-	}
-	return false
 }
 
 // wrap reduces an index in [0, 2n) to [0, n).
@@ -247,7 +307,7 @@ func leastRotation(pg geom.Polygon) int {
 		case -1:
 			start = i
 		case 0:
-			if cmpRotations(pg, i, start) < 0 {
+			if cmpRotations(pg, i, pg, start) < 0 {
 				start = i
 			}
 		}
@@ -270,11 +330,12 @@ func cmpPoint(a, b geom.Point) int {
 	return 0
 }
 
-// cmpRotations compares the rotations of pg starting at i and j.
-func cmpRotations(pg geom.Polygon, i, j int) int {
-	n := len(pg)
+// cmpRotations compares the rotation of a starting at i with the
+// equally long rotation of b starting at j.
+func cmpRotations(a geom.Polygon, i int, b geom.Polygon, j int) int {
+	n := len(a)
 	for k := 0; k < n; k++ {
-		if c := cmpPoint(pg[(i+k)%n], pg[(j+k)%n]); c != 0 {
+		if c := cmpPoint(a[wrap(i+k, n)], b[wrap(j+k, n)]); c != 0 {
 			return c
 		}
 	}

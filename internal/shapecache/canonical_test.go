@@ -143,7 +143,8 @@ func decodeCoord(b []byte, kind byte) float64 {
 // the key's invariance under congruence; and on dyadic ones the exact
 // round trip of shots through the canonical frame. The seed corpus in
 // testdata/fuzz/FuzzCanonicalize holds the golden shapes, the ILT
-// clips, a symmetric square and a polygon whose least vertex repeats.
+// clips, the tie shapes, a symmetric square and a polygon whose least
+// vertex repeats.
 func FuzzCanonicalize(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pg, exact := decodePolygon(data)
@@ -174,12 +175,43 @@ func FuzzCanonicalize(f *testing.F) {
 	})
 }
 
-// TestCanonicalizeMatchesOracle checks the golden shapes, the Table 2
-// ILT clips and (outside -short) the Table 3 suite, each under all
-// eight transforms and the dyadic shifts, against the oracle.
+// tieShapes are shapes whose D4 images tie on their least vertex but
+// differ later, so Canonicalize fills and compares more than one image,
+// a path only one of the ten ILT clips (ILT-4) takes.
+// testdata/fuzz/FuzzCanonicalize seeds the fuzzer with each of them.
+func tieShapes() map[string]geom.Polygon {
+	return map[string]geom.Polygon{
+		// all eight images are one polygon: the first transform wins
+		"plus": {
+			geom.Pt(20, 0), geom.Pt(40, 0), geom.Pt(40, 20), geom.Pt(60, 20),
+			geom.Pt(60, 40), geom.Pt(40, 40), geom.Pt(40, 60), geom.Pt(20, 60),
+			geom.Pt(20, 40), geom.Pt(0, 40), geom.Pt(0, 20), geom.Pt(20, 20),
+		},
+		// every image starts at (0, 0); only MirrorX keeps the shape
+		"U": {
+			geom.Pt(0, 0), geom.Pt(90, 0), geom.Pt(90, 60), geom.Pt(60, 60),
+			geom.Pt(60, 30), geom.Pt(30, 30), geom.Pt(30, 60), geom.Pt(0, 60),
+		},
+		// every image starts at (0, 0) and half of them lie on their side
+		"rect": {geom.Pt(0, 0), geom.Pt(50, 0), geom.Pt(50, 20), geom.Pt(0, 20)},
+		// six images start at (0, 0); only Transpose keeps the shape
+		"transpose-L": {
+			geom.Pt(0, 0), geom.Pt(90, 0), geom.Pt(90, 30),
+			geom.Pt(30, 30), geom.Pt(30, 90), geom.Pt(0, 90),
+		},
+	}
+}
+
+// TestCanonicalizeMatchesOracle checks the golden shapes, the tie
+// shapes, the Table 2 ILT clips and (outside -short) the Table 3 suite,
+// each under all eight transforms and the dyadic shifts, against the
+// oracle.
 func TestCanonicalizeMatchesOracle(t *testing.T) {
 	var shapes []geom.Polygon
 	for _, pg := range goldenShapes() {
+		shapes = append(shapes, pg)
+	}
+	for _, pg := range tieShapes() {
 		shapes = append(shapes, pg)
 	}
 	suite := shapegen.ILTSuite()
@@ -203,12 +235,12 @@ func TestCanonicalizeMatchesOracle(t *testing.T) {
 var canonSink Canonical
 
 // TestCanonicalizeAllocs pins the cost of keying a placement on ILT-2:
-// Canonicalize allocates its scratch buffer and the returned polygon,
-// and KeyWith at most one buffer.
+// one image wins on its least vertex, so Canonicalize allocates only
+// the returned polygon, and KeyWith at most one buffer.
 func TestCanonicalizeAllocs(t *testing.T) {
 	pg := shapegen.ILTSuite()[1].Target
-	if n := testing.AllocsPerRun(100, func() { canonSink = Canonicalize(pg) }); n > 2 {
-		t.Errorf("Canonicalize: %v allocations per call, want at most 2", n)
+	if n := testing.AllocsPerRun(100, func() { canonSink = Canonicalize(pg) }); n > 1 {
+		t.Errorf("Canonicalize: %v allocations per call, want at most 1", n)
 	}
 	c, extra := Canonicalize(pg), []byte("mbf")
 	if n := testing.AllocsPerRun(100, func() { c.KeyWith(extra) }); n > 1 {
@@ -218,12 +250,22 @@ func TestCanonicalizeAllocs(t *testing.T) {
 
 var keySink Key
 
+// BenchmarkCanonicalize times ILT-2, where one image wins on its least
+// vertex, and a square, whose eight images all tie: the worst case.
 func BenchmarkCanonicalize(b *testing.B) {
-	pg := shapegen.ILTSuite()[1].Target
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		canonSink = Canonicalize(pg)
+	for _, bc := range []struct {
+		name string
+		pg   geom.Polygon
+	}{
+		{"ILT-2", shapegen.ILTSuite()[1].Target},
+		{"square", geom.Polygon{geom.Pt(0, 0), geom.Pt(70, 0), geom.Pt(70, 70), geom.Pt(0, 70)}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				canonSink = Canonicalize(bc.pg)
+			}
+		})
 	}
 }
 

@@ -96,6 +96,9 @@ func New(maxEntries int) *Cache {
 }
 
 // Get returns the entry stored under k, marking it most recently used.
+// It counts a hit and its class placement exactly as Do does, and
+// nothing on a miss: a caller that goes on to Do for k on a miss has
+// that lookup counted there, once.
 func (c *Cache) Get(k Key) (*Entry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -104,7 +107,6 @@ func (c *Cache) Get(k Key) (*Entry, bool) {
 		c.noteClassLocked(k, e)
 		return e, true
 	}
-	c.misses++
 	return nil, false
 }
 

@@ -148,6 +148,34 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 }
 
+// TestCacheGetCounts checks that Get counts a hit and its class
+// placement as Do does, and nothing on a miss, so a miss that goes on
+// to Do is counted once, there.
+func TestCacheGetCounts(t *testing.T) {
+	c := New(4)
+	k := Canonicalize(lShape()).KeyWith(nil)
+	if _, ok := c.Get(k); ok {
+		t.Fatal("hit on an empty cache")
+	}
+	if st := c.Stats(); st.Hits != 0 || st.Misses != 0 || len(c.TopClasses(0)) != 0 {
+		t.Fatalf("a miss was counted: %+v, classes %v", st, c.TopClasses(0))
+	}
+	if _, _, err := c.Do(context.Background(), k, func() (*Entry, error) {
+		return &Entry{Shots: []geom.Rect{{X1: 1, Y1: 1}}}, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.Get(k); !ok {
+		t.Fatal("miss after Do stored the entry")
+	}
+	if st := c.Stats(); st.Hits != 1 || st.Misses != 1 {
+		t.Errorf("hits/misses = %d/%d, want 1/1", st.Hits, st.Misses)
+	}
+	if cl := c.TopClasses(0); len(cl) != 1 || cl[0].Placements != 2 || cl[0].Shots != 1 {
+		t.Errorf("classes = %+v, want one with 2 placements of 1 shot", cl)
+	}
+}
+
 func TestCacheDoDedupsConcurrentCompute(t *testing.T) {
 	c := New(16)
 	k := Canonicalize(lShape()).KeyWith(nil)

@@ -36,6 +36,14 @@ go test -shuffle=on ./...
 echo "== go test -race fracserve e2e =="
 go test -race -run 'TestE2E' ./internal/fracserve
 
+# cache hits are answered on the request goroutine and only misses are
+# queued: a congruent copy of a cached shape gets 200 while the only
+# worker is stalled and the queue is full, a batch mixing hits and a
+# miss keeps input order and counts, and a hit's fracd.shape span
+# carries its attributes and covers the lookup
+echo "== go test -race fracd hits off the queue =="
+go test -race -count=10 -run 'TestE2EHitBypassesFullQueue|TestE2EMixedBatchOrder|TestE2EHitTrace' ./internal/fracserve
+
 # the cluster e2e smoke spawns 3 in-process fracd servers, routes a
 # small hierarchical mask through the consistent-hash ring, and asserts
 # the single-solve-per-congruence-class invariant (sum of cache misses
@@ -86,6 +94,17 @@ go test -run '^$' -fuzz '^FuzzCanonicalize$' -fuzztime 10s ./internal/shapecache
 echo "== go test -fuzz FuzzRequestCodec, FuzzResponseCodec (10 s each) =="
 go test -run '^$' -fuzz '^FuzzRequestCodec$' -fuzztime 10s ./internal/fracserve
 go test -run '^$' -fuzz '^FuzzResponseCodec$' -fuzztime 10s ./internal/fracserve
+
+# ten seconds of fuzzing the GDSII reader: on any stream it returns a
+# library or an error, never a panic, and a library it returns writes
+# with WriteGDSLib and reads back equal; the seeds (WriteGDSLib streams
+# of a hierarchy and the ILT clips, plus internal/maskio/testdata/fuzz)
+# also run in every go test above. Its inputs run to 2 KiB, and the
+# fuzzer shrinks each new one in a number of calls quadratic in its
+# length: unbounded, that took the whole 10 s (4.6K execs, 1 new
+# input); at 200 calls per shrink the 10 s ran 496K execs
+echo "== go test -fuzz FuzzReadGDSLib (10 s) =="
+go test -run '^$' -fuzz '^FuzzReadGDSLib$' -fuzztime 10s -fuzzminimizetime 200x ./internal/maskio
 
 # -short skips the multi-minute fracturing integration suites, which are
 # too slow under the race detector; the concurrency-heavy tests
