@@ -3,6 +3,7 @@ package maskfrac
 import (
 	"context"
 	"fmt"
+	"sync"
 	"time"
 
 	"maskfrac/internal/maskio"
@@ -69,7 +70,8 @@ func CacheKeyFor(target Polygon, params Params, m Method, opt *Options) (CacheKe
 	if err := target.Validate(); err != nil {
 		return CacheKey{}, fmt.Errorf("maskfrac: invalid target: %w", err)
 	}
-	return shapecache.Canonicalize(target).KeyWith(fractureKeyExtra(params, m, opt)), nil
+	var extra [keyExtraSize]byte
+	return shapecache.Canonicalize(target).KeyWith(fractureKeyExtra(extra[:0], params, m, opt)), nil
 }
 
 // cachedSolution is the per-entry metadata stored next to the
@@ -105,7 +107,8 @@ func FractureCached(ctx context.Context, target Polygon, params Params, m Method
 		return nil, false, fmt.Errorf("maskfrac: invalid target: %w", err)
 	}
 	canon := shapecache.Canonicalize(target)
-	key := canon.KeyWith(fractureKeyExtra(params, m, opt))
+	var extra [keyExtraSize]byte
+	key := canon.KeyWith(fractureKeyExtra(extra[:0], params, m, opt))
 	var computed *Result
 	entry, hit, err := cache.c.Do(ctx, key, func() (*shapecache.Entry, error) {
 		res, err := fractureDirect(ctx, target, params, m, opt)
@@ -141,21 +144,45 @@ func FractureCached(ctx context.Context, target Polygon, params Params, m Method
 
 // Lookup answers target from the cache without solving: on a hit it
 // returns the result FractureCached would return, and counts the hit
-// and the class placement as FractureCached does. A miss, or an invalid
-// target, returns false and counts nothing, so a caller that goes on to
-// call FractureCached for the target has its lookup counted once, by
-// that call. A nil cache always misses.
+// and the class placement as FractureCached does. A miss returns false
+// and counts nothing, so a caller that goes on to call FractureCached
+// for the target has its lookup counted once, by that call. A nil
+// cache always misses.
+//
+// Lookup does not validate target: its one caller, fracd's /fracture
+// handler, validated it in maskio.PolygonFromWire. An invalid target
+// still misses and counts nothing, since no invalid polygon's canonical
+// form equals a stored one, and canonicalizing it does not panic. The
+// canonical polygon is built in a pooled scratch buffer: a hit needs
+// only its key, transform and offset.
 func (sc *ShapeCache) Lookup(target Polygon, params Params, m Method, opt *Options) (*Result, bool) {
-	if sc == nil || target.Validate() != nil {
+	if sc == nil {
 		return nil, false
 	}
-	canon := shapecache.Canonicalize(target)
-	entry, ok := sc.c.Get(canon.KeyWith(fractureKeyExtra(params, m, opt)))
+	buf := canonBufs.Get().(*Polygon)
+	if n := 2 * len(target); cap(*buf) < n && n <= maxCanonBuf {
+		*buf = make(Polygon, n) // room for a tie's second image
+	}
+	canon := shapecache.CanonicalizeInto(*buf, target)
+	var extra [keyExtraSize]byte
+	key := canon.KeyWith(fractureKeyExtra(extra[:0], params, m, opt))
+	canonBufs.Put(buf)
+	canon.Poly = nil // it may alias buf
+	entry, ok := sc.c.Get(key)
 	if !ok {
 		return nil, false
 	}
 	return hitResult(canon, entry, m), true
 }
+
+// canonBufs holds Lookup's scratch buffers for canonical polygons,
+// each *Polygon of at most maxCanonBuf vertices.
+var canonBufs = sync.Pool{New: func() any { return new(Polygon) }}
+
+// maxCanonBuf bounds a pooled canonicalization buffer: 64 KiB of
+// vertices, room for two images of a 2048-vertex shape. A longer shape
+// canonicalizes into buffers of its own.
+const maxCanonBuf = 4096
 
 // hitResult maps a cached entry into the query's frame: its shots
 // through canon, and the cached run's evaluation, timings and stage
@@ -188,11 +215,15 @@ func fractureDirect(ctx context.Context, target Polygon, params Params, m Method
 	return prob.FractureCtx(ctx, m, opt)
 }
 
-// fractureKeyExtra serializes everything besides the shape that can
+// keyExtraSize is the stack buffer fractureKeyExtra writes into: 78
+// bytes plus the method's name and the coloring order's beyond
+// "sequential". A longer key spills to the heap through append.
+const keyExtraSize = 128
+
+// fractureKeyExtra appends to buf everything besides the shape that can
 // change a solution: parameters, method and options.
-func fractureKeyExtra(params Params, m Method, opt *Options) []byte {
-	buf := make([]byte, 0, 96)
-	for _, v := range []float64{params.Sigma, params.Gamma, params.Rho, params.Pitch, params.Lmin, params.Beta, params.Eta} {
+func fractureKeyExtra(buf []byte, params Params, m Method, opt *Options) []byte {
+	for _, v := range [...]float64{params.Sigma, params.Gamma, params.Rho, params.Pitch, params.Lmin, params.Beta, params.Eta} {
 		buf = maskio.AppendFloat64(buf, v)
 	}
 	buf = append(buf, 0)

@@ -202,6 +202,34 @@ func TestShapeCacheLookup(t *testing.T) {
 	}
 }
 
+// TestLookupInvalidTargets checks that Lookup, which leaves validation
+// to its caller, misses and counts nothing on every kind of invalid
+// polygon, empty ones included, and does not panic on them.
+func TestLookupInvalidTargets(t *testing.T) {
+	cache := NewShapeCache(16)
+	if _, _, err := FractureCached(context.Background(), asymmetricL(), DefaultParams(), MethodProtoEDA, nil, cache); err != nil {
+		t.Fatal(err)
+	}
+	before := cache.Stats()
+	nan := math.NaN()
+	for _, pg := range []Polygon{
+		nil, {}, {{X: 0, Y: 0}}, {{X: 0, Y: 0}, {X: 1, Y: 1}},
+		{{X: 0, Y: 0}, {X: 4, Y: 0}, {X: 4, Y: 0}, {X: 0, Y: 4}},
+		{{X: 0, Y: 0}, {X: 4, Y: 0}, {X: nan, Y: 4}},
+		{{X: 0, Y: 0}, {X: 4, Y: 0}, {X: 8, Y: 0}},
+	} {
+		if pg.Validate() == nil {
+			t.Fatalf("%v is valid", pg)
+		}
+		if _, ok := cache.Lookup(pg, DefaultParams(), MethodProtoEDA, nil); ok {
+			t.Errorf("invalid target %v hit", pg)
+		}
+	}
+	if st := cache.Stats(); st != before {
+		t.Errorf("stats moved from %+v to %+v", before, st)
+	}
+}
+
 func TestFractureCachedNilCache(t *testing.T) {
 	res, hit, err := FractureCached(context.Background(), square(70), DefaultParams(), MethodGSC, nil, nil)
 	if err != nil || hit {

@@ -255,7 +255,9 @@ func (c *Client) SolveClass(ctx context.Context, key shapecache.Key, poly geom.P
 
 // solveRouted runs the routing state machine for one class: primary
 // node first, hedge to the next ring node on the hedge timer, fail over
-// on terminal errors, first success wins.
+// on terminal errors, first success wins. Attempts run on goroutines of
+// their own only when hedging is on; otherwise each runs to its end on
+// the caller's goroutine before the loop reads its outcome.
 func (c *Client) solveRouted(ctx context.Context, key shapecache.Key, poly geom.Polygon) (*ClassResult, error) {
 	start := time.Now()
 	cands := c.ring.LookupN(key, 1+c.cfg.Fallbacks)
@@ -276,11 +278,6 @@ func (c *Client) solveRouted(ctx context.Context, key shapecache.Key, poly geom.
 		ridBase = "t" + tid[:16]
 	}
 
-	type outcome struct {
-		item *fracserve.ItemResult
-		node string
-		err  error
-	}
 	// cancel stragglers (the losing half of a hedge) when we return
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -306,14 +303,13 @@ func (c *Client) solveRouted(ctx context.Context, key shapecache.Key, poly geom.
 		att.Set("kind", kind)
 		att.Set("request_id", rid)
 		actx := fracserve.WithRequestID(telemetry.ContextWithSpan(ctx, att), rid)
-		go func() {
-			item, err := c.tryNode(actx, id, poly)
-			if err != nil {
-				att.Set("err", err.Error())
-			}
-			att.End()
-			results <- outcome{item: item, node: id, err: err}
-		}()
+		if c.cfg.HedgeDelay > 0 {
+			go c.attempt(actx, att, id, poly, results)
+		} else {
+			// with no hedge timer nothing can overlap an attempt, so it
+			// runs on this goroutine; results has room for every launch
+			c.attempt(actx, att, id, poly, results)
+		}
 	}
 	launch("primary")
 
@@ -363,6 +359,24 @@ func (c *Client) solveRouted(ctx context.Context, key shapecache.Key, poly geom.
 		}
 	}
 	return nil, fmt.Errorf("cluster: class solve failed on %v: %w", cands, lastErr)
+}
+
+// outcome is one routed attempt's reply or error.
+type outcome struct {
+	item *fracserve.ItemResult
+	node string
+	err  error
+}
+
+// attempt tries node id in the attempt's span att, ends the span and
+// sends the outcome on results.
+func (c *Client) attempt(ctx context.Context, att *telemetry.Span, id string, poly geom.Polygon, results chan<- outcome) {
+	item, err := c.tryNode(ctx, id, poly)
+	if err != nil {
+		att.Set("err", err.Error())
+	}
+	att.End()
+	results <- outcome{item: item, node: id, err: err}
 }
 
 // classResult converts an accepted node reply. A shot payload that

@@ -74,8 +74,8 @@ func TestClusterTraceStitching(t *testing.T) {
 	if remote.TraceID() != root.TraceID() {
 		t.Errorf("remote span trace %q, want %q", remote.TraceID(), root.TraceID())
 	}
-	if remote.RemoteParentID() != att.ID() {
-		t.Errorf("remote root parent %q, want attempt span %q", remote.RemoteParentID(), att.ID())
+	if p := remote.Wire().ParentID; p != att.ID() {
+		t.Errorf("remote root parent %q, want attempt span %q", p, att.ID())
 	}
 	if remote.Find("fracd.shape") == nil {
 		t.Error("remote tree has no fracd.shape span")

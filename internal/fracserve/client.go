@@ -124,7 +124,9 @@ func (c *Client) http() *http.Client {
 
 // Do sends a raw fracture request. It encodes the request and decodes
 // the reply with the /fracture wire codec, whose bytes and values are
-// encoding/json's.
+// encoding/json's. The reply is read into a pooled buffer; the request
+// is encoded into one of its own, which net/http may read again after
+// the round trip.
 func (c *Client) Do(ctx context.Context, req *Request) (*Response, error) {
 	body, err := encodeRequest(req)
 	if err != nil {
@@ -135,10 +137,12 @@ func (c *Client) Do(ctx context.Context, req *Request) (*Response, error) {
 		return nil, err
 	}
 	defer drainClose(resp.Body)
-	b, err := readBody(resp.Body, resp.ContentLength)
+	b := getWireBuf()
+	defer b.free()
+	err = b.readFrom(resp.Body, resp.ContentLength)
 	var out Response
 	if err == nil {
-		err = decodeResponse(b, &out)
+		err = decodeResponse(b.b, &out)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("%w: decode response: %v", ErrProtocol, err)

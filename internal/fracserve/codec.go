@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"io"
 	"math"
+	"slices"
 	"strconv"
+	"sync"
 
 	"maskfrac/internal/telemetry"
 )
@@ -36,19 +38,20 @@ func encodeRequest(req *Request) ([]byte, error) {
 	return e.b, nil
 }
 
-// encodeResponse returns the bytes json.NewEncoder(w).Encode(resp)
-// writes, its trailing newline included.
-func encodeResponse(resp *Response) ([]byte, error) {
+// encodeResponse writes into dst's backing array, growing it as
+// needed, the bytes json.NewEncoder(w).Encode(resp) writes, its
+// trailing newline included, and returns them.
+func encodeResponse(dst []byte, resp *Response) ([]byte, error) {
 	n := 256
 	for i := range resp.Results {
 		it := &resp.Results[i]
 		n += 256 + 100*len(it.Shots) + 16*len(it.LPairs) + len(it.Error)
 	}
-	e := encoder{b: make([]byte, 0, n)}
+	e := encoder{b: slices.Grow(dst[:0], n)}
 	e.response(resp)
 	if e.bad {
-		var buf bytes.Buffer
-		err := json.NewEncoder(&buf).Encode(resp)
+		buf := bytes.NewBuffer(e.b[:0])
+		err := json.NewEncoder(buf).Encode(resp)
 		return buf.Bytes(), err
 	}
 	return e.b, nil
@@ -76,19 +79,52 @@ func decodeResponse(body []byte, resp *Response) error {
 	return json.NewDecoder(bytes.NewReader(body)).Decode(resp)
 }
 
-// bodyPrealloc bounds the buffer readBody allocates from a declared
-// length before any byte arrives, so that a Content-Length header alone
-// cannot claim memory; a longer body grows the buffer as it is read.
+// bodyPrealloc bounds the buffer readFrom sizes from a declared length
+// before any byte arrives, so that a Content-Length header alone cannot
+// claim memory; a longer body grows the buffer as it is read.
 const bodyPrealloc = 1 << 20
 
-// readBody reads r to its end into one buffer sized from the declared
-// length n (-1 when unknown). ReadFrom keeps bytes.MinRead bytes free
-// before each read, so a body of its declared length, up to
-// bodyPrealloc, is read without growing the buffer.
-func readBody(r io.Reader, n int64) ([]byte, error) {
-	buf := bytes.NewBuffer(make([]byte, 0, int(min(max(n, 0), bodyPrealloc))+bytes.MinRead))
-	_, err := buf.ReadFrom(r)
-	return buf.Bytes(), err
+// wireBuf holds one /fracture wire body: the node's request body and
+// its reply's encoding, and the client's reply body. Each comes from
+// wireBufs and goes back with free once the body has been decoded or
+// written. Nothing a decoder returns aliases the buffer (it copies
+// every string and number it reads), and a writer has copied the bytes
+// or sent them by the time Write returns, so nothing reads a buffer
+// after free. A request body the client sends is never one of them:
+// net/http may read it again through GetBody after the round trip.
+type wireBuf struct{ b []byte }
+
+// wireBufs holds the free wire buffers. A *wireBuf is a pointer, so
+// putting one back allocates nothing.
+var wireBufs = sync.Pool{New: func() any { return new(wireBuf) }}
+
+// maxPooledBuf is the largest buffer free keeps: 64 KiB holds a
+// request of thousands of vertices or a reply of hundreds of shots,
+// while a larger batch body, rarer and up to maxSolveBody long, is left
+// to the GC rather than pinned in the pool.
+const maxPooledBuf = 64 << 10
+
+func getWireBuf() *wireBuf { return wireBufs.Get().(*wireBuf) }
+
+// free returns buf to the pool, or drops it when it outgrew
+// maxPooledBuf. buf and every slice of its bytes are dead after free.
+func (buf *wireBuf) free() {
+	if cap(buf.b) <= maxPooledBuf {
+		buf.b = buf.b[:0]
+		wireBufs.Put(buf)
+	}
+}
+
+// readFrom reads r to its end into buf, sized first from the declared
+// length n (-1 when unknown). bytes.Buffer.ReadFrom keeps
+// bytes.MinRead bytes free before each read, so a body of its declared
+// length, up to bodyPrealloc, is read without growing the buffer.
+func (buf *wireBuf) readFrom(r io.Reader, n int64) error {
+	bb := bytes.NewBuffer(buf.b[:0])
+	bb.Grow(int(min(max(n, 0), bodyPrealloc)) + bytes.MinRead)
+	_, err := bb.ReadFrom(r)
+	buf.b = bb.Bytes()
+	return err
 }
 
 // encoder appends the JSON of the wire types to b.

@@ -100,7 +100,7 @@ func FuzzResponseCodec(f *testing.F) {
 		}
 		var ref bytes.Buffer
 		refErr := json.NewEncoder(&ref).Encode(&want)
-		enc, err := encodeResponse(&got)
+		enc, err := encodeResponse(nil, &got)
 		if errText(err) != errText(refErr) || !bytes.Equal(enc, ref.Bytes()) {
 			t.Fatalf("encode %+v:\n got %s (%v)\nwant %s (%v)", got, enc, err, ref.Bytes(), refErr)
 		}
@@ -160,7 +160,7 @@ func TestCodecFloatText(t *testing.T) {
 		}
 		resp := &Response{Results: []ItemResult{{Cost: f}}}
 		want = json.NewEncoder(new(bytes.Buffer)).Encode(resp)
-		if b, err := encodeResponse(resp); want == nil || errText(err) != errText(want) || len(b) != 0 {
+		if b, err := encodeResponse(nil, resp); want == nil || errText(err) != errText(want) || len(b) != 0 {
 			t.Errorf("reply with %v: %q, error %v, json.Encoder %v", f, b, err, want)
 		}
 	}
@@ -260,7 +260,7 @@ func TestCodecRandomValues(t *testing.T) {
 		resp.TraceID = randText(rng)
 		var buf bytes.Buffer
 		json.NewEncoder(&buf).Encode(&resp)
-		if got, err := encodeResponse(&resp); err != nil || !bytes.Equal(got, buf.Bytes()) {
+		if got, err := encodeResponse(nil, &resp); err != nil || !bytes.Equal(got, buf.Bytes()) {
 			t.Fatalf("reply %+v:\n got %s (%v)\nwant %s", resp, got, err, buf.Bytes())
 		}
 		var gotResp, refResp Response
@@ -346,7 +346,7 @@ func BenchmarkResponseCodec(b *testing.B) {
 	b.Run("encode/codec", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			benchBytes, _ = encodeResponse(&resp)
+			benchBytes, _ = encodeResponse(nil, &resp)
 		}
 	})
 	b.Run("encode/json", func(b *testing.B) {

@@ -10,7 +10,6 @@ import (
 	"net/http/pprof"
 	"runtime"
 	"runtime/debug"
-	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -363,10 +362,13 @@ func (s *Server) observe(h http.Handler) http.Handler {
 			route = pattern
 		}
 		s.reqDur.With(route).Observe(dur.Seconds())
-		s.log.Info("request",
-			"id", id, "method", r.Method, "path", r.URL.Path,
-			"status", sw.code, "bytes", sw.bytes,
-			"dur_ms", float64(dur)/float64(time.Millisecond))
+		// the fields are boxed only for a line the logger writes
+		if s.log.Enabled(telemetry.LevelInfo) {
+			s.log.Info("request",
+				"id", id, "method", r.Method, "path", r.URL.Path,
+				"status", sw.code, "bytes", sw.bytes,
+				"dur_ms", float64(dur)/float64(time.Millisecond))
+		}
 	})
 }
 
@@ -831,13 +833,15 @@ func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) erro
 	return nil
 }
 
-// readRequest reads a /fracture body of at most maxSolveBody bytes and
-// decodes it with the wire codec. Its error is the 400 message, worded
-// as decodeBody words it.
+// readRequest reads a /fracture body of at most maxSolveBody bytes into
+// a pooled buffer and decodes it with the wire codec. Its error is the
+// 400 message, worded as decodeBody words it.
 func readRequest(w http.ResponseWriter, r *http.Request, req *Request) error {
-	body, err := readBody(http.MaxBytesReader(w, r.Body, maxSolveBody), r.ContentLength)
+	body := getWireBuf()
+	defer body.free()
+	err := body.readFrom(http.MaxBytesReader(w, r.Body, maxSolveBody), r.ContentLength)
 	if err == nil {
-		err = decodeRequest(body, req)
+		err = decodeRequest(body.b, req)
 	}
 	if err != nil {
 		return errors.New("bad request body: " + err.Error())
@@ -855,7 +859,7 @@ func (s *Server) resolve(method string, pw *ParamsWire, ow *OptionsWire) (maskfr
 	m := maskfrac.MethodMBF
 	if method != "" {
 		m = maskfrac.Method(method)
-		if !slices.Contains(maskfrac.Methods(), m) {
+		if _, ok := engine.Lookup(method); !ok {
 			return "", maskfrac.Params{}, nil, errors.New("unknown method " + method)
 		}
 	}
@@ -916,10 +920,14 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// writeResponse writes a /fracture reply with the wire codec: the
-// bytes writeJSON writes, an unencodable reply's body empty as there.
+// writeResponse writes a /fracture reply with the wire codec, encoded
+// in a pooled buffer: the bytes writeJSON writes, an unencodable
+// reply's body empty as there.
 func writeResponse(w http.ResponseWriter, resp *Response) {
-	b, _ := encodeResponse(resp)
+	buf := getWireBuf()
+	defer buf.free()
+	b, _ := encodeResponse(buf.b, resp)
+	buf.b = b
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
 	w.WriteHeader(http.StatusOK)

@@ -31,7 +31,11 @@ func (p Point) Scale(k float64) Point { return Point{p.X * k, p.Y * k} }
 func (p Point) Dot(q Point) float64 { return p.X*q.X + p.Y*q.Y }
 
 // Cross returns the z component of the cross product p×q.
-func (p Point) Cross(q Point) float64 { return p.X*q.Y - p.Y*q.X }
+//
+// The conversions round each product on its own: they forbid fusing
+// either into a multiply-add, which arm64 would round once and amd64
+// never fuses, so both give the same bits.
+func (p Point) Cross(q Point) float64 { return float64(p.X*q.Y) - float64(p.Y*q.X) }
 
 // Norm returns the Euclidean length of the vector p.
 func (p Point) Norm() float64 { return math.Hypot(p.X, p.Y) }

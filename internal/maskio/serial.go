@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"unsafe"
 
 	"maskfrac/internal/geom"
 )
@@ -45,49 +46,50 @@ func AppendFloat64(buf []byte, v float64) []byte {
 	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 }
 
-// PolygonWire converts a polygon to its JSON wire form, a [[x,y], ...]
-// vertex list.
+// The wire forms are views. A conversion compiles only between
+// identical underlying types, so the two below pin geom.Point to two
+// float64s and geom.Rect to four, in this order and nothing else: the
+// layouts of [2]float64 and [4]float64, with the same size, alignment
+// and field offsets. A slice of one is then read as a slice of the
+// other in place, under the unsafe package's rule for converting
+// between types of equivalent memory layout.
+var (
+	_ = geom.Point(struct{ X, Y float64 }{})
+	_ = geom.Rect(struct{ X0, Y0, X1, Y1 float64 }{})
+)
+
+// PolygonWire returns pg's JSON wire form, a [[x,y], ...] vertex list.
+// It is a view, not a copy: the result aliases pg's vertices, so a
+// write through either shows in the other.
 func PolygonWire(pg geom.Polygon) [][2]float64 {
-	out := make([][2]float64, len(pg))
-	for i, p := range pg {
-		out[i] = [2]float64{p.X, p.Y}
-	}
-	return out
+	return unsafe.Slice((*[2]float64)(unsafe.Pointer(unsafe.SliceData(pg))), len(pg))
 }
 
-// PolygonFromWire converts a JSON wire vertex list back to a polygon
-// and validates it.
+// PolygonFromWire validates a JSON wire vertex list and returns it as
+// a polygon. The polygon is a view of w, not a copy: it aliases w's
+// vertices.
 func PolygonFromWire(w [][2]float64) (geom.Polygon, error) {
-	pg := make(geom.Polygon, len(w))
-	for i, v := range w {
-		pg[i] = geom.Pt(v[0], v[1])
-	}
+	pg := geom.Polygon(unsafe.Slice((*geom.Point)(unsafe.Pointer(unsafe.SliceData(w))), len(w)))
 	if err := pg.Validate(); err != nil {
 		return nil, err
 	}
 	return pg, nil
 }
 
-// ShotsWire converts a shot list to its JSON wire form, a
-// [[x0,y0,x1,y1], ...] rectangle list.
+// ShotsWire returns a shot list's JSON wire form, a [[x0,y0,x1,y1], ...]
+// rectangle list. It is a view of shots, not a copy.
 func ShotsWire(shots []geom.Rect) [][4]float64 {
-	out := make([][4]float64, len(shots))
-	for i, s := range shots {
-		out[i] = [4]float64{s.X0, s.Y0, s.X1, s.Y1}
-	}
-	return out
+	return unsafe.Slice((*[4]float64)(unsafe.Pointer(unsafe.SliceData(shots))), len(shots))
 }
 
-// ShotsFromWire converts a JSON wire rectangle list back to shots,
-// rejecting invalid or empty rectangles.
+// ShotsFromWire returns a JSON wire rectangle list as shots, rejecting
+// invalid or empty rectangles. The shots are a view of w, not a copy.
 func ShotsFromWire(w [][4]float64) ([]geom.Rect, error) {
-	shots := make([]geom.Rect, len(w))
-	for i, v := range w {
-		r := geom.Rect{X0: v[0], Y0: v[1], X1: v[2], Y1: v[3]}
+	shots := unsafe.Slice((*geom.Rect)(unsafe.Pointer(unsafe.SliceData(w))), len(w))
+	for i, r := range shots {
 		if !r.Valid() || r.Empty() {
 			return nil, fmt.Errorf("maskio: shot %d is invalid: %v", i, r)
 		}
-		shots[i] = r
 	}
 	return shots, nil
 }

@@ -114,7 +114,15 @@ type Canonical struct {
 // subtraction is exact (always true for integer-nanometer and other
 // dyadic coordinates, the common case for mask data). Inexact cases
 // fall back to a harmless cache miss, never a wrong hit.
-func Canonicalize(pg geom.Polygon) Canonical {
+func Canonicalize(pg geom.Polygon) Canonical { return CanonicalizeInto(nil, pg) }
+
+// CanonicalizeInto is Canonicalize writing into buf's backing array
+// instead of allocating: the canonical polygon's len(pg) vertices when
+// cap(buf) holds them, and, when images tie, the second image searched
+// in the next len(pg) when cap(buf) holds twice that. What buf cannot
+// hold is allocated. The result's Poly may alias buf, so a caller
+// reusing buf must be done with Poly first.
+func CanonicalizeInto(buf, pg geom.Polygon) Canonical {
 	reversed := !pg.IsCCW()
 	bounds := pg.Bounds()
 	var ims [numTransforms]image
@@ -136,12 +144,21 @@ func Canonicalize(pg geom.Polygon) Canonical {
 		cands = append(cands, im)
 	}
 
-	out := make(geom.Polygon, len(pg))
+	n := len(pg)
+	if cap(buf) < n {
+		buf = make(geom.Polygon, n)
+	}
+	out := buf[:n]
 	best := cands[0]
 	best.fill(out, 0)
 	bestStart := leastRotation(out)
 	if len(cands) > 1 {
-		scratch := make(geom.Polygon, len(pg))
+		var scratch geom.Polygon
+		if cap(buf) >= 2*n {
+			scratch = buf[n : 2*n]
+		} else {
+			scratch = make(geom.Polygon, n)
+		}
 		for _, im := range cands[1:] {
 			im.fill(scratch, 0)
 			start := leastRotation(scratch)

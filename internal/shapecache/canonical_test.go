@@ -63,22 +63,36 @@ func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bit
 // Poly, T, Off and key bit for bit.
 func checkOracle(t *testing.T, pg geom.Polygon) {
 	t.Helper()
-	got, want := Canonicalize(pg), oracleCanonicalize(pg)
-	if got.T != want.T || !sameBits(got.Off.X, want.Off.X) || !sameBits(got.Off.Y, want.Off.Y) {
-		t.Fatalf("T, Off = %d, %v; oracle %d, %v", got.T, got.Off, want.T, want.Off)
-	}
-	if len(got.Poly) != len(want.Poly) {
-		t.Fatalf("%d vertices; oracle %d", len(got.Poly), len(want.Poly))
-	}
-	for i := range got.Poly {
-		if !sameBits(got.Poly[i].X, want.Poly[i].X) || !sameBits(got.Poly[i].Y, want.Poly[i].Y) {
-			t.Fatalf("vertex %d = %v; oracle %v", i, got.Poly[i], want.Poly[i])
+	want := oracleCanonicalize(pg)
+	// Canonicalize allocates; CanonicalizeInto writes into a used
+	// buffer with room for one image or for two
+	n := len(pg)
+	for _, got := range []Canonical{Canonicalize(pg), CanonicalizeInto(junk(n), pg), CanonicalizeInto(junk(2*n), pg)} {
+		if got.T != want.T || !sameBits(got.Off.X, want.Off.X) || !sameBits(got.Off.Y, want.Off.Y) {
+			t.Fatalf("T, Off = %d, %v; oracle %d, %v", got.T, got.Off, want.T, want.Off)
+		}
+		if len(got.Poly) != len(want.Poly) {
+			t.Fatalf("%d vertices; oracle %d", len(got.Poly), len(want.Poly))
+		}
+		for i := range got.Poly {
+			if !sameBits(got.Poly[i].X, want.Poly[i].X) || !sameBits(got.Poly[i].Y, want.Poly[i].Y) {
+				t.Fatalf("vertex %d = %v; oracle %v", i, got.Poly[i], want.Poly[i])
+			}
+		}
+		extra := []byte("mbf")
+		if got.KeyWith(extra) != oracleKey(want, extra) {
+			t.Fatal("key differs from the hash of the whole encoding")
 		}
 	}
-	extra := []byte("mbf")
-	if got.KeyWith(extra) != oracleKey(want, extra) {
-		t.Fatal("key differs from the hash of the whole encoding")
+}
+
+// junk is a buffer of n NaN vertices, as a reused buffer may hold.
+func junk(n int) geom.Polygon {
+	pg := make(geom.Polygon, n)
+	for i := range pg {
+		pg[i] = geom.Pt(math.NaN(), math.NaN())
 	}
+	return pg
 }
 
 // dyadicShifts are translations that move dyadic coordinates exactly.
@@ -245,6 +259,13 @@ func TestCanonicalizeAllocs(t *testing.T) {
 	c, extra := Canonicalize(pg), []byte("mbf")
 	if n := testing.AllocsPerRun(100, func() { c.KeyWith(extra) }); n > 1 {
 		t.Errorf("KeyWith: %v allocations per call, want at most 1", n)
+	}
+	// with room for two images, neither one winner nor a tie allocates
+	for _, pg := range []geom.Polygon{pg, tieShapes()["plus"]} {
+		buf := make(geom.Polygon, 2*len(pg))
+		if n := testing.AllocsPerRun(100, func() { canonSink = CanonicalizeInto(buf, pg) }); n != 0 {
+			t.Errorf("CanonicalizeInto, %d vertices: %v allocations per call, want 0", len(pg), n)
+		}
 	}
 }
 

@@ -110,14 +110,6 @@ func (c *Cache) Get(k Key) (*Entry, bool) {
 	return nil, false
 }
 
-// Put stores e under k, evicting least-recently-used entries beyond
-// the bound.
-func (c *Cache) Put(k Key, e *Entry) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.putLocked(k, e)
-}
-
 // Do returns the entry for k, computing and storing it with compute on
 // a miss. Concurrent calls for the same key run compute once; the rest
 // wait for its result (or their context). The boolean reports whether

@@ -130,12 +130,17 @@ func TestCacheLRUEviction(t *testing.T) {
 		pg[1].X += float64(i) // make the classes distinct
 		keys[i] = Canonicalize(pg).KeyWith(nil)
 	}
-	c.Put(keys[0], &Entry{Bytes: 100})
-	c.Put(keys[1], &Entry{Bytes: 100})
+	put := func(k Key) {
+		if _, _, err := c.Do(context.Background(), k, func() (*Entry, error) { return &Entry{Bytes: 100}, nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	put(keys[0])
+	put(keys[1])
 	if _, ok := c.Get(keys[0]); !ok { // key0 now most recent
 		t.Fatal("key0 missing")
 	}
-	c.Put(keys[2], &Entry{Bytes: 100}) // evicts key1
+	put(keys[2]) // evicts key1
 	if _, ok := c.Get(keys[1]); ok {
 		t.Error("key1 survived eviction")
 	}
@@ -324,7 +329,7 @@ func TestCacheConcurrentMixedAccess(t *testing.T) {
 				pg[1].X = float64(20 + (g+i)%12)
 				k := Canonicalize(pg).KeyWith(nil)
 				if _, ok := c.Get(k); !ok {
-					c.Put(k, &Entry{Bytes: int64(i)})
+					c.Do(context.Background(), k, func() (*Entry, error) { return &Entry{Bytes: int64(i)}, nil })
 				}
 				c.Stats()
 			}

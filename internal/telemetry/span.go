@@ -105,15 +105,6 @@ func (s *Span) SpanContext() SpanContext {
 	return SpanContext{TraceID: s.trace, SpanID: s.id}
 }
 
-// RemoteParentID returns the remote caller's span ID on roots created
-// by WithRemoteTrace, "" otherwise.
-func (s *Span) RemoteParentID() string {
-	if s == nil {
-		return ""
-	}
-	return s.parent
-}
-
 // Adopt grafts an already-built span (typically reconstructed from a
 // remote process's wire form) under s as a child.
 func (s *Span) Adopt(c *Span) {
@@ -146,6 +137,11 @@ func (s *Span) Duration() time.Duration {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.durationLocked()
+}
+
+// durationLocked is Duration with s.mu held.
+func (s *Span) durationLocked() time.Duration {
 	if s.ended {
 		return s.dur
 	}

@@ -65,8 +65,8 @@ func TestWithRemoteTraceAdoptsCallerContext(t *testing.T) {
 	if root.TraceID() != caller.TraceID() {
 		t.Fatalf("server root trace %s, want caller's %s", root.TraceID(), caller.TraceID())
 	}
-	if root.RemoteParentID() != caller.ID() {
-		t.Fatalf("server root parent %s, want caller span %s", root.RemoteParentID(), caller.ID())
+	if p := root.Wire().ParentID; p != caller.ID() {
+		t.Fatalf("server root parent %s, want caller span %s", p, caller.ID())
 	}
 	_, phase := StartSpan(ctx, "phase")
 	if phase.TraceID() != caller.TraceID() {

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 )
 
@@ -39,21 +40,29 @@ const maxWireSiblings = 16
 
 // Wire serializes the span tree. Call it only after the tree has
 // ended; live descendants serialize with their elapsed-so-far duration.
+// Each span is read under its own lock, a parent's held while its
+// children are read; nothing takes a child's lock and then its
+// parent's.
 func (s *Span) Wire() *SpanWire {
 	if s == nil {
 		return nil
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	w := &SpanWire{
 		Name:     s.Name,
 		ID:       s.id,
 		ParentID: s.parent,
 		StartNS:  s.Start.UnixNano(),
-		DurNS:    int64(s.Duration()),
+		DurNS:    int64(s.durationLocked()),
 	}
-	for _, a := range s.Attrs() {
-		w.Attrs = append(w.Attrs, AttrWire{K: a.Key, V: fmt.Sprint(a.Value)})
+	if len(s.attrs) > 0 {
+		w.Attrs = make([]AttrWire, len(s.attrs))
+		for i, a := range s.attrs {
+			w.Attrs[i] = AttrWire{K: a.Key, V: attrText(a.Value)}
+		}
 	}
-	children := s.Children()
+	children := s.children
 	for i := 0; i < len(children); {
 		run := 1
 		for i+run < len(children) && children[i+run].Name == children[i].Name {
@@ -83,6 +92,26 @@ func (s *Span) Wire() *SpanWire {
 		i += run
 	}
 	return w
+}
+
+// attrText is fmt.Sprint(v), formatted with strconv for the kinds
+// spans carry: strings, integers, booleans and float64s.
+func attrText(v any) string {
+	switch x := v.(type) {
+	case string:
+		return x
+	case int:
+		return strconv.Itoa(x)
+	case int64:
+		return strconv.FormatInt(x, 10)
+	case uint64:
+		return strconv.FormatUint(x, 10)
+	case bool:
+		return strconv.FormatBool(x)
+	case float64:
+		return strconv.FormatFloat(x, 'g', -1, 64)
+	}
+	return fmt.Sprint(v)
 }
 
 // Span reconstructs an (ended) span tree from its wire form, preserving

@@ -3,6 +3,9 @@ package telemetry
 import (
 	"context"
 	"encoding/json"
+	"fmt"
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -46,6 +49,37 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 	if re.Find("solve").ID() != child.ID() {
 		t.Fatalf("reconstructed id %s != %s", re.Find("solve").ID(), child.ID())
+	}
+}
+
+// TestWireAttrText checks that Wire writes every kind of attribute
+// value Span.Set is given as fmt.Sprint writes it, through the strconv
+// fast paths and the fmt fallback alike.
+func TestWireAttrText(t *testing.T) {
+	type named string
+	values := []any{
+		"", "mbf", "a b=c", "\x00\u00e9",
+		0, 7, -42, math.MaxInt, math.MinInt,
+		int64(0), int64(-1) << 40, int64(math.MaxInt64), int64(math.MinInt64),
+		uint64(0), uint64(1) << 63, uint64(math.MaxUint64),
+		true, false,
+		0.0, math.Copysign(0, -1), 0.1, -2.5, 1e6, 1e21, 1e-7, 123456789.125,
+		math.MaxFloat64, math.SmallestNonzeroFloat64, math.Inf(1), math.Inf(-1), math.NaN(),
+		float32(0.1), int32(-3), uint(9), named("x"), time.Millisecond, nil,
+	}
+	_, root := WithTrace(context.Background(), "root")
+	for i, v := range values {
+		root.Set(strconv.Itoa(i), v)
+	}
+	root.End()
+	w := root.Wire()
+	if len(w.Attrs) != len(values) {
+		t.Fatalf("%d attrs on the wire, want %d", len(w.Attrs), len(values))
+	}
+	for i, v := range values {
+		if a := w.Attrs[i]; a.K != strconv.Itoa(i) || a.V != fmt.Sprint(v) {
+			t.Errorf("%T %v: wire attr %q=%q, want %q", v, v, a.K, a.V, fmt.Sprint(v))
+		}
 	}
 }
 

@@ -44,6 +44,26 @@ go test -race -run 'TestE2E' ./internal/fracserve
 echo "== go test -race fracd hits off the queue =="
 go test -race -count=10 -run 'TestE2EHitBypassesFullQueue|TestE2EMixedBatchOrder|TestE2EHitTrace' ./internal/fracserve
 
+# the /fracture wire bodies come from one sync.Pool: many goroutines
+# mixing hits of distinct classes, misses, malformed bodies and
+# return_trace requests must each get their own request's reply, and
+# hits served one after another through the handler must reply alike
+# (the allocation gate itself holds in the plain go test above; the race
+# detector drops pool puts on purpose, so it only logs the count here)
+echo "== go test -race pooled wire buffers =="
+go test -race -count=10 -run 'TestPooledBuffersConcurrent|TestFractureHitAllocs' ./internal/fracserve
+
+# cache keys route the cluster, so canonicalization must round alike on
+# every architecture: gc fuses x*y+z into one instruction on arm64 (not
+# on amd64), and the shape cache's arm64 code must hold none
+echo "== no fused multiply-add in internal/shapecache on arm64 =="
+fused="$(GOARCH=arm64 go build -gcflags=-S ./internal/shapecache 2>&1 | grep -E '\b(FMADDD|FMSUBD|FNMADDD|FNMSUBD)\b' || true)"
+if [ -n "$fused" ]; then
+	echo "fused multiply-add in internal/shapecache (arm64):"
+	echo "$fused"
+	exit 1
+fi
+
 # the cluster e2e smoke spawns 3 in-process fracd servers, routes a
 # small hierarchical mask through the consistent-hash ring, and asserts
 # the single-solve-per-congruence-class invariant (sum of cache misses
