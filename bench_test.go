@@ -40,7 +40,6 @@ import (
 	"maskfrac/internal/geom"
 	"maskfrac/internal/graphx"
 	"maskfrac/internal/metrics"
-	"maskfrac/internal/raster"
 	"maskfrac/internal/writecost"
 )
 
@@ -246,18 +245,6 @@ func BenchmarkDeltaCost(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.DeltaCost(0, moved)
-	}
-}
-
-func BenchmarkEDT(b *testing.B) {
-	g := raster.Grid{Pitch: 1, W: 256, H: 256}
-	bm := raster.NewBitmap(g)
-	for k := 0; k < g.Len(); k += 97 {
-		bm.Bits[k] = true
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		raster.DistanceTransform(bm)
 	}
 }
 

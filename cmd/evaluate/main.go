@@ -2,7 +2,7 @@
 //
 // Usage:
 //
-//	evaluate -table 2        # Table 2: ten ILT-like shapes, LB/UB, all methods
+//	evaluate -table 2        # Table 2: ten ILT-like shapes, UB, all methods
 //	evaluate -table 3        # Table 3: ten known-optimal generated shapes
 //	evaluate -table all      # both
 //	evaluate -methods mbf,proto-eda

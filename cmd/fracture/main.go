@@ -157,8 +157,7 @@ func main() {
 	for _, t := range targets {
 		vertices += len(t)
 	}
-	lb, ub := prob.Bounds()
-	fmt.Printf("shape %s: %d shapes, %d vertices, bounds LB=%d UB=%d\n", name, len(targets), vertices, lb, ub)
+	fmt.Printf("shape %s: %d shapes, %d vertices, bound UB=%d\n", name, len(targets), vertices, prob.Bounds())
 	fmt.Printf("method %s: %d shots, %d regions, %d failing pixels (on=%d off=%d), %.3fs\n",
 		res.Method, res.ShotCount(), res.Regions, res.FailingPixels(), res.FailOn, res.FailOff, res.Runtime.Seconds())
 	if res.Stage != nil {

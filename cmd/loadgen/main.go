@@ -2,15 +2,15 @@
 // cluster and reports what the cluster is for: latency percentiles,
 // shot throughput, and per-node cache-hit rate.
 //
-// It spawns -nodes in-process fracd servers, routes every placement of
-// the input layout (a hierarchical GDSII from -gds, or the synthetic
-// shapegen full-mask demo) through the internal/cluster router, and
-// scrapes each node's /stats when the replay drains. Unlike the
-// pipeline driver, loadgen deliberately skips run-level class
-// memoization: every placement becomes a wire request, the way a fleet
-// of independent prep jobs would hit a shared cluster, so repeated
-// congruence classes land as node cache hits and the measured hit rate
-// is the real one.
+// It spawns -nodes in-process fracd servers, fractures the input layout
+// (a hierarchical GDSII from -gds, or the synthetic shapegen full-mask
+// demo) through the full-mask pipeline (cluster.RunPipeline), and
+// scrapes each node's /stats when the replay drains. The pipeline sends
+// one wire request per congruence class and credits each class with
+// its placement count afterwards, so the nodes' class statistics count
+// every placement; on a cold cluster every request is a miss and the
+// hit rate reads 0. Traffic with one request per placement, the way a
+// fleet of independent prep jobs would hit a shared cluster, is -soak.
 //
 // Soak mode (-soak) holds the cluster at a steady -qps for -duration
 // with a token-bucket pacer and reports a rolling time series instead
@@ -45,7 +45,6 @@ import (
 	"net"
 	"os"
 	"sort"
-	"sync"
 	"time"
 
 	"maskfrac/internal/cluster"
@@ -74,13 +73,7 @@ type report struct {
 	Classes    int     `json:"classes"`
 	ElapsedSec float64 `json:"elapsed_sec"`
 
-	LatencyMS struct {
-		P50  float64 `json:"p50"`
-		P90  float64 `json:"p90"`
-		P99  float64 `json:"p99"`
-		Mean float64 `json:"mean"`
-		Max  float64 `json:"max"`
-	} `json:"latency_ms"`
+	LatencyMS latencyMS `json:"latency_ms"`
 
 	PlacementsPerSec float64 `json:"placements_per_sec"`
 	ShotsPerSec      float64 `json:"shots_per_sec"`
@@ -179,7 +172,7 @@ func main() {
 	} else {
 		fmt.Printf("replaying %d placements (%s) against %d nodes, method %s, concurrency %d\n",
 			placements, input, *nodes, *method, *concurrency)
-		rep, err := replay(context.Background(), cl, lib, *method, *concurrency)
+		rep, err := replay(context.Background(), cl, lib, *concurrency)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -298,99 +291,37 @@ func spawnCluster(n int, cfg cluster.Config, workers int) (*cluster.Client, func
 	return cl, shutdown, nil
 }
 
-// replay streams every placement through the cluster with a bounded
-// worker pool, one wire-visible request per placement.
-func replay(ctx context.Context, cl *cluster.Client, lib *maskio.Library, method string, concurrency int) (*report, error) {
-	type item struct {
-		key shapecache.Key
-		can shapecache.Canonical
-	}
-	jobs := make(chan item, concurrency)
-
-	var (
-		mu        sync.Mutex
-		latencies []float64 // ms
-		shots     int64
-		classes   = make(map[shapecache.Key]struct{})
-		firstErr  error
-	)
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	var wg sync.WaitGroup
-	for w := 0; w < concurrency; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for it := range jobs {
-				t0 := time.Now()
-				res, err := cl.SolveClass(ctx, it.key, it.can.Poly)
-				ms := float64(time.Since(t0).Microseconds()) / 1000
-				mu.Lock()
-				if err != nil {
-					if firstErr == nil {
-						firstErr = err
-						cancel()
-					}
-					mu.Unlock()
-					continue
-				}
-				latencies = append(latencies, ms)
-				shots += int64(res.ShotCount)
-				classes[it.key] = struct{}{}
-				mu.Unlock()
+// replay fractures lib on the cluster through cluster.RunPipeline: each
+// congruence class crosses the wire once, and its placement count is
+// credited to the owning node's class statistics after the run, so the
+// nodes (and -plan) see every placement.
+func replay(ctx context.Context, cl *cluster.Client, lib *maskio.Library, concurrency int) (*report, error) {
+	var latencies []float64 // ms, one per class: the run's wire requests
+	seen := make(map[shapecache.Key]bool)
+	mr, err := cluster.RunPipeline(ctx, cl, lib, cluster.PipelineConfig{
+		Workers: concurrency,
+		OnResult: func(pr *cluster.PlacementResult) error {
+			if !seen[pr.Key] {
+				seen[pr.Key] = true
+				latencies = append(latencies, float64(pr.Class.Latency.Microseconds())/1000)
 			}
-		}()
-	}
-
-	start := time.Now()
-	walkErr := lib.Walk(func(pl maskio.Placement) error {
-		can := shapecache.Canonicalize(pl.Polygon)
-		select {
-		case jobs <- item{key: can.KeyWith([]byte(method)), can: can}:
 			return nil
-		case <-ctx.Done():
-			return ctx.Err()
-		}
+		},
 	})
-	close(jobs)
-	wg.Wait()
-	elapsed := time.Since(start)
-	if firstErr != nil {
-		return nil, firstErr
+	if err != nil {
+		return nil, err
 	}
-	if walkErr != nil {
-		return nil, walkErr
-	}
-
+	elapsed := mr.Elapsed.Seconds()
 	rep := &report{
-		Placements: int64(len(latencies)),
-		Classes:    len(classes),
-		ElapsedSec: elapsed.Seconds(),
-		TotalShots: shots,
+		Placements:       mr.Placements,
+		Classes:          mr.Classes,
+		ElapsedSec:       elapsed,
+		LatencyMS:        summarize(latencies),
+		PlacementsPerSec: float64(mr.Placements) / elapsed,
+		ShotsPerSec:      float64(mr.Shots) / elapsed,
+		TotalShots:       mr.Shots,
+		EstWriteTimeSec:  mr.WriteTime.Seconds(),
 	}
-	sort.Float64s(latencies)
-	pct := func(p float64) float64 {
-		if len(latencies) == 0 {
-			return 0
-		}
-		i := int(p * float64(len(latencies)-1))
-		return latencies[i]
-	}
-	var sum float64
-	for _, v := range latencies {
-		sum += v
-	}
-	rep.LatencyMS.P50 = pct(0.50)
-	rep.LatencyMS.P90 = pct(0.90)
-	rep.LatencyMS.P99 = pct(0.99)
-	if n := len(latencies); n > 0 {
-		rep.LatencyMS.Mean = sum / float64(n)
-		rep.LatencyMS.Max = latencies[n-1]
-	}
-	rep.PlacementsPerSec = float64(rep.Placements) / elapsed.Seconds()
-	rep.ShotsPerSec = float64(shots) / elapsed.Seconds()
-	rep.EstWriteTimeSec = writecost.Default().WriteTime(shots).Seconds()
 
 	var hits, misses uint64
 	for _, id := range cl.Nodes() {
@@ -417,6 +348,35 @@ func replay(ctx context.Context, cl *cluster.Client, lib *maskio.Library, method
 	rep.Retries, rep.Hedges, rep.Failovers, rep.Coalesced = cl.CounterValues()
 	rep.RingChanges = cl.RingRebalances()
 	return rep, nil
+}
+
+// latencyMS summarizes request latencies in milliseconds.
+type latencyMS struct {
+	P50  float64 `json:"p50"`
+	P90  float64 `json:"p90"`
+	P99  float64 `json:"p99"`
+	Mean float64 `json:"mean"`
+	Max  float64 `json:"max"`
+}
+
+// summarize sorts ms in place and returns its percentiles, mean and
+// maximum; all zero when ms is empty.
+func summarize(ms []float64) latencyMS {
+	var l latencyMS
+	n := len(ms)
+	if n == 0 {
+		return l
+	}
+	sort.Float64s(ms)
+	var sum float64
+	for _, v := range ms {
+		sum += v
+	}
+	pct := func(p float64) float64 { return ms[int(p*float64(n-1))] }
+	l.P50, l.P90, l.P99 = pct(0.50), pct(0.90), pct(0.99)
+	l.Mean = sum / float64(n)
+	l.Max = ms[n-1]
+	return l
 }
 
 func printReport(r *report) {

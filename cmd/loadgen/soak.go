@@ -72,14 +72,8 @@ type soakReport struct {
 	Errors     int64 `json:"errors"`
 	TotalShots int64 `json:"total_shots"`
 
-	LatencyMS struct {
-		P50  float64 `json:"p50"`
-		P90  float64 `json:"p90"`
-		P99  float64 `json:"p99"`
-		Mean float64 `json:"mean"`
-		Max  float64 `json:"max"`
-	} `json:"latency_ms"`
-	ClusterHitRate float64 `json:"cluster_cache_hit_rate"`
+	LatencyMS      latencyMS `json:"latency_ms"`
+	ClusterHitRate float64   `json:"cluster_cache_hit_rate"`
 
 	Windows []windowReport `json:"windows"`
 	// DroppedWindows counts buckets inside the run that recorded zero
@@ -382,24 +376,7 @@ pacing:
 		rep.Windows = append(rep.Windows, wrep)
 	}
 
-	sort.Float64s(all)
-	pct := func(p float64) float64 {
-		if len(all) == 0 {
-			return 0
-		}
-		return all[int(p*float64(len(all)-1))]
-	}
-	var sum float64
-	for _, v := range all {
-		sum += v
-	}
-	rep.LatencyMS.P50 = pct(0.50)
-	rep.LatencyMS.P90 = pct(0.90)
-	rep.LatencyMS.P99 = pct(0.99)
-	if n := len(all); n > 0 {
-		rep.LatencyMS.Mean = sum / float64(n)
-		rep.LatencyMS.Max = all[n-1]
-	}
+	rep.LatencyMS = summarize(all)
 	if nonErr > 0 {
 		rep.ClusterHitRate = float64(hits) / float64(nonErr)
 	}

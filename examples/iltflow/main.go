@@ -27,10 +27,9 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		lb, ub := prob.Bounds()
 		on, off := prob.PixelCounts()
-		fmt.Printf("%s: %d vertices, %d interior / %d exterior pixels, bounds %d..%d\n",
-			clip.Name, len(clip.Target), on, off, lb, ub)
+		fmt.Printf("%s: %d vertices, %d interior / %d exterior pixels, upper bound %d\n",
+			clip.Name, len(clip.Target), on, off, prob.Bounds())
 		for _, m := range methods {
 			res, err := prob.Fracture(m, nil)
 			if err != nil {

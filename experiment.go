@@ -52,13 +52,12 @@ type Row struct {
 	FailOn  int
 	FailOff int
 	Runtime time.Duration
-	Lower   int // shot-count lower bound (Table 2)
 	Upper   int // shot-count upper bound (Table 2)
 	Optimal int // known optimal (Table 3, 0 otherwise)
 }
 
 // RunSuite fractures every benchmark with every method and returns the
-// rows plus bounds. Methods run with default options.
+// rows plus upper bounds. Methods run with default options.
 func RunSuite(benchmarks []Benchmark, params Params, methods []Method) ([]Row, error) {
 	var rows []Row
 	for _, b := range benchmarks {
@@ -66,7 +65,7 @@ func RunSuite(benchmarks []Benchmark, params Params, methods []Method) ([]Row, e
 		if err != nil {
 			return nil, fmt.Errorf("maskfrac: %s: %w", b.Name, err)
 		}
-		lb, ub := prob.Bounds()
+		ub := prob.Bounds()
 		for _, m := range methods {
 			res, err := prob.Fracture(m, nil)
 			if err != nil {
@@ -79,7 +78,6 @@ func RunSuite(benchmarks []Benchmark, params Params, methods []Method) ([]Row, e
 				FailOn:  res.FailOn,
 				FailOff: res.FailOff,
 				Runtime: res.Runtime,
-				Lower:   lb,
 				Upper:   ub,
 				Optimal: b.Optimal,
 			})
@@ -124,7 +122,7 @@ func FormatTable(rows []Row, methods []Method, useOptimal bool) string {
 	if useOptimal {
 		fmt.Fprintf(&b, "%-8s %8s", "Clip-ID", "Optimal")
 	} else {
-		fmt.Fprintf(&b, "%-8s %8s", "Clip-ID", "LB/UB")
+		fmt.Fprintf(&b, "%-8s %8s", "Clip-ID", "UB")
 	}
 	for _, m := range methods {
 		fmt.Fprintf(&b, " | %-22s", m)
@@ -140,7 +138,7 @@ func FormatTable(rows []Row, methods []Method, useOptimal bool) string {
 		if useOptimal {
 			fmt.Fprintf(&b, "%-8s %8d", shape, first.Optimal)
 		} else {
-			fmt.Fprintf(&b, "%-8s %5d/%-3d", shape, first.Lower, first.Upper)
+			fmt.Fprintf(&b, "%-8s %8d", shape, first.Upper)
 		}
 		for _, m := range methods {
 			r := byKey[shape+"|"+string(m)]

@@ -20,12 +20,8 @@ func problem(t *testing.T, pg geom.Polygon) *cover.Problem {
 
 func TestSquareBounds(t *testing.T) {
 	p := problem(t, geom.Polygon{geom.Pt(0, 0), geom.Pt(80, 0), geom.Pt(80, 80), geom.Pt(0, 80)})
-	b := Compute(p)
-	if b.Upper != 1 {
-		t.Errorf("square upper = %d, want 1 (single rectangle)", b.Upper)
-	}
-	if b.Lower < 1 {
-		t.Errorf("square lower = %d", b.Lower)
+	if ub := Upper(p); ub != 1 {
+		t.Errorf("square upper = %d, want 1 (single rectangle)", ub)
 	}
 }
 
@@ -34,21 +30,17 @@ func TestLBounds(t *testing.T) {
 		geom.Pt(0, 0), geom.Pt(120, 0), geom.Pt(120, 50),
 		geom.Pt(50, 50), geom.Pt(50, 120), geom.Pt(0, 120),
 	})
-	b := Compute(p)
-	if b.Upper != 2 {
-		t.Errorf("L upper = %d, want 2", b.Upper)
-	}
-	if b.Lower < 1 || b.Lower > 4 {
-		t.Errorf("L lower = %d out of sane range", b.Lower)
+	if ub := Upper(p); ub != 2 {
+		t.Errorf("L upper = %d, want 2", ub)
 	}
 }
 
 func TestUpperGrowsWithComplexity(t *testing.T) {
-	simple := Compute(problem(t, geom.Polygon{geom.Pt(0, 0), geom.Pt(80, 0), geom.Pt(80, 80), geom.Pt(0, 80)}))
+	simple := Upper(problem(t, geom.Polygon{geom.Pt(0, 0), geom.Pt(80, 0), geom.Pt(80, 80), geom.Pt(0, 80)}))
 	complexShape := shapegen.ILTShape(104, 5)
-	rich := Compute(problem(t, complexShape.Target))
-	if rich.Upper <= simple.Upper {
-		t.Errorf("complex shape upper (%d) not larger than square (%d)", rich.Upper, simple.Upper)
+	rich := Upper(problem(t, complexShape.Target))
+	if rich <= simple {
+		t.Errorf("complex shape upper (%d) not larger than square (%d)", rich, simple)
 	}
 }
 
@@ -61,30 +53,31 @@ func TestUpperIsAchievable(t *testing.T) {
 	if sh.Target == nil {
 		t.Fatal("generation failed")
 	}
-	b := Compute(problem(t, sh.Target))
-	if b.Upper < sh.Known {
-		t.Errorf("partition upper bound %d below certified optimal %d", b.Upper, sh.Known)
+	ub := Upper(problem(t, sh.Target))
+	if ub < sh.Known {
+		t.Errorf("partition upper bound %d below certified optimal %d", ub, sh.Known)
 	}
-	if b.Upper > 10*sh.Known {
-		t.Errorf("upper bound %d absurdly large for optimal %d", b.Upper, sh.Known)
+	if ub > 10*sh.Known {
+		t.Errorf("upper bound %d absurdly large for optimal %d", ub, sh.Known)
 	}
 }
 
-// TestBoundsOrdered checks 1 <= Lower <= Upper on small squares, whose
-// corner graph has no edges, and on the generated Table 3 suite.
+// TestBoundsOrdered checks that the upper bound is at least one shot on
+// small squares and at least the certified optimum on the generated
+// Table 3 suite.
 func TestBoundsOrdered(t *testing.T) {
 	params := cover.DefaultParams()
-	shapes := map[string]geom.Polygon{}
+	shapes := map[string]shapegen.Shape{}
 	for side := 8.0; side <= 40; side++ {
-		shapes[fmt.Sprintf("square-%g", side)] = geom.Polygon{
-			geom.Pt(0, 0), geom.Pt(side, 0), geom.Pt(side, side), geom.Pt(0, side)}
+		shapes[fmt.Sprintf("square-%g", side)] = shapegen.Shape{Target: geom.Polygon{
+			geom.Pt(0, 0), geom.Pt(side, 0), geom.Pt(side, side), geom.Pt(0, side)}, Known: 1}
 	}
 	for _, sh := range append(shapegen.AGBSuite(params), shapegen.RGBSuite(params)...) {
-		shapes[sh.Name] = sh.Target
+		shapes[sh.Name] = sh
 	}
-	for name, pg := range shapes {
-		if b := Compute(problem(t, pg)); b.Lower < 1 || b.Lower > b.Upper {
-			t.Errorf("%s: lower %d, upper %d", name, b.Lower, b.Upper)
+	for name, sh := range shapes {
+		if ub := Upper(problem(t, sh.Target)); ub < sh.Known {
+			t.Errorf("%s: upper %d below the optimum %d", name, ub, sh.Known)
 		}
 	}
 }

@@ -26,9 +26,6 @@ type PipelineConfig struct {
 	// grows with placement skew, so memory stays O(Window + classes)
 	// regardless of mask size.
 	Window int
-	// WriteModel prices the aggregate shot count (default
-	// writecost.Default()).
-	WriteModel *writecost.Model
 	// OnResult, when non-nil, observes every placement in walk order
 	// (Seq strictly increasing). Returning an error aborts the run.
 	OnResult func(*PlacementResult) error
@@ -40,10 +37,6 @@ func (c PipelineConfig) withDefaults() PipelineConfig {
 	}
 	if c.Window <= 0 {
 		c.Window = 4 * c.Workers
-	}
-	if c.WriteModel == nil {
-		m := writecost.Default()
-		c.WriteModel = &m
 	}
 	return c
 }
@@ -93,7 +86,8 @@ type MaskResult struct {
 	// placement multiplicity was reported back to the owning nodes'
 	// statistics after the run (see Client.ReportClassUses).
 	ClassUsesCredited int
-	// WriteTime is the modeled mask write time for Flashes.
+	// WriteTime is the modeled mask write time for Flashes under
+	// writecost.Default().
 	WriteTime time.Duration
 	// Elapsed is the wall-clock run time.
 	Elapsed time.Duration
@@ -257,7 +251,7 @@ func RunPipeline(ctx context.Context, c *Client, lib *maskio.Library, cfg Pipeli
 	}
 	mr.Classes = len(uses)
 	mr.ClusterRequests = int64(len(uses))
-	mr.WriteTime = cfg.WriteModel.WriteTime(mr.Flashes)
+	mr.WriteTime = writecost.Default().WriteTime(mr.Flashes)
 	// report memoized multiplicities: each class's wire request already
 	// credited one placement on the owning node, so only the collapsed
 	// surplus (count − 1) is reported. Without this the stencil planner

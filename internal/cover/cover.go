@@ -315,7 +315,7 @@ type mutObs struct{ fn func(pixels int) }
 // counters: how many mutations all evaluators have committed, how many
 // pixels their incremental scans visited while committing
 // (PixelsMutated), and how many pixels had their cost term evaluated
-// while scoring candidates via DeltaCost, PairDelta and UnpairDelta
+// while scoring candidates via DeltaCost and UnpairDelta
 // (PixelsScored: the live pixels of sparse rows and every pixel of
 // dense rows).
 type EvalEffort struct {
@@ -422,9 +422,8 @@ type scratch struct {
 // A Scorer scores moves against its Eval's current state with scan
 // scratch and effort counters of its own, so several goroutines, each
 // with its own Scorer, may score against one Eval at once while nothing
-// mutates it. Every score of an Eval goes through a Scorer: DeltaCost,
-// PairDelta and UnpairDelta through the Eval's own, which they fold at
-// once. In cross-check mode a Scorer re-scores every move densely.
+// mutates it. Every score of an Eval goes through a Scorer: DeltaCost
+// and UnpairDelta through the Eval's own, which they fold at once. In cross-check mode a Scorer re-scores every move densely.
 // Fold adds its counters into the Eval.
 type Scorer struct {
 	e     *Eval

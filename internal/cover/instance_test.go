@@ -228,10 +228,8 @@ func TestMultiTargetInside(t *testing.T) {
 	}
 	want := make([]bool, p.Grid.Len())
 	for _, tg := range targets {
-		bm, err := raster.Rasterize(tg, p.Grid)
-		if err != nil {
-			t.Fatal(err)
-		}
+		bm := raster.NewBitmap(p.Grid)
+		raster.RasterizeInto(bm.Bits, p.Grid, p.Grid.Whole(), tg)
 		for k, v := range bm.Bits {
 			want[k] = want[k] || v
 		}

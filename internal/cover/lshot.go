@@ -162,24 +162,6 @@ func (e *Eval) Unpair(i int) {
 	}
 }
 
-// PairDelta returns the change in Eq. 5 cost if shots i and j were
-// paired, without modifying the evaluator — the scoring counterpart of
-// Pair. Panics under the same conditions as Pair.
-func (e *Eval) PairDelta(i, j int) float64 {
-	if i == j {
-		panic("cover: PairDelta(i, i)")
-	}
-	if e.partner[i] >= 0 || e.partner[j] >= 0 {
-		panic(fmt.Sprintf("cover: PairDelta(%d, %d): shot already paired", i, j))
-	}
-	e.Evals++
-	o := pairOverlap(e.Shots[i], e.Shots[j])
-	if o == (geom.Rect{}) {
-		return 0
-	}
-	return e.scoreOwn([]doseTerm{{o, -1}})
-}
-
 // UnpairDelta returns the change in Eq. 5 cost if the L-shot containing
 // shot i were split back into rectangles — the scoring counterpart of
 // Unpair. Panics if shot i is not paired.

@@ -172,7 +172,7 @@ func TestAccumulateShotMatchesDirect(t *testing.T) {
 	for j := 0; j < g.H; j += 3 {
 		for i := 0; i < g.W; i += 3 {
 			want := m.ShotIntensity(s, g.Center(i, j))
-			if got := f.At(i, j); math.Abs(got-want) > 2*ProfileTol32 {
+			if got := f.V[g.Index(i, j)]; math.Abs(got-want) > 2*ProfileTol32 {
 				t.Errorf("(%d,%d): %v vs %v", i, j, got, want)
 			}
 		}
@@ -207,7 +207,7 @@ func TestDoseMapSuperposition(t *testing.T) {
 	p := geom.Pt(22.5, 17.5)
 	want := m.ShotIntensity(shots[0], p) + m.ShotIntensity(shots[1], p)
 	i, j := g.PixelOf(p)
-	if got := total.At(i, j); math.Abs(got-want) > 4*ProfileTol32 {
+	if got := total.V[g.Index(i, j)]; math.Abs(got-want) > 4*ProfileTol32 {
 		t.Errorf("superposition: %v vs %v", got, want)
 	}
 }
@@ -337,7 +337,7 @@ func TestDoubleGaussianAccumulateMatchesPoint(t *testing.T) {
 	for j := 0; j < g.H; j += 7 {
 		for i := 0; i < g.W; i += 7 {
 			want := m.ShotIntensity(s, g.Center(i, j))
-			if got := f.At(i, j); math.Abs(got-want) > 2*ProfileTol32 {
+			if got := f.V[g.Index(i, j)]; math.Abs(got-want) > 2*ProfileTol32 {
 				t.Fatalf("(%d,%d): %v vs %v", i, j, got, want)
 			}
 		}

@@ -281,17 +281,3 @@ func mean(v []float64) float64 {
 	}
 	return s / float64(len(v))
 }
-
-// CompatibilityGraph builds the corner compatibility graph of the
-// target with the paper's default options. Exported for the bounds
-// package, whose shot-count lower bound is a greedy independent set of
-// this graph.
-func CompatibilityGraph(p *cover.Problem) *graphx.Graph {
-	opt := Options{}.withDefaults(p)
-	raw, _, lth := extractCorners(p, opt)
-	pts := clusterCorners(raw, lth)
-	if len(pts) == 0 {
-		return graphx.New(0)
-	}
-	return buildCompatibilityGraph(p, pts, lth, opt)
-}

@@ -37,12 +37,6 @@ func (c CornerType) String() string {
 	return "?"
 }
 
-// diagonal reports whether two corner types are diagonally opposite.
-func diagonal(a, b CornerType) bool {
-	return (a == BL && b == TR) || (a == TR && b == BL) ||
-		(a == BR && b == TL) || (a == TL && b == BR)
-}
-
 // cornerTypeFacing returns the corner type whose outward diagonal points
 // in the direction with the given component signs: a shot's bottom-left
 // corner "faces" (−,−), its top-right corner faces (+,+), and so on.
@@ -78,7 +72,7 @@ func extractCorners(p *cover.Problem, opt Options) (pts []CornerPoint, simplifie
 	for ti, target := range p.Targets {
 		s := target.EnsureCCW()
 		if !opt.DisableRDP {
-			s = geom.SimplifyPolygon(s, opt.RDPTol).EnsureCCW()
+			s = geom.SimplifyPolygon(s, p.Params.Gamma).EnsureCCW()
 		}
 		if ti == 0 {
 			simplified = s
@@ -208,9 +202,9 @@ func clusterCorners(pts []CornerPoint, lth float64) []CornerPoint {
 // ExtractCorners runs boundary approximation and corner point
 // extraction with the given options, returning the clustered corner
 // points, the simplified boundary, and Lth. Exported for visualization
-// (paper Fig 1) and the bounds package.
+// (paper Fig 1).
 func ExtractCorners(p *cover.Problem, opt Options) ([]CornerPoint, geom.Polygon, float64) {
-	opt = opt.withDefaults(p)
+	opt = opt.withDefaults()
 	raw, simplified, lth := extractCorners(p, opt)
 	pts := raw
 	if !opt.DisableClustering {

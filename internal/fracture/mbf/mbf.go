@@ -34,9 +34,7 @@ type Options struct {
 	Nmax        int          // max refinement iterations (default 3000)
 	NH          int          // non-improving iterations before add/remove (default 5)
 	Order       graphx.Order // coloring order (default Sequential, as in the paper)
-	RDPTol      float64      // boundary approximation tolerance (default γ)
 	OverlapFrac float64      // test-shot interior fraction for graph edges (default 0.8)
-	MergeFrac   float64      // merged-shot interior fraction (default 0.9)
 
 	// LShots enables the L-shot matching pass after refinement:
 	// compatible rectangle pairs merge into single L-shaped exposures
@@ -61,21 +59,15 @@ type Options struct {
 const refinePatience = 1000
 
 // withDefaults fills unset options with the paper's settings.
-func (o Options) withDefaults(p *cover.Problem) Options {
+func (o Options) withDefaults() Options {
 	if o.Nmax == 0 {
 		o.Nmax = 3000
 	}
 	if o.NH == 0 {
 		o.NH = 5
 	}
-	if o.RDPTol == 0 {
-		o.RDPTol = p.Params.Gamma
-	}
 	if o.OverlapFrac == 0 {
 		o.OverlapFrac = 0.8
-	}
-	if o.MergeFrac == 0 {
-		o.MergeFrac = 0.9
 	}
 	return o
 }
@@ -132,7 +124,7 @@ func Fracture(p *cover.Problem, opt Options) *Result {
 // every refinement iteration — records a span with its duration and
 // key statistics. Without a trace the instrumentation is free.
 func FractureCtx(ctx context.Context, p *cover.Problem, opt Options) *Result {
-	opt = opt.withDefaults(p)
+	opt = opt.withDefaults()
 	res := &Result{}
 	res.Info.VerticesIn = len(p.Target)
 

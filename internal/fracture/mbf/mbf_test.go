@@ -74,15 +74,6 @@ func TestCornerTypeString(t *testing.T) {
 	}
 }
 
-func TestDiagonalPairs(t *testing.T) {
-	if !diagonal(BL, TR) || !diagonal(TR, BL) || !diagonal(BR, TL) || !diagonal(TL, BR) {
-		t.Error("diagonal pairs not recognized")
-	}
-	if diagonal(BL, BR) || diagonal(BL, TL) || diagonal(BL, BL) {
-		t.Error("non-diagonal pair accepted")
-	}
-}
-
 func TestCornerTypeFacing(t *testing.T) {
 	cases := []struct {
 		nx, ny float64
@@ -99,7 +90,7 @@ func TestCornerTypeFacing(t *testing.T) {
 
 func TestExtractCornersSquare(t *testing.T) {
 	p := mustProblem(t, poly(0, 0, 40, 0, 40, 40, 0, 40))
-	pts, simplified, lth := extractCorners(p, Options{}.withDefaults(p))
+	pts, simplified, lth := extractCorners(p, Options{}.withDefaults())
 	if len(simplified) != 4 {
 		t.Errorf("square simplified to %d vertices", len(simplified))
 	}
@@ -124,7 +115,7 @@ func TestExtractCornersSquare(t *testing.T) {
 
 func TestExtractCornersTypesOnSquare(t *testing.T) {
 	p := mustProblem(t, poly(0, 0, 40, 0, 40, 40, 0, 40))
-	pts, _, _ := extractCorners(p, Options{}.withDefaults(p))
+	pts, _, _ := extractCorners(p, Options{}.withDefaults())
 	// every BL-typed point must be near the square's bottom-left corner
 	// region etc.
 	for _, c := range pts {
@@ -286,7 +277,7 @@ func TestShotFromClassMinSize(t *testing.T) {
 
 func TestApproximateFractureSquare(t *testing.T) {
 	p := mustProblem(t, poly(0, 0, 40, 0, 40, 40, 0, 40))
-	shots, info := approximateFracture(context.Background(), p, Options{}.withDefaults(p))
+	shots, info := approximateFracture(context.Background(), p, Options{}.withDefaults())
 	if len(shots) == 0 || len(shots) > 4 {
 		t.Errorf("initial shots = %d", len(shots))
 	}
@@ -302,7 +293,7 @@ func TestRefineFixesViolations(t *testing.T) {
 	// start refinement from a deliberately bad initial solution
 	p := mustProblem(t, poly(0, 0, 40, 0, 40, 40, 0, 40))
 	bad := []geom.Rect{{X0: 5, Y0: 5, X1: 20, Y1: 20}}
-	opt := Options{}.withDefaults(p)
+	opt := Options{}.withDefaults()
 	final, iters := refine(context.Background(), p, bad, opt)
 	st := p.Evaluate(final)
 	if iters == 0 {
@@ -317,7 +308,7 @@ func TestRefineKeepsFeasible(t *testing.T) {
 	// already-feasible input returns immediately
 	p := mustProblem(t, poly(0, 0, 40, 0, 40, 40, 0, 40))
 	good := []geom.Rect{{X0: -0.5, Y0: -0.5, X1: 40.5, Y1: 40.5}}
-	final, iters := refine(context.Background(), p, good, Options{}.withDefaults(p))
+	final, iters := refine(context.Background(), p, good, Options{}.withDefaults())
 	if iters != 0 || len(final) != 1 {
 		t.Errorf("refine touched a feasible solution: %d iters, %d shots", iters, len(final))
 	}
@@ -336,13 +327,12 @@ func TestSkipRefinementOption(t *testing.T) {
 
 func TestMergeShots(t *testing.T) {
 	p := mustProblem(t, poly(0, 0, 40, 0, 40, 40, 0, 40))
-	opt := Options{}.withDefaults(p)
 	// two x-aligned stacked shots inside the target merge into one
 	e := cover.NewEval(p, []geom.Rect{
 		{X0: 0, Y0: 0, X1: 40, Y1: 22},
 		{X0: 0.5, Y0: 20, X1: 39.5, Y1: 40},
 	})
-	mergeShots(e, opt)
+	mergeShots(e)
 	if len(e.Shots) != 1 {
 		t.Fatalf("aligned shots not merged: %v", e.Shots)
 	}
@@ -353,12 +343,11 @@ func TestMergeShots(t *testing.T) {
 
 func TestMergeShotsContainment(t *testing.T) {
 	p := mustProblem(t, poly(0, 0, 40, 0, 40, 40, 0, 40))
-	opt := Options{}.withDefaults(p)
 	e := cover.NewEval(p, []geom.Rect{
 		{X0: 0, Y0: 0, X1: 40, Y1: 40},
 		{X0: 10, Y0: 10, X1: 30, Y1: 30}, // redundant inner shot
 	})
-	mergeShots(e, opt)
+	mergeShots(e)
 	if len(e.Shots) != 1 {
 		t.Fatalf("contained shot not removed: %v", e.Shots)
 	}
@@ -372,13 +361,12 @@ func TestMergeShotsRespectsInteriorFraction(t *testing.T) {
 	// notch between the arms — must not merge (Fig 5, right case)
 	u := poly(0, 0, 60, 0, 60, 60, 40, 60, 40, 20, 20, 20, 20, 60, 0, 60)
 	p := mustProblem(t, u)
-	opt := Options{}.withDefaults(p)
 	e := cover.NewEval(p, []geom.Rect{
 		{X0: 0, Y0: 30, X1: 20, Y1: 55},  // left arm
 		{X0: 40, Y0: 30, X1: 60, Y1: 55}, // right arm, y-aligned
 	})
 	before := len(e.Shots)
-	mergeShots(e, opt)
+	mergeShots(e)
 	if len(e.Shots) != before {
 		t.Errorf("merge across notch happened: %v", e.Shots)
 	}
@@ -428,7 +416,7 @@ func TestGreedyEdgeAdjustImproves(t *testing.T) {
 	// slightly undersized shot: edges should move outward
 	e := cover.NewEval(p, []geom.Rect{{X0: 3, Y0: 3, X1: 37, Y1: 37}})
 	before := e.Stats().Cost
-	opt := Options{}.withDefaults(p)
+	opt := Options{}.withDefaults()
 	if !greedyEdgeAdjust(e, opt, nil) {
 		t.Fatal("no edge moved")
 	}

@@ -68,7 +68,7 @@ func refine(ctx context.Context, p *cover.Problem, shots []geom.Rect, opt Option
 				removeShot(e)
 			}
 			if !opt.DisableMerge {
-				mergeShots(e, opt)
+				mergeShots(e)
 			}
 			history = history[:0]
 		} else {
@@ -151,7 +151,7 @@ func postCleanup(ctx context.Context, p *cover.Problem, shots []geom.Rect, opt O
 	fixup.DropRedundant(e)
 	if !opt.DisableMerge {
 		candidate := cover.NewEval(p, e.SnapshotShots())
-		mergeShots(candidate, opt)
+		mergeShots(candidate)
 		if st := candidate.Stats(); st.Fail() <= baseFail && st.Cost <= baseCost+1e-9 && len(candidate.Shots) < len(e.Shots) {
 			e.Close()
 			e = candidate
@@ -413,12 +413,16 @@ func removeShot(e *cover.Eval) {
 	}
 }
 
+// mergeFrac is the least share of a merged shot that must lie inside
+// the target (paper §4.5, Fig 5); protoeda's merge pass uses the same.
+const mergeFrac = 0.9
+
 // mergeShots merges shot pairs (paper §4.5, Fig 5): aligned shots whose
 // x (or y) extents agree within γ merge by vertical (horizontal)
-// extension when at least opt.MergeFrac of the merged shot lies inside
-// the target, and fully contained shots are deleted. Repeats until no
-// merge applies.
-func mergeShots(e *cover.Eval, opt Options) {
+// extension when at least mergeFrac of the merged shot lies inside the
+// target, and fully contained shots are deleted. Repeats until no merge
+// applies.
+func mergeShots(e *cover.Eval) {
 	p := e.P
 	gamma := p.Params.Gamma
 	for {
@@ -446,7 +450,7 @@ func mergeShots(e *cover.Eval, opt Options) {
 						Y0: math.Min(si.Y0, sj.Y0),
 						Y1: math.Max(si.Y1, sj.Y1),
 					}
-					if p.InteriorFraction(m) >= opt.MergeFrac {
+					if p.InteriorFraction(m) >= mergeFrac {
 						e.Remove(j)
 						e.SetShot(i, m)
 						merged = true
@@ -460,7 +464,7 @@ func mergeShots(e *cover.Eval, opt Options) {
 						X0: math.Min(si.X0, sj.X0),
 						X1: math.Max(si.X1, sj.X1),
 					}
-					if p.InteriorFraction(m) >= opt.MergeFrac {
+					if p.InteriorFraction(m) >= mergeFrac {
 						e.Remove(j)
 						e.SetShot(i, m)
 						merged = true
@@ -481,6 +485,6 @@ func mergeShots(e *cover.Eval, opt Options) {
 func MergePass(p *cover.Problem, shots []geom.Rect) []geom.Rect {
 	e := cover.NewEval(p, shots)
 	defer e.Close()
-	mergeShots(e, Options{}.withDefaults(p))
+	mergeShots(e)
 	return e.SnapshotShots()
 }

@@ -1,9 +1,8 @@
 // Package graphx provides the graph algorithms used by mask fracturing:
 // greedy vertex coloring (the paper solves clique partition on the shot
-// corner compatibility graph by coloring its inverse graph, §3), greedy
-// independent sets (used for shot-count lower bounds), and bipartite
-// maximum matching with König vertex covers (used by the optimal
-// minimum rectangle partition of rectilinear polygons).
+// corner compatibility graph by coloring its inverse graph, §3) and
+// bipartite maximum matching with König vertex covers (used by the
+// optimal minimum rectangle partition of rectilinear polygons).
 package graphx
 
 import "sort"
@@ -201,31 +200,4 @@ func (g *Graph) IsClique(vs []int) bool {
 		}
 	}
 	return true
-}
-
-// GreedyIndependentSet returns a maximal independent set built greedily
-// by ascending degree. Its size is a lower bound on the clique partition
-// number of g (each independent vertex needs its own clique), which the
-// bounds package uses as a shot-count lower bound.
-func (g *Graph) GreedyIndependentSet() []int {
-	idx := make([]int, g.N)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		return g.Degree(idx[a]) < g.Degree(idx[b])
-	})
-	blocked := make([]bool, g.N)
-	var set []int
-	for _, v := range idx {
-		if blocked[v] {
-			continue
-		}
-		set = append(set, v)
-		for u := range g.adj[v] {
-			blocked[u] = true
-		}
-	}
-	sort.Ints(set)
-	return set
 }

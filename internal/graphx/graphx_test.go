@@ -181,74 +181,6 @@ func TestIsClique(t *testing.T) {
 	}
 }
 
-func TestGreedyIndependentSet(t *testing.T) {
-	g := path(5) // independent set {0,2,4}
-	set := g.GreedyIndependentSet()
-	if len(set) != 3 {
-		t.Errorf("independent set size = %d, want 3", len(set))
-	}
-	for i := 0; i < len(set); i++ {
-		for j := i + 1; j < len(set); j++ {
-			if g.HasEdge(set[i], set[j]) {
-				t.Errorf("set not independent: %d-%d", set[i], set[j])
-			}
-		}
-	}
-	if got := complete(6).GreedyIndependentSet(); len(got) != 1 {
-		t.Errorf("K6 independent set = %v", got)
-	}
-}
-
-func TestIndependentSetQuick(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(15)
-		g := New(n)
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				if rng.Float64() < 0.3 {
-					g.AddEdge(i, j)
-				}
-			}
-		}
-		set := g.GreedyIndependentSet()
-		if len(set) == 0 {
-			return false
-		}
-		for i := 0; i < len(set); i++ {
-			for j := i + 1; j < len(set); j++ {
-				if g.HasEdge(set[i], set[j]) {
-					return false
-				}
-			}
-		}
-		// maximality: every vertex outside is adjacent to the set
-		inSet := make(map[int]bool)
-		for _, v := range set {
-			inSet[v] = true
-		}
-		for v := 0; v < n; v++ {
-			if inSet[v] {
-				continue
-			}
-			adj := false
-			for _, u := range set {
-				if g.HasEdge(u, v) {
-					adj = true
-					break
-				}
-			}
-			if !adj {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestColoringUpperBoundQuick(t *testing.T) {
 	// greedy coloring uses at most maxDegree+1 colors
 	f := func(seed int64) bool {

@@ -1,7 +1,7 @@
 // Package raster provides the pixel-grid substrate for model-based mask
 // fracturing: polygon rasterization at the Δp sampling pitch, scalar
-// dose fields, Euclidean distance transforms, connected-component
-// labeling and contour extraction from bitmaps.
+// dose fields, connected-component labeling and contour extraction
+// from bitmaps.
 //
 // The fracturing problem is defined on pixels sampled at 1 nm pitch
 // (paper §2): the target shape is rasterized, pixels are classified into
@@ -9,7 +9,6 @@
 package raster
 
 import (
-	"fmt"
 	"math"
 
 	"maskfrac/internal/geom"
@@ -187,21 +186,6 @@ func NewField(g Grid) *Field {
 	return &Field{Grid: g, V: make([]float64, g.Len())}
 }
 
-// At returns the value at (i, j); out-of-range pixels are 0.
-func (f *Field) At(i, j int) float64 {
-	if !f.Grid.In(i, j) {
-		return 0
-	}
-	return f.V[f.Grid.Index(i, j)]
-}
-
-// SetAt stores v at (i, j); out-of-range coordinates are ignored.
-func (f *Field) SetAt(i, j int, v float64) {
-	if f.Grid.In(i, j) {
-		f.V[f.Grid.Index(i, j)] = v
-	}
-}
-
 // Threshold returns the bitmap of pixels with value >= iso.
 func (f *Field) Threshold(iso float64) *Bitmap {
 	out := NewBitmap(f.Grid)
@@ -216,19 +200,6 @@ func (f *Field) Clone() *Field {
 	out := NewField(f.Grid)
 	copy(out.V, f.V)
 	return out
-}
-
-// Rasterize samples polygon pg onto grid g: a pixel is set when its
-// center lies inside the polygon (even-odd rule), matching the paper's
-// pixel sampling of the target shape. It is RasterizeInto on a fresh
-// bitmap.
-func Rasterize(pg geom.Polygon, g Grid) (*Bitmap, error) {
-	if err := pg.Validate(); err != nil {
-		return nil, fmt.Errorf("raster: %w", err)
-	}
-	b := NewBitmap(g)
-	RasterizeInto(b.Bits, g, g.Whole(), pg)
-	return b, nil
 }
 
 // RasterizeInto sets the pixels of window w of grid g whose center lies

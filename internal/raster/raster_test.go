@@ -2,10 +2,8 @@ package raster
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"maskfrac/internal/geom"
 )
@@ -17,6 +15,13 @@ func poly(xy ...float64) geom.Polygon {
 		pg[i] = geom.Pt(xy[2*i], xy[2*i+1])
 	}
 	return pg
+}
+
+// rasterize samples pg onto a fresh bitmap over the whole of g.
+func rasterize(pg geom.Polygon, g Grid) *Bitmap {
+	b := NewBitmap(g)
+	RasterizeInto(b.Bits, g, g.Whole(), pg)
+	return b
 }
 
 func TestGridCovering(t *testing.T) {
@@ -93,19 +98,17 @@ func TestBitmapBasics(t *testing.T) {
 }
 
 func TestFieldBasics(t *testing.T) {
-	f := NewField(Grid{Pitch: 1, W: 3, H: 3})
-	f.SetAt(1, 1, 0.75)
-	f.SetAt(2, 2, 0.25)
-	if f.At(1, 1) != 0.75 || f.At(0, 0) != 0 || f.At(9, 9) != 0 {
-		t.Error("At/SetAt failed")
-	}
+	g := Grid{Pitch: 1, W: 3, H: 3}
+	f := NewField(g)
+	f.V[g.Index(1, 1)] = 0.75
+	f.V[g.Index(2, 2)] = 0.25
 	th := f.Threshold(0.5)
 	if th.Count() != 1 || !th.Get(1, 1) {
 		t.Error("Threshold failed")
 	}
 	c := f.Clone()
-	c.SetAt(0, 0, 1)
-	if f.At(0, 0) != 0 {
+	c.V[g.Index(0, 0)] = 1
+	if f.V[g.Index(0, 0)] != 0 {
 		t.Error("Clone aliases original")
 	}
 }
@@ -113,10 +116,7 @@ func TestFieldBasics(t *testing.T) {
 func TestRasterizeSquare(t *testing.T) {
 	pg := poly(0, 0, 4, 0, 4, 4, 0, 4)
 	g := Grid{X0: -1, Y0: -1, Pitch: 1, W: 6, H: 6}
-	b, err := Rasterize(pg, g)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := rasterize(pg, g)
 	// exactly the 16 pixels with centers in (0,4)^2
 	if b.Count() != 16 {
 		t.Errorf("Count = %d, want 16", b.Count())
@@ -129,10 +129,7 @@ func TestRasterizeSquare(t *testing.T) {
 func TestRasterizeLShape(t *testing.T) {
 	l := poly(0, 0, 4, 0, 4, 2, 2, 2, 2, 4, 0, 4)
 	g := Grid{X0: 0, Y0: 0, Pitch: 1, W: 4, H: 4}
-	b, err := Rasterize(l, g)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := rasterize(l, g)
 	if b.Count() != 12 {
 		t.Errorf("Count = %d, want 12", b.Count())
 	}
@@ -144,21 +141,12 @@ func TestRasterizeLShape(t *testing.T) {
 	}
 }
 
-func TestRasterizeErrors(t *testing.T) {
-	if _, err := Rasterize(poly(0, 0, 1, 1), Grid{Pitch: 1, W: 2, H: 2}); err == nil {
-		t.Error("degenerate polygon accepted")
-	}
-}
-
 func TestRasterizeMatchesContains(t *testing.T) {
 	// pixel-center sampling must agree with point-in-polygon on a
 	// non-rectilinear shape
 	pg := poly(0, 0, 8, 0, 8, 8, 4, 4, 0, 8)
 	g := Grid{X0: -1, Y0: -1, Pitch: 1, W: 10, H: 10}
-	b, err := Rasterize(pg, g)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := rasterize(pg, g)
 	for j := 0; j < g.H; j++ {
 		for i := 0; i < g.W; i++ {
 			want := pg.Contains(g.Center(i, j))
@@ -211,89 +199,6 @@ func TestWindowOverlapsUnion(t *testing.T) {
 	g := Grid{X0: 0.5, Y0: 0.5, Pitch: 1, W: 10, H: 10}
 	if w := g.Cover(geom.Rect{X0: -5, Y0: 2.2, X1: 3.4, Y1: 40}); w != WindowOf(0, 1, 2, 9) {
 		t.Errorf("cover = %+v, want clamped (0,1)-(2,9)", w)
-	}
-}
-
-func TestDistanceTransformSingleSeed(t *testing.T) {
-	g := Grid{Pitch: 1, W: 9, H: 9}
-	b := NewBitmap(g)
-	b.Set(4, 4, true)
-	d := DistanceTransform(b)
-	if d.At(4, 4) != 0 {
-		t.Errorf("seed distance = %v", d.At(4, 4))
-	}
-	if d.At(7, 4) != 3 {
-		t.Errorf("axis distance = %v", d.At(7, 4))
-	}
-	if got := d.At(7, 8); math.Abs(got-5) > 1e-9 {
-		t.Errorf("diagonal distance = %v, want 5", got)
-	}
-}
-
-func TestDistanceTransformExhaustive(t *testing.T) {
-	// brute-force comparison on a small random-ish pattern
-	g := Grid{Pitch: 2, W: 12, H: 7}
-	b := NewBitmap(g)
-	seeds := [][2]int{{0, 0}, {11, 6}, {5, 3}, {6, 3}, {2, 5}}
-	for _, s := range seeds {
-		b.Set(s[0], s[1], true)
-	}
-	d := DistanceTransform(b)
-	for j := 0; j < g.H; j++ {
-		for i := 0; i < g.W; i++ {
-			want := math.Inf(1)
-			for _, s := range seeds {
-				dx, dy := float64(i-s[0]), float64(j-s[1])
-				want = math.Min(want, math.Hypot(dx, dy)*g.Pitch)
-			}
-			if got := d.At(i, j); math.Abs(got-want) > 1e-9 {
-				t.Errorf("(%d,%d): got %v want %v", i, j, got, want)
-			}
-		}
-	}
-}
-
-func TestDistanceTransformEmpty(t *testing.T) {
-	d := DistanceTransform(NewBitmap(Grid{Pitch: 1, W: 3, H: 3}))
-	for _, v := range d.V {
-		if !math.IsInf(v, 1) {
-			t.Fatalf("empty bitmap distance = %v", v)
-		}
-	}
-}
-
-func TestDistanceTransformQuick(t *testing.T) {
-	f := func(raw []bool) bool {
-		w, h := 8, 8
-		g := Grid{Pitch: 1, W: w, H: h}
-		b := NewBitmap(g)
-		for k := 0; k < len(raw) && k < w*h; k++ {
-			b.Bits[k] = raw[k]
-		}
-		d := DistanceTransform(b)
-		// spot-check a few pixels against brute force
-		for _, k := range []int{0, 13, 37, 63} {
-			i, j := g.Coords(k)
-			want := math.Inf(1)
-			for s, v := range b.Bits {
-				if !v {
-					continue
-				}
-				si, sj := g.Coords(s)
-				want = math.Min(want, math.Hypot(float64(i-si), float64(j-sj)))
-			}
-			got := d.At(i, j)
-			if math.IsInf(want, 1) != math.IsInf(got, 1) {
-				return false
-			}
-			if !math.IsInf(want, 1) && math.Abs(got-want) > 1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -438,18 +343,12 @@ func TestContoursRoundTrip(t *testing.T) {
 	// rasterize an L, trace it, re-rasterize the contour: same bitmap
 	l := poly(0, 0, 4, 0, 4, 2, 2, 2, 2, 4, 0, 4)
 	g := Grid{X0: -1, Y0: -1, Pitch: 1, W: 7, H: 7}
-	b, err := Rasterize(l, g)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := rasterize(l, g)
 	pg := LargestContour(b)
 	if pg == nil {
 		t.Fatal("no contour")
 	}
-	b2, err := Rasterize(pg, g)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b2 := rasterize(pg, g)
 	for k := range b.Bits {
 		if b.Bits[k] != b2.Bits[k] {
 			i, j := g.Coords(k)
@@ -488,10 +387,7 @@ func TestContoursFuzzRoundTrip(t *testing.T) {
 			if !pg.IsCCW() {
 				continue // holes handled below
 			}
-			fill, err := Rasterize(pg, g)
-			if err != nil {
-				t.Fatalf("trial %d: %v", trial, err)
-			}
+			fill := rasterize(pg, g)
 			for k, v := range fill.Bits {
 				if v {
 					rebuilt.Bits[k] = true
@@ -502,10 +398,7 @@ func TestContoursFuzzRoundTrip(t *testing.T) {
 			if pg.IsCCW() {
 				continue
 			}
-			hole, err := Rasterize(pg.EnsureCCW(), g)
-			if err != nil {
-				t.Fatalf("trial %d: %v", trial, err)
-			}
+			hole := rasterize(pg.EnsureCCW(), g)
 			for k, v := range hole.Bits {
 				if v {
 					rebuilt.Bits[k] = false

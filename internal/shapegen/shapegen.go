@@ -430,9 +430,6 @@ func itoa(v int) string {
 	return string(buf[i:])
 }
 
-// randSource returns a deterministic RNG for tests.
-func randSource(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
-
 // SRAFCluster generates a main contact-like feature surrounded by
 // sub-resolution assist features: thin bars placed a ring away from the
 // main shape, the geometry inverse lithography inserts to sharpen the

@@ -1,12 +1,16 @@
 package shapegen
 
 import (
+	"math/rand"
 	"testing"
 
 	"maskfrac/internal/cover"
 	"maskfrac/internal/geom"
 	"maskfrac/internal/raster"
 )
+
+// randSource returns a deterministic RNG.
+func randSource(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
 func TestILTShapeDeterministic(t *testing.T) {
 	a := ILTShape(42, 3)

@@ -341,11 +341,11 @@ func (pr *Problem) DoseAt(shots []Shot, at Point) float64 {
 	return total
 }
 
-// Bounds returns heuristic lower/upper shot-count bounds for the
-// target (the Table 2 LB/UB substitution; see DESIGN.md).
-func (pr *Problem) Bounds() (lower, upper int) {
-	b := bounds.Compute(pr.in.Whole())
-	return b.Lower, b.Upper
+// Bounds returns the upper shot-count bound of the target: the
+// rectangle count of a conventional partition (the Table 2 UB
+// substitution; see DESIGN.md).
+func (pr *Problem) Bounds() (upper int) {
+	return bounds.Upper(pr.in.Whole())
 }
 
 // Lth returns the longest 45° segment writable by a single shot corner

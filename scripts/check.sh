@@ -83,9 +83,12 @@ go test -race -run 'TestStencilPlanE2E' ./internal/cluster
 # the soak smoke holds 3 in-process nodes at a steady QPS for a few
 # seconds under the race detector and asserts a gap-free rolling time
 # series (zero dropped windows) plus at least one complete cross-node
-# trace waterfall stitched from the daemons' span trees
-echo "== go test -race loadgen soak smoke (3-node) =="
-go test -race -count=1 -run 'TestSoakSmoke' ./cmd/loadgen
+# trace waterfall stitched from the daemons' span trees; the replay
+# test runs the 640-placement demo mask through the full-mask pipeline
+# and asserts one /fracture request and one miss per class, and node
+# class statistics that count all 640 placements
+echo "== go test -race loadgen soak smoke and replay (3-node) =="
+go test -race -count=1 -run 'TestSoakSmoke|TestReplayPipeline' ./cmd/loadgen
 
 # the one single-flight group (internal/flight) and its three users:
 # one fn per key under a lookup that fn fills, errors never kept, a
